@@ -112,6 +112,11 @@ def _boundary_mode(args) -> BoundaryMode:
     raise InputError(f"--boundary must be paper-literal or fixed:<k>, got {spec!r}")
 
 
+def _tolerance(args, default):
+    """--tolerance when given (0 included), else the scenario's value."""
+    return default if args.tolerance is None else args.tolerance
+
+
 def _base_report(command: str, scenario=None, seed=None) -> dict:
     out = {"command": command, "version": __version__}
     if scenario is not None:
@@ -128,7 +133,7 @@ def _cmd_euler(args) -> int:
     scenario = _load(args)
     obj = scenario.objective()
     path = scenario.path()
-    tol = args.tolerance or scenario.tolerance("euler", None)
+    tol = _tolerance(args, scenario.tolerance("euler", None))
     rep = euler_report(obj, path, mode=_boundary_mode(args), tolerance=tol)
     report = _base_report("euler", scenario)
     report["euler"] = {
@@ -147,7 +152,7 @@ def _cmd_tvc(args) -> int:
     q = scenario.perturbation()
     if q is None:
         raise InputError("perturbation: the tvc command needs a perturbation")
-    tol = args.tolerance or scenario.tolerance("tvc", None)
+    tol = _tolerance(args, scenario.tolerance("tvc", None))
     if scenario.domain.kind == "discrete":
         rep = tvc_liminf_discrete(obj, path, q, tolerance=tol)
     else:
@@ -212,7 +217,7 @@ def _cmd_solve(args) -> int:
                                     solve["guess_constant"])
     spec = SolveSpec(horizon=solve["horizon"], guess=guess, mode=solve["mode"],
                      head=solve.get("head"), tail=solve.get("tail"),
-                     tolerance=args.tolerance or solve.get("tolerance", 1e-10),
+                     tolerance=_tolerance(args, solve.get("tolerance", 1e-10)),
                      max_iterations=solve.get("max_iterations", 100))
     path, rep = newton_euler_solve(obj, spec)
     report = _base_report("solve", scenario)

@@ -292,11 +292,6 @@ def integrate_time(series: StochasticPath, up_to: float) -> np.ndarray:
     return np.trapezoid(series.values[: idx + 1, :, 0], dx=series.domain.h, axis=0)
 
 
-def window(path: StochasticPath, t: int, n: int) -> np.ndarray:
-    """Module-level alias for StochasticPath.window."""
-    return path.window(t, n)
-
-
 # ---------------------------------------------------------------------------
 # Curve constructors
 

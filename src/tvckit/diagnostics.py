@@ -18,8 +18,9 @@ import numpy as np
 
 from .core import (PerturbationCurve, StochasticPath, expectation, perturb)
 from .errors import HorizonError, InputError, NumericalError, UnsupportedError
-from .euler import _jet_paths, max_window_start
-from .objectives import ContinuousObjective, DiscreteObjective
+from .euler import max_window_start
+from .kernel import expected_cumsum, jet_values, window_values
+from .objectives import ContinuousObjective
 
 NEG_INF = float("-inf")
 
@@ -83,21 +84,6 @@ class UniformityVerdict:
     reason: str
 
 
-def _expected_window_diff(obj, base, shifted, t):
-    space = base.space
-    vals = np.empty(space.m)
-    n = obj.order
-    win_b = base.window(t, n)
-    win_s = shifted.window(t, n)
-    for w in range(space.m):
-        vb = obj.value(win_b[:, w, :], t, w)
-        vs = obj.value(win_s[:, w, :], t, w)
-        if vb == NEG_INF or vs == NEG_INF:
-            return None
-        vals[w] = vs - vb
-    return expectation(space, vals)
-
-
 def a_grid(obj, path: StochasticPath, curve: PerturbationCurve,
            eps_grid=DEFAULT_EPS_GRID, tprime_grid=None,
            kind: str | None = None) -> DiagnosticMatrix:
@@ -130,29 +116,22 @@ def _a_grid_discrete(obj, path, curve, eps_grid, tprime_grid):
         tprime_grid = _default_tprime_grid_discrete(path, curve, n)
     tprime_grid = [int(t) for t in tprime_grid]
     last = min(max_window_start(path, n), max_window_start(curve, n))
-    if tprime_grid[-1] > last:
-        raise HorizonError(f"T'={tprime_grid[-1]} beyond the last full window {last}")
-    nT, nE = len(tprime_grid), len(eps_grid)
-    values = np.zeros((nT, nE))
-    status = np.full((nT, nE), STATUS_FINITE, dtype=object)
+    if max(tprime_grid) > last:
+        raise HorizonError(f"T'={max(tprime_grid)} beyond the last full window {last}")
+    if min(tprime_grid) < 0:
+        raise HorizonError("T' values must be >= 0")
+    idx = np.asarray(tprime_grid)
+    values = np.zeros((len(idx), len(eps_grid)))
+    status = np.full(values.shape, STATUS_FINITE, dtype=object)
+    base = window_values(obj, path, 0, idx.max())
     for ie, eps in enumerate(eps_grid):
-        shifted = perturb(path, curve, eps)
-        cum = 0.0
-        bad_from = None
-        it = 0
-        for t in range(tprime_grid[-1] + 1):
-            diff = _expected_window_diff(obj, path, shifted, t)
-            if diff is None:
-                bad_from = t if bad_from is None else bad_from
-                diff = 0.0
-            cum += diff
-            while it < nT and tprime_grid[it] == t:
-                values[it, ie] = cum / eps
-                if bad_from is not None:
-                    status[it, ie] = STATUS_DOMAIN_ERROR
-                elif not math.isfinite(values[it, ie]):
-                    status[it, ie] = STATUS_DIVERGING
-                it += 1
+        shifted = window_values(obj, perturb(path, curve, eps), 0, idx.max())
+        walled = np.isneginf(base).any(axis=1) | np.isneginf(shifted).any(axis=1)
+        with np.errstate(invalid="ignore"):  # -inf - -inf on walled windows
+            diff = np.where(walled[:, None], 0.0, shifted - base)
+        values[:, ie] = expected_cumsum(path.space, diff)[idx] / eps
+        status[~np.isfinite(values[:, ie]), ie] = STATUS_DIVERGING
+        status[np.maximum.accumulate(walled)[idx], ie] = STATUS_DOMAIN_ERROR
     if (status == STATUS_DOMAIN_ERROR).all():
         raise NumericalError("every diagnostic cell hit the -inf domain boundary")
     return DiagnosticMatrix(tuple(eps_grid), tuple(tprime_grid), values, status)
@@ -161,37 +140,22 @@ def _a_grid_discrete(obj, path, curve, eps_grid, tprime_grid):
 def _a_grid_continuous(obj, path, curve, eps_grid, tprime_grid):
     if path.domain.kind != "continuous":
         raise UnsupportedError("continuous diagnostics need a continuous domain")
-    n = obj.order
     h = path.domain.h
-    times = path.domain.times()
     if tprime_grid is None:
         onset = curve.tail_onset if curve.tail_onset is not None else 1.0
         tprime_grid = [t for t in np.geomspace(onset + 2, path.domain.t_end, 8)]
         tprime_grid = sorted({round(path.domain.index_of(round(t / h) * h) * h, 12)
                               for t in tprime_grid})
-    m = path.space.m
-    base_jets = _jet_paths(path, n)
     nT, nE = len(tprime_grid), len(eps_grid)
     values = np.zeros((nT, nE))
     status = np.full((nT, nE), STATUS_FINITE, dtype=object)
-
-    def sampled_values(jets):
-        out = np.empty((len(times), m))
-        jet = np.empty((n + 1, path.dim))
-        for it, t in enumerate(times):
-            for w in range(m):
-                for order in range(n + 1):
-                    jet[order] = jets[order][it, w]
-                out[it, w] = obj.value(jet, t, w)
-        return out
-
-    base_vals = sampled_values(base_jets)
+    base_vals = jet_values(obj, path)
     for ie, eps in enumerate(eps_grid):
         shifted = perturb(path, curve, eps)
-        diff = sampled_values(_jet_paths(shifted, n)) - base_vals
+        with np.errstate(invalid="ignore"):  # -inf - -inf where both hit the wall
+            diff = jet_values(obj, shifted) - base_vals
         bad = np.isneginf(diff) | np.isnan(diff)
-        ediff = np.array([expectation(path.space, np.where(bad[it], 0.0, diff[it]))
-                          for it in range(len(times))])
+        ediff = expectation(path.space, np.where(bad, 0.0, diff).T)
         # cumulative trapezoid over the grid
         cum = np.concatenate([[0.0], np.cumsum((ediff[1:] + ediff[:-1]) * 0.5 * h)])
         for it, tp in enumerate(tprime_grid):

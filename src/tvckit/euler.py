@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SampleSpace, StochasticPath, expectation, time_derivative
+from .core import StochasticPath, expectation
 from .errors import HorizonError, InputError, NumericalError, UnsupportedError
-from .objectives import ContinuousObjective, DiscreteObjective, partial_slot
+from .kernel import euler_rows, jet_partials, window_partials
+from .objectives import ContinuousObjective, DiscreteObjective
 
 DEFAULT_TOL_ANALYTIC = 1e-8
 DEFAULT_TOL_FD = 1e-4
@@ -87,13 +88,7 @@ def discrete_euler_residual(obj: DiscreteObjective, path: StochasticPath, t: int
     j_hi = min(t, j_max)
     if j_hi < j_lo:
         raise HorizonError(f"no window touches index t={t} within the grid")
-    m = path.space.m
-    out = np.zeros((m, path.dim))
-    for j in range(j_lo, j_hi + 1):
-        win = path.window(j, n)
-        for w in range(m):
-            out[w] += partial_slot(obj, t - j, win[:, w, :], j, w)
-    return out
+    return euler_rows(window_partials(obj, path, j_lo, j_hi))[t - j_lo]
 
 
 def admissible_indices(path: StochasticPath, n: int, mode: BoundaryMode) -> range:
@@ -110,39 +105,16 @@ def continuous_euler_residual_series(obj: ContinuousObjective,
     """Residual sampled on the whole grid; shape (num_points, m, dim)."""
     if path.domain.kind != "continuous":
         raise UnsupportedError("continuous residuals need a continuous domain")
-    n = obj.order
-    jets = _jet_paths(path, n)
-    times = path.domain.times()
-    m = path.space.m
-    out = np.zeros((path.num_points, m, path.dim))
-    for k in range(n + 1):
-        series = _partial_series(obj, k, jets, times, m, path.dim)
+    P = jet_partials(obj, path)
+    out = np.zeros(P[:, 0].shape)
+    for k in range(obj.order + 1):
+        series = P[:, k]
         for _ in range(k):
             series = np.gradient(series, path.domain.h, axis=0, edge_order=2)
         out += (-1) ** k * series
     if not np.isfinite(out).all():
         raise NumericalError("derivative stencil produced a non-finite residual")
     return out
-
-
-def _jet_paths(path: StochasticPath, n: int) -> list[np.ndarray]:
-    jets = [path.values]
-    current = path
-    for _ in range(n):
-        current = time_derivative(current, 1)
-        jets.append(current.values)
-    return jets
-
-
-def _partial_series(obj, k, jets, times, m, dim) -> np.ndarray:
-    series = np.empty((len(times), m, dim))
-    jet = np.empty((obj.order + 1, dim))
-    for it, t in enumerate(times):
-        for w in range(m):
-            for order in range(obj.order + 1):
-                jet[order] = jets[order][it, w]
-            series[it, w] = partial_slot(obj, k, jet, t, w)
-    return series
 
 
 def continuous_euler_residual(obj: ContinuousObjective, path: StochasticPath,
@@ -163,7 +135,9 @@ def euler_report(obj, path: StochasticPath, mode: BoundaryMode | None = None,
     space = path.space
     if isinstance(obj, DiscreteObjective):
         idxs = admissible_indices(path, obj.order, mode)
-        residuals = np.stack([discrete_euler_residual(obj, path, t) for t in idxs])
+        j_lo = max(0, idxs.start - obj.order)  # earlier windows touch no admissible row
+        rows = euler_rows(window_partials(obj, path, j_lo, idxs.stop - 1))
+        residuals = rows[idxs.start - j_lo : idxs.stop - j_lo]
         default_tol = DEFAULT_TOL_ANALYTIC if obj.has_analytic_partials else DEFAULT_TOL_FD
         indices = tuple(idxs)
     else:
@@ -174,7 +148,7 @@ def euler_report(obj, path: StochasticPath, mode: BoundaryMode | None = None,
         indices = tuple(path.domain.times()[interior])
         default_tol = DEFAULT_TOL_FD  # grid stencils dominate the error budget
     tol = default_tol if tolerance is None else tolerance
-    expected = np.stack([expectation(space, r) for r in residuals])
+    expected = expectation(space, residuals.swapaxes(0, 1))
     max_abs = float(np.abs(residuals).max()) if residuals.size else 0.0
     verdict = "STATIONARY" if max_abs <= tol else "NOT_STATIONARY"
     return EulerReport(indices=indices, residuals=residuals, expected=expected,

@@ -201,7 +201,8 @@ def parse_source(source: str, symbols) -> Node:
 # Evaluation
 
 def eval_ast(node: Node, env: dict[str, float]) -> float:
-    """IEEE double evaluation; ln(x <= 0) -> -inf, division by zero and NaN -> error."""
+    """IEEE double evaluation; ln(x <= 0) -> -inf, exp(-inf) -> 0.  Division by
+    zero, NaN, complex powers and overflow raise EvalError."""
     out = _eval(node, env)
     if math.isnan(out):
         raise EvalError("expression evaluated to NaN")
@@ -223,7 +224,12 @@ def _eval(node: Node, env) -> float:
         if node.fn == "ln":
             return math.log(arg) if arg > 0.0 else NEG_INF
         if node.fn == "exp":
-            return math.exp(arg) if arg != NEG_INF else 0.0
+            if arg == NEG_INF:
+                return 0.0
+            try:
+                return math.exp(arg)
+            except OverflowError:
+                raise EvalError(f"exp({arg}) overflows") from None
         if node.fn == "abs":
             return abs(arg)
         if node.fn == "sqrt":
@@ -245,10 +251,112 @@ def _eval(node: Node, env) -> float:
         return left / right
     if node.op == "^":
         try:
-            return left**right
+            out = left**right
         except (OverflowError, ZeroDivisionError) as exc:
             raise EvalError(f"power failed: {exc}") from None
+        if isinstance(out, complex):
+            raise EvalError(f"{left} ^ {right} has no real value")
+        return out
     raise EvalError(f"unknown operator {node.op!r}")
+
+
+# ---------------------------------------------------------------------------
+# Compilation to numpy closures
+
+def compile_ast(node: Node):
+    """Compile an AST into f(env) -> ndarray, where env maps every symbol to an
+    array (all of one shape) or a scalar.
+
+    Each entry of the result is what eval_ast returns on the matching entries
+    of env, up to the last bits numpy's vectorised math may differ in; where
+    eval_ast would raise EvalError for any entry, f raises EvalError.
+    """
+    fn = _compile(node)
+
+    def run(env):
+        with np.errstate(all="ignore"):
+            out = np.asarray(fn(env), dtype=float)
+        if np.isnan(out).any():
+            raise EvalError("expression evaluated to NaN")
+        return out
+
+    return run
+
+
+def _ln(x):
+    x = np.asarray(x, dtype=float)
+    return np.log(x, out=np.full(x.shape, NEG_INF), where=x > 0.0)
+
+
+def _exp(x):
+    out = np.exp(x)
+    if (np.isinf(out) & np.isfinite(x)).any():
+        raise EvalError("exp overflows")
+    return out
+
+
+def _sqrt(x):
+    if (np.asarray(x) < 0.0).any():
+        raise EvalError("sqrt of a negative value")
+    return np.sqrt(x)
+
+
+def _divide(left, right):
+    if (np.asarray(right) == 0.0).any():
+        raise EvalError("division by zero")
+    return np.divide(left, right)
+
+
+def _power(base, c: float):
+    """base ^ c with Python's float rules: 0 ^ (c < 0) and a negative finite
+    base with a finite non-integer c fail, as does finite overflow."""
+    base = np.asarray(base, dtype=float)
+    out = np.power(base, c)
+    if math.isfinite(c):
+        finite = np.isfinite(base)
+        if c < 0.0 and (base == 0.0).any():
+            raise EvalError("power failed: 0.0 cannot be raised to a negative power")
+        if c != math.floor(c) and (finite & (base < 0.0)).any():
+            raise EvalError(f"negative base ^ {c} has no real value")
+        if (finite & np.isinf(out)).any():
+            raise EvalError(f"power ^ {c} overflows")
+    return out
+
+
+_CALLS = {"ln": _ln, "exp": _exp, "abs": np.abs, "sqrt": _sqrt}
+_BINOPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": _divide}
+
+
+def _compile(node: Node):
+    if isinstance(node, Const):
+        value = node.value
+        return lambda env: value
+    if isinstance(node, Var):
+        name = node.name
+
+        def var(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise EvalError(f"unbound symbol {name!r}") from None
+
+        return var
+    if isinstance(node, Neg):
+        child = _compile(node.child)
+        return lambda env: np.negative(child(env))
+    if isinstance(node, Call):
+        if node.fn not in _CALLS:
+            raise EvalError(f"unknown function {node.fn!r}")
+        fn, arg = _CALLS[node.fn], _compile(node.arg)
+        return lambda env: fn(arg(env))
+    left = _compile(node.left)
+    if node.op == "^":
+        c = node.right.value  # exponent is Const by construction
+        return lambda env: _power(left(env), c)
+    if node.op not in _BINOPS:
+        raise EvalError(f"unknown operator {node.op!r}")
+    op, right = _BINOPS[node.op], _compile(node.right)
+    return lambda env: op(left(env), right(env))
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +551,31 @@ def _build_objective(source: str, order: int, constants: dict, continuous: bool,
 
         return p
 
+    compiled = compile_ast(ast)
+    compiled_partials = [compile_ast(p) for p in partial_asts]
+
+    def batch_env(points, t, w):
+        env = {s: points[:, k, 0] for k, s in enumerate(slots)}
+        env["t"] = np.asarray(t, dtype=float)
+        for cname, arr in const_rows.items():
+            env[cname] = arr[w % len(arr)]
+        return env
+
+    def ev_batch(points, t, w):
+        return np.broadcast_to(compiled(batch_env(points, t, w)), len(points))
+
+    def partials_batch(points, t, w):
+        env = batch_env(points, t, w)
+        out = np.empty((len(points), order + 1, 1))
+        for k, fn in enumerate(compiled_partials):
+            out[:, k, 0] = fn(env)
+        return out
+
     cls = ContinuousObjective if continuous else DiscreteObjective
     obj = cls(order=order, eval_fn=ev,
               partial_fns=tuple(make_partial(k) for k in range(order + 1)),
-              name=name or f"dsl:{source}")
+              name=name or f"dsl:{source}", batch_eval_fn=ev_batch,
+              batch_partials_fn=partials_batch)
     return obj, ast, partial_asts
 
 

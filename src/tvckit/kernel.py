@@ -1,0 +1,117 @@
+"""Batched objective evaluation over the windows or jets of a path, and the
+reductions the engines build from it.
+
+One batched call of the objective covers every (window, state) pair of a
+discrete path or every (time, state) pair of a continuous one.  Slot-partials
+come back as one tensor P[j, k, w, :] (window or time j, slot k, state w):
+an Euler row is a clipped diagonal sum of P and a tail coefficient an
+anti-diagonal block of it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .core import SampleSpace, StochasticPath, expectation, time_derivative
+from .errors import HorizonError, UnsupportedError
+
+
+def window_stack(values: np.ndarray, n: int, j_lo: int, j_hi: int) -> np.ndarray:
+    """Windows j_lo..j_hi of a (time, state, dim) array; shape (J, m, n+1, dim)."""
+    if j_lo < 0 or j_hi + n > len(values) - 1:
+        raise HorizonError(f"windows [{j_lo}, {j_hi + n}] fall off the grid 0..{len(values) - 1}")
+    return np.stack([values[j_lo + k : j_hi + k + 1] for k in range(n + 1)], axis=2)
+
+
+def _flatten(stack, t_axis, states):
+    """(points, t, w) of a stack, window- or time-major.  Built by broadcasting:
+    np.tile leaves a reference cycle per call."""
+    grid = stack.shape[:2]
+    points = stack.reshape((grid[0] * grid[1],) + stack.shape[2:])
+    t = np.broadcast_to(np.asarray(t_axis)[:, None], grid).reshape(-1)
+    return points, t, np.broadcast_to(np.asarray(states), grid).reshape(-1)
+
+
+def values_at(obj, stack, t_axis, states) -> np.ndarray:
+    """Objective values at every point of a stack; shape (J, m)."""
+    return obj.values_batch(*_flatten(stack, t_axis, states)).reshape(stack.shape[:2])
+
+
+def partials_at(obj, stack, t_axis, states) -> np.ndarray:
+    """Slot-partials at every point of a stack as P[j, k, w, :]; shape (J, n+1, m, dim)."""
+    count, m, slots = stack.shape[:3]
+    out = obj.partials_batch(*_flatten(stack, t_axis, states))
+    out = np.broadcast_to(out.reshape(count, m, slots, out.shape[-1]), stack.shape)
+    return out.transpose(0, 2, 1, 3)
+
+
+def _discrete_windows(path: StochasticPath, n: int, j_lo: int, j_hi: int):
+    if path.domain.kind != "discrete":
+        raise UnsupportedError("windows are defined on discrete domains only")
+    return (window_stack(path.values, n, j_lo, j_hi), np.arange(j_lo, j_hi + 1),
+            np.arange(path.space.m))
+
+
+def window_values(obj, path: StochasticPath, j_lo: int, j_hi: int) -> np.ndarray:
+    """V at windows j_lo..j_hi of every state; shape (J, m)."""
+    return values_at(obj, *_discrete_windows(path, obj.order, j_lo, j_hi))
+
+
+def window_partials(obj, path: StochasticPath, j_lo: int, j_hi: int) -> np.ndarray:
+    """P over windows j_lo..j_hi; shape (J, n+1, m, dim)."""
+    return partials_at(obj, *_discrete_windows(path, obj.order, j_lo, j_hi))
+
+
+def _jets(path: StochasticPath, n: int):
+    """(x, x', ..., x^(n)) at every grid time and state, stacked (num_points, m, n+1, dim)."""
+    jets = [path.values]
+    current = path
+    for _ in range(n):
+        current = time_derivative(current, 1)
+        jets.append(current.values)
+    return np.stack(jets, axis=2), path.domain.times(), np.arange(path.space.m)
+
+
+def jet_values(obj, path: StochasticPath) -> np.ndarray:
+    """v along the path's jets at every grid time and state; shape (num_points, m)."""
+    return values_at(obj, *_jets(path, obj.order))
+
+
+def jet_partials(obj, path: StochasticPath) -> np.ndarray:
+    """P along the path's jets, time-major; shape (num_points, n+1, m, dim)."""
+    return partials_at(obj, *_jets(path, obj.order))
+
+
+def euler_rows(P: np.ndarray) -> np.ndarray:
+    """Row r sums the slot-k partials of windows r-k (k = 0..n) present in P,
+    in increasing window order; shape (J+n, m, dim).
+
+    With P starting at window j_lo, row r is the stationarity row at index
+    j_lo + r restricted to those windows.
+    """
+    count, slots = P.shape[:2]
+    rows = np.zeros((count + slots - 1,) + P.shape[2:])
+    for k in range(slots - 1, -1, -1):
+        rows[k : k + count] += P[:, k]
+    return rows
+
+
+def tail_terms(P: np.ndarray, q_values: np.ndarray, tprimes, first: int = 0) -> np.ndarray:
+    """Per-state tail term at each truncation T' before the expectation:
+    sum_k sum_i q_i(T'+k) * sum_{j=T'-n+k}^{T'} P[j, T'+k-j]_i over k = 1..n,
+    where P[0] is window `first`; shape (len(tprimes), m)."""
+    n = P.shape[1] - 1
+    tp = np.asarray(tprimes, dtype=int)
+    total = np.zeros((len(tp), P.shape[2]))
+    for k in range(1, n + 1):
+        coef = np.zeros((len(tp),) + P.shape[2:])
+        for s in range(n, k - 1, -1):  # increasing window j = T'+k-s
+            coef += P[tp + k - s - first, s]
+        total += np.sum(coef * q_values[tp + k], axis=2)
+    return total
+
+
+def expected_cumsum(space: SampleSpace, per_state: np.ndarray) -> np.ndarray:
+    """Running sums over the first axis of the expectation of (K, m) values;
+    shape (K,).  The sums run in index order, starting from +0.0."""
+    return np.cumsum(expectation(space, per_state.T)) + 0.0

@@ -3,6 +3,10 @@
 A discrete objective maps a window (y_t, ..., y_{t+n}) to a value in [-inf, inf);
 a continuous objective does the same for a jet (x, x', ..., x^(n)).  Slot-partials
 are analytic when supplied and central finite differences otherwise.
+
+Every objective also evaluates whole batches of points at once
+(values_batch, partials_batch).  The built-in and DSL objectives do so in
+numpy; any other objective falls back to a loop over its per-point callables.
 """
 
 from __future__ import annotations
@@ -36,6 +40,11 @@ class _Objective:
     eval_fn(point, t, w) -> float or -inf, where point has shape (order+1, dim).
     partial_fns, when given, is a sequence of per-slot callables with the same
     signature returning a scalar or a (dim,) vector.
+
+    batch_eval_fn(points, t, w) -> (N,) and batch_partials_fn(points, t, w) ->
+    (N, order+1, dim), when given, are the same maps over N points at once:
+    points has shape (N, order+1, dim), t and w shape (N,).  They must agree
+    with eval_fn and partial_fns point by point, errors included.
     """
 
     order: int
@@ -43,6 +52,8 @@ class _Objective:
     partial_fns: tuple | None = None
     dim: int = 1
     name: str = ""
+    batch_eval_fn: Callable | None = None
+    batch_partials_fn: Callable | None = None
 
     def __post_init__(self):
         if self.order < 0:
@@ -62,6 +73,35 @@ class _Objective:
         if math.isnan(out) or out == math.inf:
             raise NumericalError(f"objective {self.name or '<anonymous>'} returned {out} at t={t}, state {w}")
         return out
+
+    def values_batch(self, points, t, w) -> np.ndarray:
+        """value() at each of N points; shape (N,)."""
+        points = np.asarray(points, dtype=float)
+        if self.batch_eval_fn is None:
+            return np.array([self.value(p, ti, wi) for p, ti, wi in
+                             zip(points, np.asarray(t).tolist(), np.asarray(w).tolist())],
+                            dtype=float)
+        t, w = np.asarray(t), np.asarray(w)
+        out = np.asarray(self.batch_eval_fn(points, t, w), dtype=float)
+        bad = np.isnan(out) | (out == math.inf)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise NumericalError(f"objective {self.name or '<anonymous>'} returned {out[i]}"
+                                 f" at t={t[i]}, state {w[i]}")
+        return out
+
+    def partials_batch(self, points, t, w) -> np.ndarray:
+        """partial_slot() for every slot at each of N points; shape (N, order+1, dim)."""
+        points = np.asarray(points, dtype=float)
+        if self.batch_partials_fn is not None:
+            return np.asarray(self.batch_partials_fn(points, np.asarray(t), np.asarray(w)),
+                              dtype=float)
+        if len(points) == 0:
+            return np.empty((0, self.order + 1, self.dim))
+        return np.array([[partial_slot(self, k, p, ti, wi) for k in range(self.order + 1)]
+                         for p, ti, wi in
+                         zip(points, np.asarray(t).tolist(), np.asarray(w).tolist())],
+                        dtype=float)
 
 
 @dataclass(frozen=True)
@@ -197,36 +237,42 @@ class QuadLinParams:
         return len(self.alpha)
 
 
-def quadlin_continuous(params: QuadLinParams) -> ContinuousObjective:
-    """(x - alpha(w))^2 + beta(w) x' + gamma(w) x''; order 2, scalar state."""
+def _quadlin(params: QuadLinParams, cls, name: str):
+    """(p0 - alpha(w))^2 + beta(w) p1 + gamma(w) p2 over a window or a jet p."""
     a, b, g = params.alpha, params.beta, params.gamma
+    A, B, G = (np.asarray(v) for v in (a, b, g))
 
-    def ev(jet, t, w):
-        return (jet[0, 0] - a[w]) ** 2 + b[w] * jet[1, 0] + g[w] * jet[2, 0]
+    def ev(point, t, w):
+        return (point[0, 0] - a[w]) ** 2 + b[w] * point[1, 0] + g[w] * point[2, 0]
 
     partials = (
-        lambda jet, t, w: 2.0 * (jet[0, 0] - a[w]),
-        lambda jet, t, w: b[w],
-        lambda jet, t, w: g[w],
+        lambda point, t, w: 2.0 * (point[0, 0] - a[w]),
+        lambda point, t, w: b[w],
+        lambda point, t, w: g[w],
     )
-    return ContinuousObjective(order=2, eval_fn=ev, partial_fns=partials,
-                               name="quadlin-continuous")
+
+    def ev_batch(points, t, w):
+        return (points[:, 0, 0] - A[w]) ** 2 + B[w] * points[:, 1, 0] + G[w] * points[:, 2, 0]
+
+    def partials_batch(points, t, w):
+        out = np.empty((len(points), 3, 1))
+        out[:, 0, 0] = 2.0 * (points[:, 0, 0] - A[w])
+        out[:, 1, 0] = B[w]
+        out[:, 2, 0] = G[w]
+        return out
+
+    return cls(order=2, eval_fn=ev, partial_fns=partials, name=name,
+               batch_eval_fn=ev_batch, batch_partials_fn=partials_batch)
+
+
+def quadlin_continuous(params: QuadLinParams) -> ContinuousObjective:
+    """(x - alpha(w))^2 + beta(w) x' + gamma(w) x''; order 2, scalar state."""
+    return _quadlin(params, ContinuousObjective, "quadlin-continuous")
 
 
 def quadlin_discrete(params: QuadLinParams) -> DiscreteObjective:
     """(y_t - alpha(w))^2 + beta(w) y_{t+1} + gamma(w) y_{t+2}; order 2, scalar state."""
-    a, b, g = params.alpha, params.beta, params.gamma
-
-    def ev(win, t, w):
-        return (win[0, 0] - a[w]) ** 2 + b[w] * win[1, 0] + g[w] * win[2, 0]
-
-    partials = (
-        lambda win, t, w: 2.0 * (win[0, 0] - a[w]),
-        lambda win, t, w: b[w],
-        lambda win, t, w: g[w],
-    )
-    return DiscreteObjective(order=2, eval_fn=ev, partial_fns=partials,
-                             name="quadlin-discrete")
+    return _quadlin(params, DiscreteObjective, "quadlin-discrete")
 
 
 def household_log(discount: float, n: int, zero_head: bool = True) -> DiscreteObjective:
@@ -268,9 +314,36 @@ def household_log(discount: float, n: int, zero_head: bool = True) -> DiscreteOb
 
         return p
 
+    def batch_parts(points, t):
+        """(consumption, mask of points outside the pinned head)."""
+        c = np.sum(points[:, :n, 0], axis=1) - points[:, n, 0]
+        live = np.ones(len(points), dtype=bool) if not zero_head else t > n - 1
+        return c, live
+
+    def ev_batch(points, t, w):
+        c, live = batch_parts(points, t)
+        logs = np.log(c, out=np.full(c.shape, NEG_INF), where=c > 0.0)
+        with np.errstate(invalid="ignore"):  # discount^t may underflow to 0 at the wall
+            vals = np.where(c > 0.0, discount**t * logs, NEG_INF)
+        return np.where(live, vals, 0.0)
+
+    def partials_batch(points, t, w):
+        c, live = batch_parts(points, t)
+        wall = live & (c <= 0.0)
+        if wall.any():
+            i = int(np.argmax(wall))
+            raise DomainError(f"consumption {c[i]} <= 0 at t={t[i]}, state {w[i]}")
+        with np.errstate(divide="ignore"):  # pinned rows may have c == 0
+            scale = discount**t / c
+        out = np.empty((len(points), n + 1, 1))
+        out[:, :n, 0] = np.where(live, scale, 0.0)[:, None]
+        out[:, n, 0] = np.where(live, -scale, 0.0)
+        return out
+
     return DiscreteObjective(order=n, eval_fn=ev,
                              partial_fns=tuple(make_partial(k) for k in range(n + 1)),
-                             name="household-log" if zero_head else "household-log-live-head")
+                             name="household-log" if zero_head else "household-log-live-head",
+                             batch_eval_fn=ev_batch, batch_partials_fn=partials_batch)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SampleSpace, StochasticPath, expectation
+from .core import StochasticPath, expectation
 from .errors import (DomainError, InputError, NumericalError, UnsupportedError)
-from .euler import _jet_paths, max_window_start
+from .euler import max_window_start
+from .kernel import (euler_rows, expected_cumsum, jet_values, partials_at,
+                     values_at, window_stack, window_values)
 from .objectives import (ContinuousObjective, DiscreteObjective, partial_slot)
 
 NEG_INF = float("-inf")
@@ -83,25 +85,22 @@ class NewtonReport:
     mode: str
 
 
+def _state_windows(values_w, n, j_lo, j_hi, w):
+    """Windows j_lo..j_hi of one state's (time, dim) trajectory, for values_at/partials_at."""
+    return window_stack(values_w[:, None, :], n, j_lo, j_hi), np.arange(j_lo, j_hi + 1), [w]
+
+
 def _residual_vector(obj, values_w, t_lo, t_hi, n, t_total, w):
     """Rows t_lo..t_hi of the stationarity system for one state; values_w is
     the full (t_total+1, dim) trajectory of that state."""
-    last = t_total - n
-    dim = values_w.shape[1]
-    out = np.zeros((t_hi - t_lo + 1, dim))
-    for row, t in enumerate(range(t_lo, t_hi + 1)):
-        for j in range(max(0, t - n), min(t, last) + 1):
-            win = values_w[j : j + n + 1]
-            out[row] += partial_slot(obj, t - j, win, j, w)
-    return out.ravel()
+    j_lo, j_hi = max(0, t_lo - n), min(t_hi, t_total - n)
+    P = partials_at(obj, *_state_windows(values_w, n, j_lo, j_hi, w))
+    return euler_rows(P)[t_lo - j_lo : t_hi - j_lo + 1].ravel()
 
 
 def _domain_valid(obj, values_w, n, t_total, w) -> bool:
-    last = t_total - n
-    for j in range(last + 1):
-        if obj.value(values_w[j : j + n + 1], j, w) == NEG_INF:
-            return False
-    return True
+    vals = values_at(obj, *_state_windows(values_w, n, 0, t_total - n, w))
+    return not np.isneginf(vals).any()
 
 
 def _classify_curvature(jac: np.ndarray) -> str:
@@ -224,24 +223,10 @@ def objective_value(obj, path: StochasticPath) -> float:
     continuous case.  -inf is an admissible result; +inf is not."""
     space = path.space
     if isinstance(obj, DiscreteObjective):
-        total = 0.0
-        for t in range(max_window_start(path, obj.order) + 1):
-            win = path.window(t, obj.order)
-            vals = np.array([obj.value(win[:, w, :], t, w) for w in range(space.m)])
-            total += expectation(space, vals)
-        return float(total)
+        vals = window_values(obj, path, 0, max_window_start(path, obj.order))
+        return float(expected_cumsum(space, vals)[-1])
     if isinstance(obj, ContinuousObjective):
-        n = obj.order
-        jets = _jet_paths(path, n)
-        times = path.domain.times()
-        sampled = np.empty((len(times), space.m))
-        jet = np.empty((n + 1, path.dim))
-        for it, t in enumerate(times):
-            for w in range(space.m):
-                for order in range(n + 1):
-                    jet[order] = jets[order][it, w]
-                sampled[it, w] = obj.value(jet, t, w)
-        per_time = np.array([expectation(space, row) for row in sampled])
+        per_time = np.atleast_1d(expectation(space, jet_values(obj, path).T))
         if np.isneginf(per_time).any():
             return NEG_INF
         return float(np.trapezoid(per_time, dx=path.domain.h))

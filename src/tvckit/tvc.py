@@ -12,12 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PerturbationCurve, SampleSpace, StochasticPath, expectation,
-                   perturb, time_derivative)
+from .core import (PerturbationCurve, StochasticPath, expectation, perturb,
+                   smoothstep_quintic)
 from .errors import DomainError, HorizonError, InputError, UnsupportedError
-from .euler import (_jet_paths, _partial_series, discrete_euler_residual,
-                    max_window_start)
-from .objectives import ContinuousObjective, DiscreteObjective, partial_slot
+from .euler import max_window_start
+from .kernel import (euler_rows, expected_cumsum, jet_partials, tail_terms,
+                     window_partials, window_values)
+from .objectives import ContinuousObjective, DiscreteObjective
 
 NEG_INF = float("-inf")
 
@@ -73,16 +74,9 @@ def discrete_tvc_tail(obj: DiscreteObjective, path: StochasticPath,
         raise HorizonError(f"T'={tprime} below the first admissible truncation {n - 1}")
     if tprime + n > path.domain.t_max or tprime + n > q.domain.t_max:
         raise HorizonError(f"T'={tprime} needs values through index {tprime + n}")
-    space = path.space
-    total = np.zeros(space.m)
-    for k in range(1, n + 1):
-        coef = np.zeros((space.m, path.dim))
-        for j in range(max(0, tprime - n + k), tprime + 1):
-            win = path.window(j, n)
-            for w in range(space.m):
-                coef[w] += partial_slot(obj, tprime + k - j, win[:, w, :], j, w)
-        total += np.sum(coef * q.values[tprime + k], axis=1)
-    return float(expectation(space, total))
+    first = max(0, tprime - n + 1)  # slot 0 of a window never reaches past T'
+    P = window_partials(obj, path, first, tprime)
+    return float(expectation(path.space, tail_terms(P, q.values, [tprime], first)[0]))
 
 
 def _suffix_extrema(values: np.ndarray):
@@ -121,8 +115,9 @@ def tvc_liminf_discrete(obj: DiscreteObjective, path: StochasticPath,
     tol = tolerance
     if tol is None:
         tol = DEFAULT_TOL_TVC_ANALYTIC if obj.has_analytic_partials else DEFAULT_TOL_TVC_FD
-    tails = [discrete_tvc_tail(obj, path, q, tp) for tp in tprimes]
-    return _liminf_report(tprimes, tails, tol, "discrete", want_limsup)
+    tails = tail_terms(window_partials(obj, path, 0, last), q.values, tprimes)
+    return _liminf_report(tprimes, expectation(path.space, tails.T), tol, "discrete",
+                          want_limsup)
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +140,7 @@ def boundary_bracket_series(obj: ContinuousObjective, path: StochasticPath,
         raise InputError("path and perturbation must share domain and sample space")
     n = obj.order
     h = path.domain.h
-    times = path.domain.times()
-    m = path.space.m
-    jets = _jet_paths(path, n)
-
-    # v_{k+1} series for slots k = 1..n
-    vseries = {k: _partial_series(obj, k, jets, times, m, path.dim) for k in range(1, n + 1)}
+    vseries = jet_partials(obj, path)  # slot k holds the v_{k+1} series
 
     # derivatives of p up to order n-1, with structural zeros at t=0
     pder = [p.values]
@@ -160,17 +150,17 @@ def boundary_bracket_series(obj: ContinuousObjective, path: StochasticPath,
     for j in range(min(p.vanishing_head, len(pder))):
         pder[j][0] = 0.0
 
-    bracket = np.zeros((path.num_points, m, path.dim))
+    bracket = np.zeros(path.values.shape)
     for j in range(n):
         coef = np.zeros_like(bracket)
         for step in range(n - j):  # v slot j+1+step, differentiated step times
-            series = vseries[j + 1 + step]
+            series = vseries[:, j + 1 + step]
             for _ in range(step):
                 series = np.gradient(series, h, axis=0, edge_order=2)
             coef += (-1) ** step * series
         bracket += pder[j] * coef
     per_time = np.sum(bracket, axis=2)  # sum over state dimension i
-    return np.array([expectation(path.space, row) for row in per_time])
+    return np.atleast_1d(expectation(path.space, per_time.T))
 
 
 def continuous_boundary_term(obj: ContinuousObjective, path: StochasticPath,
@@ -196,8 +186,6 @@ def scaled_path_curve(path: StochasticPath, abar: float,
                       ramp: RampSpec | None = None) -> PerturbationCurve:
     """The special perturbation p(t,w) = a(t) * x*(t,w) with a smooth ramp a
     rising from 0 to abar by the ramp end time."""
-    from .core import smoothstep_quintic
-
     if not (0.0 < abar < 1.0):
         raise InputError("abar must lie strictly inside (0, 1)")
     if path.domain.kind != "continuous":
@@ -215,15 +203,11 @@ def scaled_path_curve(path: StochasticPath, abar: float,
 def truncated_objective(obj: DiscreteObjective, path: StochasticPath,
                         tprime: int) -> float:
     """sum_{t=0}^{T'} E V(window(path, t)); -inf windows raise a domain error."""
-    space = path.space
-    total = 0.0
-    for t in range(tprime + 1):
-        win = path.window(t, obj.order)
-        vals = np.array([obj.value(win[:, w, :], t, w) for w in range(space.m)])
-        if np.isneginf(vals).any():
-            raise DomainError(f"objective is -inf inside the truncated sum at t={t}")
-        total += expectation(space, vals)
-    return total
+    vals = window_values(obj, path, 0, tprime)
+    walled = np.isneginf(vals).any(axis=1)
+    if walled.any():
+        raise DomainError(f"objective is -inf inside the truncated sum at t={int(np.argmax(walled))}")
+    return float(expected_cumsum(path.space, vals)[-1]) if len(vals) else 0.0
 
 
 def variation_decomposition_check(obj: DiscreteObjective, path: StochasticPath,
@@ -236,10 +220,8 @@ def variation_decomposition_check(obj: DiscreteObjective, path: StochasticPath,
         tprime = min(max_window_start(path, n), max_window_start(q, n))
     direct = (truncated_objective(obj, perturb(path, q, +eps), tprime)
               - truncated_objective(obj, perturb(path, q, -eps), tprime)) / (2.0 * eps)
-    space = path.space
-    rows = 0.0
-    for t in range(tprime + 1):
-        residual = discrete_euler_residual(obj, path, t, j_max=tprime)
-        rows += expectation(space, np.sum(residual * q.values[t], axis=1))
+    rows = euler_rows(window_partials(obj, path, 0, tprime))[: tprime + 1]
+    weighted = np.sum(rows * q.values[: tprime + 1], axis=2)
+    rows_total = float(expected_cumsum(path.space, weighted)[-1])
     tail = discrete_tvc_tail(obj, path, q, tprime)
-    return abs(direct - (rows + tail))
+    return abs(direct - (rows_total + tail))

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import tvckit as tk
 from tvckit.errors import EvalError, ExprSyntaxError
-from tvckit.expr import (Bin, Call, Const, Neg, Var, eval_ast, parse_source,
-                         simplify, symbolic_partial, to_source, tokenize)
+from tvckit.expr import (Bin, Call, Const, Neg, Var, compile_ast, eval_ast,
+                         parse_source, simplify, symbolic_partial, to_source,
+                         tokenize)
 
 NEG_INF = float("-inf")
 
@@ -43,6 +44,12 @@ class TestParsing:
             ev("1 / 0")
         with pytest.raises(EvalError):
             ev("sqrt(0 - 1)")
+        with pytest.raises(EvalError):  # a complex result
+            ev("x ^ 0.5", x=-4.0)
+        with pytest.raises(EvalError):
+            ev("exp(x)", x=1000.0)
+        with pytest.raises(EvalError):
+            ev("x ^ 3", x=1e200)
 
     def test_unknown_identifier_position(self):
         with pytest.raises(ExprSyntaxError) as err:
@@ -123,7 +130,8 @@ _leaf = st.one_of(
 )
 
 
-def _ast_strategy():
+def _ast_strategy(exponents=st.floats(1.0, 3.0).map(lambda v: float(round(v))),
+                  max_leaves=12):
     return st.recursive(
         _leaf,
         lambda children: st.one_of(
@@ -132,10 +140,9 @@ def _ast_strategy():
             children.map(Neg),
             st.tuples(st.sampled_from(["ln", "exp", "abs", "sqrt"]), children).map(
                 lambda t: Call(t[0], t[1])),
-            st.tuples(children, st.floats(1.0, 3.0)).map(
-                lambda t: Bin("^", t[0], Const(float(round(t[1]))))),
+            st.tuples(children, exponents).map(lambda t: Bin("^", t[0], Const(t[1]))),
         ),
-        max_leaves=12,
+        max_leaves=max_leaves,
     )
 
 
@@ -167,6 +174,54 @@ class TestRoundTrip:
         once = parse_source(src, {"x", "y"})
         twice = parse_source(to_source(once), {"x", "y"})
         assert once == twice
+
+
+# fractional and negative exponents and wide inputs, so that complex powers,
+# zero division, overflow and the ln wall all occur
+_inputs = st.one_of(st.sampled_from([0.0, -2.0, 1e-300, 700.0]), st.floats(-5.0, 5.0))
+
+
+class TestCompiled:
+    @given(_ast_strategy(st.sampled_from([-1.0, 0.5, 2.0, 2.5, 3.0]), max_leaves=8),
+           st.lists(st.tuples(_inputs, _inputs), min_size=1, max_size=6))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_compiled_matches_eval_ast(self, ast, points):
+        """The numpy closure raises EvalError exactly when eval_ast does at
+        some point, and otherwise returns eval_ast's values (-inf included)."""
+        expected, failed = [], False
+        for x, y in points:
+            try:
+                expected.append(eval_ast(ast, {"x": x, "y": y}))
+            except EvalError:
+                failed = True
+        run = compile_ast(ast)
+        env = {"x": np.array([p[0] for p in points]), "y": np.array([p[1] for p in points])}
+        if failed:
+            with pytest.raises(EvalError):
+                run(env)
+            return
+        got = np.broadcast_to(run(env), len(points))
+        for g, e in zip(got, expected):
+            if math.isfinite(e):
+                assert g == pytest.approx(e, rel=1e-9, abs=1e-9)
+            else:
+                assert g == e
+
+    @pytest.mark.parametrize("src, x", [("ln(x ^ 0.5)", -4.0), ("ln(0 - exp(x))", 1000.0),
+                                        ("ln(x ^ (0 - 1))", 0.0), ("ln(x / 0)", 1.0)])
+    def test_errors_hidden_from_the_nan_check(self, src, x):
+        """ln maps NaN and -inf to -inf, so each failure must raise where it occurs."""
+        ast = parse_source(src, {"x"})
+        with pytest.raises(EvalError):
+            eval_ast(ast, {"x": x})
+        with pytest.raises(EvalError):
+            compile_ast(ast)({"x": np.array([1.0, x])})
+
+    def test_ln_wall_and_exp_of_minus_inf(self):
+        run = compile_ast(parse_source("exp(ln(x)) + ln(x)", {"x"}))
+        out = run({"x": np.array([0.0, -1.0, 2.0])})
+        assert out[0] == NEG_INF and out[1] == NEG_INF
+        assert out[2] == pytest.approx(2.0 + math.log(2.0))
 
 
 class TestDslObjectives:

@@ -131,6 +131,23 @@ class TestCliExitCodes:
         assert report["scenario"]["time"]["t_max"] == 30
 
 
+    @pytest.mark.parametrize("expr, level", [("y0 ^ 0.5 + y1 + y2", -1.0),
+                                             ("exp(y0) + y1 + y2", 1000.0)])
+    def test_dsl_numerical_failure_exit_3(self, tmp_path, capsys, expr, level):
+        # a complex power or an overflowing exp is a numerical failure, not a verdict
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(minimal_scenario(
+            objective={"expr": expr, "constants": {}}, path={"constant": level})))
+        assert main(["euler", "--scenario", str(f), "--quiet"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_zero_tolerance_is_used(self, tmp_path):
+        out = tmp_path / "r.json"
+        main(["euler", "--scenario", str(SCENARIOS / "discrete-counterexample.json"),
+              "--tolerance", "0", "--out", str(out)])
+        assert json.loads(out.read_text())["euler"]["tolerance"] == 0.0
+
+
 class TestReports:
     def test_report_written_and_stable(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
