@@ -141,6 +141,17 @@ def _coerce_values(domain: TimeDomain, space: SampleSpace, values) -> np.ndarray
     return vals
 
 
+def _state_block(space: SampleSpace, value, dim: int) -> np.ndarray:
+    """A per-state value as an (m, dim) block: a scalar, one value per state
+    (m,), or already (m, dim)."""
+    block = np.asarray(value, dtype=float)
+    if block.ndim == 0:
+        return np.full((space.m, dim), float(block))
+    if block.ndim == 1:
+        return np.repeat(block[:, None], dim, axis=1)
+    return block
+
+
 @dataclass(frozen=True)
 class StochasticPath:
     """Trajectory y(t, w) in R^dim over every grid point of a time domain."""
@@ -182,13 +193,7 @@ class StochasticPath:
     @classmethod
     def constant(cls, domain: TimeDomain, space: SampleSpace, value, dim: int = 1) -> "StochasticPath":
         """Path constant in time; value may be a scalar, per-state (m,), or (m, dim)."""
-        value = np.asarray(value, dtype=float)
-        if value.ndim == 0:
-            block = np.full((space.m, dim), float(value))
-        elif value.ndim == 1:
-            block = np.repeat(value[:, None], dim, axis=1)
-        else:
-            block = value
+        block = _state_block(space, value, dim)
         vals = np.broadcast_to(block, (domain.num_points, space.m, block.shape[1])).copy()
         return cls(domain, space, vals)
 
@@ -306,11 +311,7 @@ def eventually_constant_curve(domain: TimeDomain, space: SampleSpace,
     """Discrete curve: zero before onset, constant value from onset on."""
     if domain.kind != "discrete":
         raise UnsupportedError("use quintic_ramp_curve on continuous domains")
-    block = np.asarray(value, dtype=float)
-    if block.ndim == 0:
-        block = np.full((space.m, dim), float(block))
-    elif block.ndim == 1:
-        block = np.repeat(block[:, None], dim, axis=1)
+    block = _state_block(space, value, dim)
     vals = np.zeros((domain.num_points, space.m, block.shape[1]))
     vals[onset:] = block
     return PerturbationCurve(domain, space, vals, vanishing_head=onset,
@@ -325,11 +326,7 @@ def compact_support_curve(domain: TimeDomain, space: SampleSpace,
         raise UnsupportedError("compact_support_curve is discrete-only")
     if not (0 <= onset <= cutoff <= domain.t_max):
         raise InputError("need 0 <= onset <= cutoff <= t_max")
-    block = np.asarray(value, dtype=float)
-    if block.ndim == 0:
-        block = np.full((space.m, dim), float(block))
-    elif block.ndim == 1:
-        block = np.repeat(block[:, None], dim, axis=1)
+    block = _state_block(space, value, dim)
     vals = np.zeros((domain.num_points, space.m, block.shape[1]))
     vals[onset : cutoff + 1] = block
     return PerturbationCurve(domain, space, vals, vanishing_head=onset,
@@ -347,11 +344,7 @@ def quintic_ramp_curve(domain: TimeDomain, space: SampleSpace,
     """
     if domain.kind != "continuous":
         raise UnsupportedError("quintic_ramp_curve is continuous-only")
-    block = np.asarray(target, dtype=float)
-    if block.ndim == 0:
-        block = np.full((space.m, dim), float(block))
-    elif block.ndim == 1:
-        block = np.repeat(block[:, None], dim, axis=1)
+    block = _state_block(space, target, dim)
     ramp = smoothstep_quintic(domain.times() / ramp_end)
     vals = ramp[:, None, None] * block[None]
     return PerturbationCurve(domain, space, vals, vanishing_head=vanishing_head,

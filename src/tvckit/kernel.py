@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import SampleSpace, StochasticPath, expectation, time_derivative
-from .errors import HorizonError, UnsupportedError
+from .errors import HorizonError, InputError, UnsupportedError
 
 
 def window_stack(values: np.ndarray, n: int, j_lo: int, j_hi: int) -> np.ndarray:
@@ -32,13 +32,23 @@ def _flatten(stack, t_axis, states):
     return points, t, np.broadcast_to(np.asarray(states), grid).reshape(-1)
 
 
+def _check_dim(obj, stack):
+    """Reject a path whose dimension is not the objective's: the objective would
+    read component 0 and its partials would be broadcast over the rest."""
+    if stack.shape[-1] != obj.dim:
+        raise InputError(f"path has dimension {stack.shape[-1]}, "
+                         f"objective {obj.name or '<anonymous>'} has dimension {obj.dim}")
+
+
 def values_at(obj, stack, t_axis, states) -> np.ndarray:
     """Objective values at every point of a stack; shape (J, m)."""
+    _check_dim(obj, stack)
     return obj.values_batch(*_flatten(stack, t_axis, states)).reshape(stack.shape[:2])
 
 
 def partials_at(obj, stack, t_axis, states) -> np.ndarray:
     """Slot-partials at every point of a stack as P[j, k, w, :]; shape (J, n+1, m, dim)."""
+    _check_dim(obj, stack)
     count, m, slots = stack.shape[:3]
     out = obj.partials_batch(*_flatten(stack, t_axis, states))
     out = np.broadcast_to(out.reshape(count, m, slots, out.shape[-1]), stack.shape)

@@ -99,7 +99,7 @@ class Scenario:
     def objective(self):
         spec = self.echo["objective"]
         if "builtin" in spec:
-            return _build_builtin(spec, self.order, self.space)
+            return _build_builtin(spec, self.order)
         constants = {k: tuple(v) if isinstance(v, list) else v
                      for k, v in spec.get("constants", {}).items()}
         builder = (dsl_continuous_objective if self.domain.kind == "continuous"
@@ -109,7 +109,7 @@ class Scenario:
     def path(self):
         spec = self.echo["path"]
         if "closed_form" in spec:
-            params = _quadlin_params_from(self.echo["objective"], self.space)
+            params = _quadlin_params(self.echo["objective"])
             if spec["closed_form"] == "quadlin-euler":
                 return quadlin_euler_path(self.domain, self.space, params)
             return constant_alpha_path(self.domain, self.space, params)
@@ -117,15 +117,17 @@ class Scenario:
             return StochasticPath.constant(self.domain, self.space, spec["constant"])
         if "values" in spec:
             return StochasticPath(self.domain, self.space, np.asarray(spec["values"]))
-        solve = spec["solve"]
-        guess = StochasticPath.constant(self.domain, self.space, solve["guess_constant"])
-        solve_spec = SolveSpec(horizon=solve["horizon"], guess=guess,
-                               mode=solve.get("mode", "paper_literal"),
-                               head=solve.get("head"), tail=solve.get("tail"),
-                               tolerance=solve.get("tolerance", 1e-10),
-                               max_iterations=solve.get("max_iterations", 100))
-        path, _ = newton_euler_solve(self.objective(), solve_spec)
+        path, _ = newton_euler_solve(self.objective(), self.solve_spec())
         return path
+
+    def solve_spec(self) -> SolveSpec:
+        """The Newton solve of the path's solve directive, from a constant guess."""
+        solve = self.echo["path"]["solve"]
+        guess = StochasticPath.constant(self.domain, self.space, solve["guess_constant"])
+        return SolveSpec(horizon=solve["horizon"], guess=guess, mode=solve["mode"],
+                         head=solve.get("head"), tail=solve.get("tail"),
+                         tolerance=solve.get("tolerance", 1e-10),
+                         max_iterations=solve.get("max_iterations", 100))
 
     def perturbation(self) -> PerturbationCurve | None:
         spec = self.echo.get("perturbation")
@@ -161,18 +163,17 @@ class Scenario:
         return self.echo.get("diagnostics", {}).get("tprime_grid")
 
 
-def _build_builtin(spec, order, space):
+def _build_builtin(spec, order):
     name = spec["builtin"]
     params = spec.get("params", {})
     if name == "household-log":
         return household_log(params["discount"], params.get("n", order),
                              zero_head=params.get("zero_head", True))
-    qp = QuadLinParams(alpha=tuple(params["alpha"]), beta=tuple(params["beta"]),
-                       gamma=tuple(params["gamma"]))
+    qp = _quadlin_params(spec)
     return quadlin_discrete(qp) if name == "quadlin-discrete" else quadlin_continuous(qp)
 
 
-def _quadlin_params_from(obj_spec, space):
+def _quadlin_params(obj_spec):
     params = obj_spec.get("params", {})
     if not {"alpha", "beta", "gamma"} <= set(params):
         raise SchemaError("path.closed_form",

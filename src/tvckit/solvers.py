@@ -114,6 +114,18 @@ def _classify_curvature(jac: np.ndarray) -> str:
     return "indefinite"
 
 
+def _fd_jacobian(residual, u: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of residual at u, one column per unknown."""
+    jac = np.empty((u.size, u.size))
+    for col in range(u.size):
+        h = JAC_FD_STEP * max(1.0, abs(u[col]))
+        up, um = u.copy(), u.copy()
+        up[col] += h
+        um[col] -= h
+        jac[:, col] = (residual(up) - residual(um)) / (2.0 * h)
+    return jac
+
+
 def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
     """Damped Newton on the stationarity rows; returns (path, report).
 
@@ -139,7 +151,6 @@ def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
         if spec.head is not None:
             out[:k] = spec.head
         out[T + 1 :] = spec.tail
-    n_unknowns = (t_hi - t_lo + 1) * dim
 
     iterations = []
     curvature = []
@@ -165,13 +176,7 @@ def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
             if it >= spec.max_iterations:
                 converged = False
                 break
-            jac = np.empty((n_unknowns, n_unknowns))
-            for col in range(n_unknowns):
-                h = JAC_FD_STEP * max(1.0, abs(u[col]))
-                up, um = u.copy(), u.copy()
-                up[col] += h
-                um[col] -= h
-                jac[:, col] = (residual(up) - residual(um)) / (2.0 * h)
+            jac = _fd_jacobian(residual, u)
             try:
                 step = np.linalg.solve(jac, -res)
             except np.linalg.LinAlgError as exc:
@@ -197,13 +202,7 @@ def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
         iterations.append(it)
         worst = max(worst, norm)
         if jac is None:  # already stationary at the guess
-            jac = np.empty((n_unknowns, n_unknowns))
-            for col in range(n_unknowns):
-                h = JAC_FD_STEP * max(1.0, abs(u[col]))
-                up, um = u.copy(), u.copy()
-                up[col] += h
-                um[col] -= h
-                jac[:, col] = (residual(up) - residual(um)) / (2.0 * h)
+            jac = _fd_jacobian(residual, u)
             residual(u)  # restore values_w to the solution
         curvature.append(_classify_curvature(jac))
 

@@ -8,13 +8,14 @@ raise the same exception type where the loops raise.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
 import tvckit as tk
 from tvckit import kernel
-from tvckit.errors import ToolkitError
+from tvckit.errors import InputError, ToolkitError
 from tvckit.solvers import _residual_vector
 
 REL = 1e-12
@@ -194,3 +195,17 @@ def test_empty_batches(quadlin_d):
     for obj in (quadlin_d, _plain(2, True)):
         assert obj.values_batch(points, t, w).shape == (0,)
         assert obj.partials_batch(points, t, w).shape == (0, 3, 1)
+
+
+def test_path_dimension_must_match_objective():
+    # (y0 - 1)^2 + y1 reads component 0 of each slot; on a dim-2 path whose
+    # second component is 5 its partials must not be broadcast over both
+    space, dom = tk.SampleSpace((0.5, 0.5)), tk.TimeDomain.discrete(10)
+    obj = tk.dsl_discrete_objective("(y0 - 1)^2 + y1", 1, {})
+    values = np.ones((11, 2, 2))
+    values[..., 1] = 5.0
+    path = tk.StochasticPath(dom, space, values)
+    for engine in (lambda: tk.euler_report(obj, path),
+                   lambda: kernel.window_values(obj, path, 0, 9)):
+        with pytest.raises(InputError, match="dimension"):
+            engine()

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import tvckit as tk
-from tvckit.cli import main
+import tvckit.cli
+from tvckit.cli import DEMOS, main
 from tvckit.scenario import SchemaError, load_scenario, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -189,3 +190,48 @@ class TestReports:
     def test_demo_counterexamples_exit_1(self):
         assert main(["demo", "discrete-counterexample", "--quiet"]) == 1
         assert main(["demo", "continuous-counterexample", "--quiet"]) == 1
+
+    @pytest.mark.parametrize("preset, code", [
+        ("discrete-counterexample", 1), ("continuous-counterexample", 1),
+        ("assumption", 0), ("correspondence", 0), ("household", 0)])
+    def test_demo_sections_are_command_sections(self, tmp_path, preset, code):
+        out = tmp_path / "demo.json"
+        assert main(["demo", preset, "--seed", "7", "--out", str(out)]) == code
+        sections = json.loads(out.read_text())["demo"]
+        assert set(sections) == {f"{c}:{s}" for c, s in DEMOS[preset]}
+        for key, section in sections.items():
+            command, scenario = key.split(":")
+            cmd_out = tmp_path / f"{key}.json"
+            main([command, "--scenario", str(SCENARIOS / f"{scenario}.json"),
+                  "--seed", "7", "--out", str(cmd_out)])
+            assert section == json.loads(cmd_out.read_text())[command], key
+
+    def test_demo_without_scenarios_exit_2(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(tvckit.cli, "SCENARIOS", tmp_path / "missing")
+        assert main(["demo", "household", "--quiet"]) == 2
+        assert "demo scenarios not found" in capsys.readouterr().err
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ["euler", "--scenario", "s.json", "--format", "csv"],
+        ["tvc", "--scenario", "s.json", "--boundary", "fixed:2"],
+        ["assume", "--scenario", "s.json", "--tolerance", "0"],
+        ["correspond", "--scenario", "s.json", "--tolerance", "1"],
+        ["demo", "household", "--tmax", "5"],
+        ["demo", "household", "--eps-grid", "0.1,0.01"]])
+    def test_unread_flag_exit_2(self, argv, capsys):
+        # a flag the command would ignore is refused by the parser
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_dim_mismatch_exit_2(self, tmp_path, capsys):
+        # a dim-2 path under a scalar objective is bad input, not a verdict
+        values = np.ones((21, 2, 2))
+        values[..., 1] = 5.0
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(minimal_scenario(path={"values": values.tolist()})))
+        assert main(["euler", "--scenario", str(f), "--quiet"]) == 2
+        assert "dimension" in capsys.readouterr().err
