@@ -27,7 +27,7 @@ from .solvers import (BruteForceResult, CorrespondencePair, NewtonReport,
                       SolveSpec, brute_force_solve, correspondence_check,
                       discrete_to_continuous, newton_euler_solve,
                       objective_value)
-from .tvc import (RampSpec, TvcReport, boundary_bracket_series,
+from .tvc import (TvcReport, boundary_bracket_series,
                   continuous_boundary_term, discrete_tvc_tail,
                   scaled_path_curve, truncated_objective, tvc_liminf_continuous,
                   tvc_liminf_discrete, variation_decomposition_check)

@@ -96,16 +96,22 @@ def _load(args):
         if data.get("time", {}).get("kind") != "discrete":
             raise InputError("--tmax applies to discrete scenarios only")
         data["time"]["t_max"] = args.tmax
-    if args.seed is not None:
+    # only the commands that read --seed or --eps-grid take them
+    if getattr(args, "seed", None) is not None:
         data["seed"] = args.seed
-    if args.eps_grid is not None:
+    if getattr(args, "eps_grid", None) is not None:
         data.setdefault("diagnostics", {})["eps_grid"] = args.eps_grid
     return parse_scenario(data)
 
 
-def _boundary_mode(args) -> BoundaryMode:
+def _boundary_mode(args, scenario) -> BoundaryMode:
+    """--boundary when given, else the rows the scenario's solve directive imposes."""
     spec = args.boundary
-    if spec in (None, "paper-literal"):
+    if spec is None:
+        if "solve" in scenario.echo["path"]:
+            return scenario.solve_spec().boundary
+        return BoundaryMode.paper_literal()
+    if spec == "paper-literal":
         return BoundaryMode.paper_literal()
     if spec.startswith("fixed:"):
         try:
@@ -136,8 +142,8 @@ def _cmd_euler(args):
     scenario = _load(args)
     obj = scenario.objective()
     path = scenario.path()
-    tol = _tolerance(args, scenario.tolerance("euler", None))
-    rep = euler_report(obj, path, mode=_boundary_mode(args), tolerance=tol)
+    tol = _tolerance(args, scenario.tolerance("euler"))
+    rep = euler_report(obj, path, mode=_boundary_mode(args, scenario), tolerance=tol)
     report = _base_report("euler", scenario)
     report["euler"] = {
         "verdict": rep.verdict, "max_abs_residual": rep.max_abs,
@@ -154,7 +160,7 @@ def _cmd_tvc(args):
     q = scenario.perturbation()
     if q is None:
         raise InputError("perturbation: the tvc command needs a perturbation")
-    tol = _tolerance(args, scenario.tolerance("tvc", None))
+    tol = _tolerance(args, scenario.tolerance("tvc"))
     if scenario.domain.kind == "discrete":
         rep = tvc_liminf_discrete(obj, path, q, tolerance=tol)
     else:
@@ -249,8 +255,10 @@ def _cmd_demo(args):
     report["demo"] = {}
     code = EXIT_OK
     for command, name in DEMOS[args.preset]:
-        step = parser.parse_args([command, "--scenario", str(SCENARIOS / f"{name}.json"),
-                                  "--seed", str(seed)])
+        argv = [command, "--scenario", str(SCENARIOS / f"{name}.json")]
+        if "--seed" in _COMMAND_FLAGS[command]:
+            argv += ["--seed", str(seed)]
+        step = parser.parse_args(argv)
         step_report, step_code = _HANDLERS[command](step)
         report["demo"][f"{command}:{name}"] = step_report[command]
         code = max(code, step_code)
@@ -276,13 +284,13 @@ _FLAGS = {
 }
 
 # the flags each command reads, besides --out and --quiet
-_SCENARIO_FLAGS = ("--scenario", "--tmax", "--eps-grid", "--seed")
+_SCENARIO_FLAGS = ("--scenario", "--tmax")
 _COMMAND_FLAGS = {
     "euler": _SCENARIO_FLAGS + ("--tolerance", "--boundary"),
     "tvc": _SCENARIO_FLAGS + ("--tolerance",),
-    "assume": _SCENARIO_FLAGS + ("--format", "--assert-uniform"),
+    "assume": _SCENARIO_FLAGS + ("--eps-grid", "--format", "--assert-uniform"),
     "solve": _SCENARIO_FLAGS + ("--tolerance",),
-    "correspond": _SCENARIO_FLAGS,
+    "correspond": _SCENARIO_FLAGS + ("--seed",),
     "demo": ("--seed",),
 }
 

@@ -9,7 +9,7 @@ derivative/integral claim carries an O(h^2) tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -141,15 +141,13 @@ def _coerce_values(domain: TimeDomain, space: SampleSpace, values) -> np.ndarray
     return vals
 
 
-def _state_block(space: SampleSpace, value, dim: int) -> np.ndarray:
-    """A per-state value as an (m, dim) block: a scalar, one value per state
-    (m,), or already (m, dim)."""
-    block = np.asarray(value, dtype=float)
+def _state_block(space: SampleSpace, value) -> np.ndarray:
+    """A per-state value as an (m, dim) block: a scalar or one value per state
+    (m,) is a dim-1 block, an (m, dim) array is kept."""
+    block = np.array(value, dtype=float)
     if block.ndim == 0:
-        return np.full((space.m, dim), float(block))
-    if block.ndim == 1:
-        return np.repeat(block[:, None], dim, axis=1)
-    return block
+        return np.full((space.m, 1), float(block))
+    return block[:, None] if block.ndim == 1 else block
 
 
 @dataclass(frozen=True)
@@ -191,9 +189,9 @@ class StochasticPath:
         return cls(domain, space, vals)
 
     @classmethod
-    def constant(cls, domain: TimeDomain, space: SampleSpace, value, dim: int = 1) -> "StochasticPath":
+    def constant(cls, domain: TimeDomain, space: SampleSpace, value) -> "StochasticPath":
         """Path constant in time; value may be a scalar, per-state (m,), or (m, dim)."""
-        block = _state_block(space, value, dim)
+        block = _state_block(space, value)
         vals = np.broadcast_to(block, (domain.num_points, space.m, block.shape[1])).copy()
         return cls(domain, space, vals)
 
@@ -307,11 +305,11 @@ def smoothstep_quintic(tau):
 
 
 def eventually_constant_curve(domain: TimeDomain, space: SampleSpace,
-                              onset: int, value, dim: int = 1) -> PerturbationCurve:
+                              onset: int, value) -> PerturbationCurve:
     """Discrete curve: zero before onset, constant value from onset on."""
     if domain.kind != "discrete":
         raise UnsupportedError("use quintic_ramp_curve on continuous domains")
-    block = _state_block(space, value, dim)
+    block = _state_block(space, value)
     vals = np.zeros((domain.num_points, space.m, block.shape[1]))
     vals[onset:] = block
     return PerturbationCurve(domain, space, vals, vanishing_head=onset,
@@ -320,13 +318,13 @@ def eventually_constant_curve(domain: TimeDomain, space: SampleSpace,
 
 
 def compact_support_curve(domain: TimeDomain, space: SampleSpace,
-                          onset: int, cutoff: int, value, dim: int = 1) -> PerturbationCurve:
+                          onset: int, cutoff: int, value) -> PerturbationCurve:
     """Discrete curve: constant value on [onset, cutoff], zero outside."""
     if domain.kind != "discrete":
         raise UnsupportedError("compact_support_curve is discrete-only")
     if not (0 <= onset <= cutoff <= domain.t_max):
         raise InputError("need 0 <= onset <= cutoff <= t_max")
-    block = _state_block(space, value, dim)
+    block = _state_block(space, value)
     vals = np.zeros((domain.num_points, space.m, block.shape[1]))
     vals[onset : cutoff + 1] = block
     return PerturbationCurve(domain, space, vals, vanishing_head=onset,
@@ -334,20 +332,19 @@ def compact_support_curve(domain: TimeDomain, space: SampleSpace,
 
 
 def quintic_ramp_curve(domain: TimeDomain, space: SampleSpace,
-                       target, ramp_end: float = 1.0, dim: int = 1,
-                       vanishing_head: int = 2) -> PerturbationCurve:
+                       target, ramp_end: float = 1.0) -> PerturbationCurve:
     """Continuous curve ramping smoothly from 0 to a constant target by ramp_end.
 
     The quintic smoothstep leaves the value and the first two derivatives zero
     at t=0.  The grid-level head check is only trustworthy through first
-    derivatives, so the default validated head order is 2.
+    derivatives, so the validated head order is 2.
     """
     if domain.kind != "continuous":
         raise UnsupportedError("quintic_ramp_curve is continuous-only")
-    block = _state_block(space, target, dim)
+    block = _state_block(space, target)
     ramp = smoothstep_quintic(domain.times() / ramp_end)
     vals = ramp[:, None, None] * block[None]
-    return PerturbationCurve(domain, space, vals, vanishing_head=vanishing_head,
+    return PerturbationCurve(domain, space, vals, vanishing_head=2,
                              tail_kind="eventually-constant", tail_onset=ramp_end,
                              tail_value=block)
 

@@ -19,10 +19,8 @@ import numpy as np
 from .core import (PerturbationCurve, StochasticPath, expectation, perturb)
 from .errors import HorizonError, InputError, NumericalError, UnsupportedError
 from .euler import max_window_start
-from .kernel import expected_cumsum, jet_values, window_values
+from .kernel import expected_cumsum, jet_values, values_at, window_values
 from .objectives import ContinuousObjective
-
-NEG_INF = float("-inf")
 
 DIVERGES = "DIVERGES"
 
@@ -31,6 +29,11 @@ STATUS_DIVERGING = "diverging"
 STATUS_DOMAIN_ERROR = "domain-error"
 
 DEFAULT_EPS_GRID = tuple(10.0 ** (-k) for k in range(1, 7))  # 1e-1 .. 1e-6
+
+# iterated limits further apart than this many times their error estimate differ
+AGREEMENT_FACTOR = 10.0
+# domination_check samples eps_bar * 10^-k for k = 0 .. DOMINATION_N_EPS - 1
+DOMINATION_N_EPS = 7
 
 
 @dataclass(frozen=True)
@@ -85,19 +88,15 @@ class UniformityVerdict:
 
 
 def a_grid(obj, path: StochasticPath, curve: PerturbationCurve,
-           eps_grid=DEFAULT_EPS_GRID, tprime_grid=None,
-           kind: str | None = None) -> DiagnosticMatrix:
+           eps_grid=DEFAULT_EPS_GRID, tprime_grid=None) -> DiagnosticMatrix:
     """The A(T', eps) matrix: truncated objective difference divided by eps.
 
     Discrete cells are exact weighted sums; continuous cells use the trapezoid
     rule on the expected difference of the sampled objective along the jets.
     """
-    kind = kind or path.domain.kind
-    if kind == "discrete":
+    if path.domain.kind == "discrete":
         return _a_grid_discrete(obj, path, curve, eps_grid, tprime_grid)
-    if kind == "continuous":
-        return _a_grid_continuous(obj, path, curve, eps_grid, tprime_grid)
-    raise InputError(f"unknown kind {kind!r}")
+    return _a_grid_continuous(obj, path, curve, eps_grid, tprime_grid)
 
 
 def _default_tprime_grid_discrete(path, curve, n):
@@ -138,8 +137,6 @@ def _a_grid_discrete(obj, path, curve, eps_grid, tprime_grid):
 
 
 def _a_grid_continuous(obj, path, curve, eps_grid, tprime_grid):
-    if path.domain.kind != "continuous":
-        raise UnsupportedError("continuous diagnostics need a continuous domain")
     h = path.domain.h
     if tprime_grid is None:
         onset = curve.tail_onset if curve.tail_onset is not None else 1.0
@@ -265,9 +262,7 @@ def deviation_profile(matrix: DiagnosticMatrix) -> np.ndarray:
     return np.max(np.abs(matrix.values - matrix.values[-1:]), axis=1)
 
 
-def uniformity_verdict(matrix: DiagnosticMatrix,
-                       agreement_factor: float = 10.0,
-                       decay_tol: float | None = None) -> UniformityVerdict:
+def uniformity_verdict(matrix: DiagnosticMatrix) -> UniformityVerdict:
     """UNIFORM / NON_UNIFORM / INCONCLUSIVE from the iterated limits and the
     deviation profile.  Total: never raises on well-formed matrices."""
     if len(matrix.eps_grid) < 4 or len(matrix.tprime_grid) < 4:
@@ -286,12 +281,11 @@ def uniformity_verdict(matrix: DiagnosticMatrix,
                                  "growth in T' detected at fixed eps")
     gap = abs(a - b)
     err = max(limits.eps_then_T_error, limits.T_then_eps_error, 1e-15)
-    if gap > agreement_factor * err:
+    if gap > AGREEMENT_FACTOR * err:
         return UniformityVerdict("NON_UNIFORM", limits, gap, None,
-                                 f"iterated limits differ by {gap:.3g} > {agreement_factor}x error {err:.3g}")
+                                 f"iterated limits differ by {gap:.3g} > {AGREEMENT_FACTOR}x error {err:.3g}")
     profile = deviation_profile(matrix)
-    if decay_tol is None:
-        decay_tol = 1e-6 * max(1.0, float(np.max(np.abs(matrix.values))))
+    decay_tol = 1e-6 * max(1.0, float(np.max(np.abs(matrix.values))))
     if float(profile[-2]) <= decay_tol:
         return UniformityVerdict("UNIFORM", limits, gap, tuple(profile),
                                  "iterated limits agree and the deviation profile decays")
@@ -324,49 +318,39 @@ class DominationReport:
 
 
 def domination_check(obj, path: StochasticPath, curve: PerturbationCurve,
-                     eps_bar: float, sample_times, n_eps: int = 7) -> DominationReport:
+                     eps_bar: float, sample_times) -> DominationReport:
     """Empirical sup of the per-state difference quotient over eps in (0, eps_bar].
 
     On a finite state set the dominated-convergence hypothesis reduces to this
     boundedness; the sup is reported as a candidate envelope, never asserted as
-    a proof.
+    a proof.  An entry whose window is -inf at the base path or at any eps is
+    flagged instead.  One batched call evaluates every sampled window of the
+    base path and of each perturbed path.
     """
     if eps_bar <= 0.0:
         raise InputError("eps_bar must be positive")
     if isinstance(obj, ContinuousObjective):
         raise UnsupportedError("domination_check covers discrete objectives; "
                                "sample the induced jets for continuous models")
-    eps_grid = tuple(eps_bar * 10.0 ** (-k) for k in range(n_eps))
-    n = obj.order
-    entries = []
-    any_growth = False
-    for t in sample_times:
-        t = int(t)
-        win_b = path.window(t, n)
-        for w in range(path.space.m):
-            base_val = obj.value(win_b[:, w, :], t, w)
-            quotients = []
-            flagged = base_val == NEG_INF
-            for eps in eps_grid:
-                if flagged:
-                    break
-                shifted = perturb(path, curve, eps)
-                val = obj.value(shifted.window(t, n)[:, w, :], t, w)
-                if val == NEG_INF:
-                    flagged = True
-                    break
-                quotients.append(abs(val - base_val) / eps)
-            if flagged or not quotients:
-                entries.append(DominationEntry(t, w, None, None, True, False))
-                continue
-            quotients = np.asarray(quotients)
-            sup = float(quotients.max())
-            eps_at = float(eps_grid[int(quotients.argmax())])
-            # growth: strictly increasing toward small eps without saturation
-            growth = (len(quotients) >= 3
-                      and bool(np.all(np.diff(quotients[-3:]) > 0))
-                      and quotients[-1] > 2.0 * quotients[0])
-            any_growth = any_growth or growth
-            entries.append(DominationEntry(t, w, sup, eps_at, False, growth))
-    verdict = "growth detected" if any_growth else "bounded on tested grid"
-    return DominationReport(tuple(entries), eps_grid, verdict)
+    eps_grid = tuple(eps_bar * 10.0 ** (-k) for k in range(DOMINATION_N_EPS))
+    times = [int(t) for t in sample_times]
+    if not times:
+        return DominationReport((), eps_grid, "bounded on tested grid")
+    paths = [path] + [perturb(path, curve, eps) for eps in eps_grid]
+    windows = np.stack([p.window(t, obj.order).swapaxes(0, 1) for p in paths for t in times])
+    vals = values_at(obj, windows, times * len(paths), np.arange(path.space.m))
+    vals = vals.reshape(len(paths), len(times), path.space.m)
+    base, shifted = vals[0], vals[1:]
+    flagged = np.isneginf(vals).any(axis=0)
+    with np.errstate(invalid="ignore"):  # -inf - -inf on flagged entries
+        quotients = np.abs(shifted - base) / np.asarray(eps_grid)[:, None, None]
+        # growth: strictly increasing toward small eps without saturation
+        growth = ((np.diff(quotients[-3:], axis=0) > 0).all(axis=0)
+                  & (quotients[-1] > 2.0 * quotients[0]) & ~flagged)
+    sup, at = quotients.max(axis=0), quotients.argmax(axis=0)
+    entries = tuple(
+        DominationEntry(t, w, None, None, True, False) if flagged[i, w] else
+        DominationEntry(t, w, float(sup[i, w]), eps_grid[at[i, w]], False, bool(growth[i, w]))
+        for i, t in enumerate(times) for w in range(path.space.m))
+    verdict = "growth detected" if growth.any() else "bounded on tested grid"
+    return DominationReport(entries, eps_grid, verdict)

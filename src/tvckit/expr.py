@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -516,28 +515,35 @@ def _slot_names(order: int, continuous: bool) -> list[str]:
     return [f"{prefix}{k}" for k in range(order + 1)]
 
 
-def _build_objective(source: str, order: int, constants: dict, continuous: bool,
-                     name: str = ""):
+def _build_objective(source: str, order: int, constants: dict, continuous: bool):
     """Compile a DSL expression into an objective with symbolic slot-partials.
 
-    constants maps each named per-state constant to its tuple of per-state
-    values (a scalar is broadcast to every state).
+    constants maps each named constant to a scalar, which applies to every
+    state, or to a tuple of per-state values; a state past the end of the
+    tuple raises InputError.
     """
     slots = _slot_names(order, continuous)
     symbols = set(slots) | {"t"} | set(constants)
     ast = parse_source(source, symbols)
     partial_asts = [symbolic_partial(ast, s) for s in slots]
+    const_rows = {cname: np.asarray(cval, dtype=float) for cname, cval in constants.items()}
 
-    const_rows = {}
-    for cname, cval in constants.items():
-        arr = np.atleast_1d(np.asarray(cval, dtype=float))
-        const_rows[cname] = arr
+    def constant_at(cname, w):
+        """The constant's value in state w, or in each state of an array w."""
+        arr = const_rows[cname]
+        if arr.ndim == 0:
+            return np.broadcast_to(arr, np.shape(w))
+        try:
+            return arr[w]
+        except IndexError:
+            raise InputError(f"constant {cname!r} has {len(arr)} per-state values, "
+                             f"none for state {int(np.max(w))}") from None
 
     def env_for(point, t, w):
         env = {s: float(point[k, 0]) for k, s in enumerate(slots)}
         env["t"] = float(t)
-        for cname, arr in const_rows.items():
-            env[cname] = float(arr[w % len(arr)] if len(arr) > 1 else arr[0])
+        for cname in const_rows:
+            env[cname] = float(constant_at(cname, w))
         return env
 
     def ev(point, t, w):
@@ -557,8 +563,8 @@ def _build_objective(source: str, order: int, constants: dict, continuous: bool,
     def batch_env(points, t, w):
         env = {s: points[:, k, 0] for k, s in enumerate(slots)}
         env["t"] = np.asarray(t, dtype=float)
-        for cname, arr in const_rows.items():
-            env[cname] = arr[w % len(arr)]
+        for cname in const_rows:
+            env[cname] = constant_at(cname, w)
         return env
 
     def ev_batch(points, t, w):
@@ -572,22 +578,19 @@ def _build_objective(source: str, order: int, constants: dict, continuous: bool,
         return out
 
     cls = ContinuousObjective if continuous else DiscreteObjective
-    obj = cls(order=order, eval_fn=ev,
-              partial_fns=tuple(make_partial(k) for k in range(order + 1)),
-              name=name or f"dsl:{source}", batch_eval_fn=ev_batch,
-              batch_partials_fn=partials_batch)
-    return obj, ast, partial_asts
+    return cls(order=order, eval_fn=ev,
+               partial_fns=tuple(make_partial(k) for k in range(order + 1)),
+               name=f"dsl:{source}", batch_eval_fn=ev_batch,
+               batch_partials_fn=partials_batch)
 
 
-def dsl_discrete_objective(source: str, order: int, constants: dict | None = None,
-                           name: str = "") -> DiscreteObjective:
+def dsl_discrete_objective(source: str, order: int,
+                           constants: dict | None = None) -> DiscreteObjective:
     """Discrete objective from an expression over y0..y{order}, t and named constants."""
-    obj, _, _ = _build_objective(source, order, constants or {}, continuous=False, name=name)
-    return obj
+    return _build_objective(source, order, constants or {}, continuous=False)
 
 
-def dsl_continuous_objective(source: str, order: int, constants: dict | None = None,
-                             name: str = "") -> ContinuousObjective:
+def dsl_continuous_objective(source: str, order: int,
+                             constants: dict | None = None) -> ContinuousObjective:
     """Continuous objective from an expression over jet slots x0..x{order}."""
-    obj, _, _ = _build_objective(source, order, constants or {}, continuous=True, name=name)
-    return obj
+    return _build_objective(source, order, constants or {}, continuous=True)

@@ -24,6 +24,8 @@ NEG_INF = float("-inf")
 
 # slot-partial finite-difference step: relative, balanced for double precision
 FD_SCALE = 1e-6
+# largest relative gap gradient_check accepts between analytic and FD partials
+GRADIENT_REL_TOL = 1e-6
 
 
 def _as_point(point: np.ndarray) -> np.ndarray:
@@ -181,7 +183,7 @@ class GradientCheckReport:
         return self.verdict == "PASS"
 
 
-def gradient_check(obj: _Objective, points: Sequence, rel_tol: float = 1e-6) -> GradientCheckReport:
+def gradient_check(obj: _Objective, points: Sequence) -> GradientCheckReport:
     """Compare analytic slot-partials against central finite differences.
 
     points is a sequence of (point, t, w) triples; samples on the -inf boundary
@@ -207,9 +209,9 @@ def gradient_check(obj: _Objective, points: Sequence, rel_tol: float = 1e-6) -> 
             gap = np.max(np.abs(ana - fd) / np.maximum(1.0, np.abs(ana)))
             worst = max(worst, float(gap))
     if checked == 0:
-        return GradientCheckReport(math.nan, 0, skipped, "INCONCLUSIVE", rel_tol)
-    verdict = "PASS" if worst <= rel_tol else "FAIL"
-    return GradientCheckReport(worst, checked, skipped, verdict, rel_tol)
+        return GradientCheckReport(math.nan, 0, skipped, "INCONCLUSIVE", GRADIENT_REL_TOL)
+    verdict = "PASS" if worst <= GRADIENT_REL_TOL else "FAIL"
+    return GradientCheckReport(worst, checked, skipped, verdict, GRADIENT_REL_TOL)
 
 
 # ---------------------------------------------------------------------------

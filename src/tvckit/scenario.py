@@ -10,7 +10,7 @@ not errors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -55,11 +55,11 @@ def _reject_unknown(node, allowed, key_path):
         raise SchemaError(f"{key_path}.{sorted(extra)[0]}", "unknown key")
 
 
-def _get(node, key, key_path, required=True, default=None):
+def _get(node, key, key_path, required=True):
     if key not in node:
         if required:
             raise SchemaError(f"{key_path}.{key}", "missing required key")
-        return default
+        return None
     return node[key]
 
 
@@ -143,11 +143,11 @@ class Scenario:
         if kind == "ramp":
             return quintic_ramp_curve(self.domain, self.space,
                                       np.asarray(spec["target"]),
-                                      ramp_end=spec.get("ramp_end", 1.0))
+                                      ramp_end=spec["ramp_end"])
         return PerturbationCurve(self.domain, self.space, np.asarray(spec["values"]))
 
-    def tolerance(self, engine: str, default: float | None = None) -> float | None:
-        value = self.echo.get("tolerances", {}).get(engine, default)
+    def tolerance(self, engine: str) -> float | None:
+        value = self.echo.get("tolerances", {}).get(engine)
         return None if value is None else float(value)
 
     @property
@@ -385,8 +385,7 @@ def _validate_perturbation(node, domain, space):
         _reject_unknown(node, {"kind", "target", "ramp_end"}, "perturbation")
         if domain.kind != "continuous":
             raise SchemaError("perturbation.kind", "ramp curves are continuous-only")
-        out = {"kind": kind, "target": _value_field(node, space, "perturbation.target",
-                                                    field_name="target")}
+        out = {"kind": kind, "target": _value_field(node, space, "perturbation.target")}
         ramp_end = _number(node.get("ramp_end", 1.0), "perturbation.ramp_end")
         if ramp_end <= 0:
             raise SchemaError("perturbation.ramp_end", "must be positive")
@@ -400,8 +399,9 @@ def _validate_perturbation(node, domain, space):
     return {"kind": "explicit", "values": node["values"]}
 
 
-def _value_field(node, space, key_path, field_name="value"):
-    value = _get(node, field_name, key_path.rsplit(".", 1)[0])
+def _value_field(node, space, key_path):
+    parent, key = key_path.rsplit(".", 1)
+    value = _get(node, key, parent)
     if isinstance(value, list):
         vals = _number_list(value, key_path)
         if len(vals) != space.m:
@@ -434,7 +434,7 @@ def _validate_tolerances(node):
     if node is None:
         return None
     node = _require_mapping(node, "tolerances")
-    _reject_unknown(node, {"euler", "tvc", "gradient", "decomposition"}, "tolerances")
+    _reject_unknown(node, {"euler", "tvc"}, "tolerances")
     out = {}
     for key, value in node.items():
         tol = _number(value, f"tolerances.{key}")

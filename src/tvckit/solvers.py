@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import StochasticPath, expectation
 from .errors import (DomainError, InputError, NumericalError, UnsupportedError)
-from .euler import max_window_start
+from .euler import BoundaryMode, max_window_start
 from .kernel import (euler_rows, expected_cumsum, jet_values, partials_at,
                      values_at, window_stack, window_values)
 from .objectives import (ContinuousObjective, DiscreteObjective, partial_slot)
@@ -73,6 +73,13 @@ class SolveSpec:
     @property
     def head_len(self) -> int:
         return 0 if self.head is None else self.head.shape[0]
+
+    @property
+    def boundary(self) -> BoundaryMode:
+        """The rows the solve imposes: all of them, or those past a pinned head."""
+        if self.mode == "fixed":
+            return BoundaryMode.fixed_initial(self.head_len)
+        return BoundaryMode.paper_literal()
 
 
 @dataclass(frozen=True)
@@ -141,7 +148,7 @@ def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
     if guess.domain.kind != "discrete" or t_total != T + n:
         raise InputError(f"guess must live on the discrete grid 0..{T + n}")
     k = spec.head_len
-    t_lo, t_hi = (0, T) if spec.mode == "paper_literal" else (k, T)
+    t_lo, t_hi = spec.boundary.first_index(), T
     if t_hi < t_lo:
         raise InputError("no free indices: head covers the whole horizon")
     dim = guess.dim
@@ -319,6 +326,9 @@ def _substituted_window(jet: np.ndarray) -> np.ndarray:
 def discrete_to_continuous(V: DiscreteObjective) -> CorrespondencePair:
     """Induce the continuous objective by substitution; chain-rule partials
     v1 = V1 + V2 + V3, v2 = V2 + 2 V3, v3 = V3 when V has analytic partials."""
+    if not isinstance(V, DiscreteObjective):
+        raise InputError(f"discrete_to_continuous needs a discrete objective, "
+                         f"got {type(V).__name__} {V.name or '<anonymous>'}")
     if V.order != 2:
         raise UnsupportedError("discrete_to_continuous covers order 2 only")
 
@@ -382,8 +392,7 @@ class CorrespondenceReport:
         return self.verdict == "PASS"
 
 
-def correspondence_check(pair: CorrespondencePair, segments,
-                         tolerance: float | None = None) -> CorrespondenceReport:
+def correspondence_check(pair: CorrespondencePair, segments) -> CorrespondenceReport:
     """Verify the chain-rule partial identities and the first-difference form
     of the induced Euler operator.
 
@@ -396,11 +405,11 @@ def correspondence_check(pair: CorrespondencePair, segments,
         v1(t+2) + (v2(t+1) - v2(t+2)) + (v3(t) - 2 v3(t+1) + v3(t+2)).
 
     Samples where the discrete objective is -inf on any needed window are
-    skipped and counted.
+    skipped and counted.  The gaps must stay within 1e-10 for analytic
+    partials, 1e-6 for finite differences.
     """
     V, v = pair.discrete, pair.continuous
-    if tolerance is None:
-        tolerance = 1e-10 if V.has_analytic_partials else 1e-6
+    tolerance = 1e-10 if V.has_analytic_partials else 1e-6
     worst_a = worst_b = 0.0
     checked = skipped = 0
     for seg, t, w in segments:

@@ -20,28 +20,13 @@ from .kernel import (euler_rows, expected_cumsum, jet_partials, tail_terms,
                      window_partials, window_values)
 from .objectives import ContinuousObjective, DiscreteObjective
 
-NEG_INF = float("-inf")
-
 DEFAULT_TOL_TVC_ANALYTIC = 1e-8
 DEFAULT_TOL_TVC_FD = 1e-4
 
 MIN_TAIL_SAMPLES = 5
 
-
-@dataclass(frozen=True)
-class RampSpec:
-    """Smooth ramp to a target level in (0,1) by ramp_end, with the first
-    smoothness_order derivatives vanishing at t=0 (quintic smoothstep)."""
-
-    target: float
-    ramp_end: float = 1.0
-    smoothness_order: int = 2
-
-    def __post_init__(self):
-        if not (0.0 < self.target < 1.0):
-            raise InputError("ramp target must lie strictly inside (0, 1)")
-        if self.ramp_end <= 0.0:
-            raise InputError("ramp_end must be positive")
+# step of the direct eps-derivative in variation_decomposition_check
+DECOMPOSITION_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -54,9 +39,9 @@ class TvcReport:
     verdict: str                        # "SATISFIED" | "VIOLATED"
     finite_horizon_caveat: bool
     kind: str                           # "discrete" | "continuous"
-    running_sup: np.ndarray | None = None
-    limsup_estimate: float | None = None
-    limsup_holds: bool | None = None    # the >= 0 variant
+    running_sup: np.ndarray
+    limsup_estimate: float
+    limsup_holds: bool                  # the >= 0 variant
 
     @property
     def satisfied(self) -> bool:
@@ -85,29 +70,24 @@ def _suffix_extrema(values: np.ndarray):
     return running_inf, running_sup
 
 
-def _liminf_report(truncations, values, tol, kind, want_limsup) -> TvcReport:
+def _liminf_report(truncations, values, tol, kind) -> TvcReport:
     values = np.asarray(values, dtype=float)
     if len(values) < MIN_TAIL_SAMPLES:
         raise HorizonError(f"need at least {MIN_TAIL_SAMPLES} tail values, got {len(values)}")
     running_inf, running_sup = _suffix_extrema(values)
     stable = len(values) - MIN_TAIL_SAMPLES  # largest T with >= 5 samples remaining
     liminf_estimate = float(running_inf[stable])
+    limsup_estimate = float(running_sup[stable])
     verdict = "SATISFIED" if liminf_estimate <= tol else "VIOLATED"
-    limsup_estimate = limsup_holds = sup = None
-    if want_limsup:
-        sup = running_sup
-        limsup_estimate = float(running_sup[stable])
-        limsup_holds = limsup_estimate >= -tol
     return TvcReport(truncations=tuple(truncations), values=values,
                      running_inf=running_inf, liminf_estimate=liminf_estimate,
                      tolerance=tol, verdict=verdict, finite_horizon_caveat=True,
-                     kind=kind, running_sup=sup, limsup_estimate=limsup_estimate,
-                     limsup_holds=limsup_holds)
+                     kind=kind, running_sup=running_sup, limsup_estimate=limsup_estimate,
+                     limsup_holds=limsup_estimate >= -tol)
 
 
 def tvc_liminf_discrete(obj: DiscreteObjective, path: StochasticPath,
-                        q: PerturbationCurve, tolerance: float | None = None,
-                        want_limsup: bool = True) -> TvcReport:
+                        q: PerturbationCurve, tolerance: float | None = None) -> TvcReport:
     """Tail values for every admissible T', running infima, liminf estimate."""
     n = obj.order
     last = min(max_window_start(path, n), max_window_start(q, n))
@@ -116,8 +96,7 @@ def tvc_liminf_discrete(obj: DiscreteObjective, path: StochasticPath,
     if tol is None:
         tol = DEFAULT_TOL_TVC_ANALYTIC if obj.has_analytic_partials else DEFAULT_TOL_TVC_FD
     tails = tail_terms(window_partials(obj, path, 0, last), q.values, tprimes)
-    return _liminf_report(tprimes, expectation(path.space, tails.T), tol, "discrete",
-                          want_limsup)
+    return _liminf_report(tprimes, expectation(path.space, tails.T), tol, "discrete")
 
 
 # ---------------------------------------------------------------------------
@@ -172,29 +151,26 @@ def continuous_boundary_term(obj: ContinuousObjective, path: StochasticPath,
 
 def tvc_liminf_continuous(obj: ContinuousObjective, path: StochasticPath,
                           p: PerturbationCurve, t_list,
-                          tolerance: float | None = None,
-                          want_limsup: bool = True) -> TvcReport:
+                          tolerance: float | None = None) -> TvcReport:
     """bracket(T) - bracket(0) over the requested truncation times, with running infima."""
     series = boundary_bracket_series(obj, path, p)
     idxs = [path.domain.index_of(t) for t in t_list]
     values = [series[i] - series[0] for i in idxs]
     tol = DEFAULT_TOL_TVC_FD if tolerance is None else tolerance
-    return _liminf_report(list(t_list), values, tol, "continuous", want_limsup)
+    return _liminf_report(list(t_list), values, tol, "continuous")
 
 
-def scaled_path_curve(path: StochasticPath, abar: float,
-                      ramp: RampSpec | None = None) -> PerturbationCurve:
-    """The special perturbation p(t,w) = a(t) * x*(t,w) with a smooth ramp a
-    rising from 0 to abar by the ramp end time."""
+def scaled_path_curve(path: StochasticPath, abar: float) -> PerturbationCurve:
+    """The special perturbation p(t,w) = a(t) * x*(t,w) with a quintic ramp a
+    rising from 0 at t = 0 to abar at t = 1; a and its first two derivatives
+    vanish at t = 0."""
     if not (0.0 < abar < 1.0):
         raise InputError("abar must lie strictly inside (0, 1)")
     if path.domain.kind != "continuous":
         raise UnsupportedError("the special curve is defined on continuous domains")
-    ramp = ramp or RampSpec(target=abar)
-    alpha_t = abar * smoothstep_quintic(path.domain.times() / ramp.ramp_end)
+    alpha_t = abar * smoothstep_quintic(path.domain.times())
     vals = alpha_t[:, None, None] * path.values
-    return PerturbationCurve(path.domain, path.space, vals,
-                             vanishing_head=min(ramp.smoothness_order, 2))
+    return PerturbationCurve(path.domain, path.space, vals, vanishing_head=2)
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +187,14 @@ def truncated_objective(obj: DiscreteObjective, path: StochasticPath,
 
 
 def variation_decomposition_check(obj: DiscreteObjective, path: StochasticPath,
-                                  q: PerturbationCurve, eps: float = 1e-6,
+                                  q: PerturbationCurve,
                                   tprime: int | None = None) -> float:
     """Absolute discrepancy between the direct eps-derivative of the truncated
     expected objective and its Euler-rows + tail decomposition."""
     n = obj.order
     if tprime is None:
         tprime = min(max_window_start(path, n), max_window_start(q, n))
+    eps = DECOMPOSITION_EPS
     direct = (truncated_objective(obj, perturb(path, q, +eps), tprime)
               - truncated_objective(obj, perturb(path, q, -eps), tprime)) / (2.0 * eps)
     rows = euler_rows(window_partials(obj, path, 0, tprime))[: tprime + 1]

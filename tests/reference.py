@@ -9,7 +9,8 @@ them.
 import numpy as np
 
 import tvckit as tk
-from tvckit.errors import DomainError, HorizonError
+from tvckit.diagnostics import DOMINATION_N_EPS, DominationEntry, DominationReport
+from tvckit.errors import DomainError, HorizonError, InputError, UnsupportedError
 from tvckit.euler import max_window_start
 
 
@@ -91,3 +92,46 @@ def sampled_values(obj, jets, times, m, dim):
                 jet[order] = jets[order][it, w]
             out[it, w] = obj.value(jet, t, w)
     return out
+
+
+def domination_check(obj, path, curve, eps_bar, sample_times):
+    """One whole-path perturbation and one value call per (time, state, eps);
+    a (time, state) stops at its first -inf."""
+    if eps_bar <= 0.0:
+        raise InputError("eps_bar must be positive")
+    if isinstance(obj, tk.ContinuousObjective):
+        raise UnsupportedError("domination_check covers discrete objectives; "
+                               "sample the induced jets for continuous models")
+    eps_grid = tuple(eps_bar * 10.0 ** (-k) for k in range(DOMINATION_N_EPS))
+    n = obj.order
+    entries = []
+    any_growth = False
+    for t in sample_times:
+        t = int(t)
+        win_b = path.window(t, n)
+        for w in range(path.space.m):
+            base_val = obj.value(win_b[:, w, :], t, w)
+            quotients = []
+            flagged = base_val == -np.inf
+            for eps in eps_grid:
+                if flagged:
+                    break
+                shifted = tk.perturb(path, curve, eps)
+                val = obj.value(shifted.window(t, n)[:, w, :], t, w)
+                if val == -np.inf:
+                    flagged = True
+                    break
+                quotients.append(abs(val - base_val) / eps)
+            if flagged or not quotients:
+                entries.append(DominationEntry(t, w, None, None, True, False))
+                continue
+            quotients = np.asarray(quotients)
+            sup = float(quotients.max())
+            eps_at = float(eps_grid[int(quotients.argmax())])
+            growth = (len(quotients) >= 3
+                      and bool(np.all(np.diff(quotients[-3:]) > 0))
+                      and quotients[-1] > 2.0 * quotients[0])
+            any_growth = any_growth or growth
+            entries.append(DominationEntry(t, w, sup, eps_at, False, growth))
+    verdict = "growth detected" if any_growth else "bounded on tested grid"
+    return DominationReport(tuple(entries), eps_grid, verdict)

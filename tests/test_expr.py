@@ -246,6 +246,24 @@ class TestDslObjectives:
         obj = tk.dsl_discrete_objective("c * y0", 0, {"c": 2.0})
         assert obj.value(np.array([3.0]), 0, 1) == 6.0
 
+    def test_per_state_constant_is_not_wrapped(self):
+        # a 3-value constant on a 4-state path has no value for state 3
+        obj = tk.dsl_discrete_objective("(y0 - a)^2 + y1 + y2", 2, {"a": (1.0, 2.0, 3.0)})
+        space = tk.SampleSpace((0.25,) * 4)
+        path = tk.StochasticPath.constant(tk.TimeDomain.discrete(10), space, 1.0)
+        for engine in (lambda: tk.euler_report(obj, path),
+                       lambda: obj.value(np.ones(3), 0, 3)):
+            with pytest.raises(tk.InputError, match="constant 'a'"):
+                engine()
+        assert obj.value(np.ones(3), 0, 2) == 6.0
+
+    def test_scalar_constant_applies_to_every_state(self):
+        obj = tk.dsl_discrete_objective("(y0 - a)^2 + y1 + y2", 2, {"a": 3.0})
+        space = tk.SampleSpace((0.25,) * 4)
+        path = tk.StochasticPath.constant(tk.TimeDomain.discrete(10), space, 1.0)
+        rows = tk.euler_report(obj, path).residuals
+        assert (rows[:, :, 0] == rows[:, :1, 0]).all()
+
     def test_continuous_slots(self):
         obj = tk.dsl_continuous_objective("x0 + 2 * x1 + 3 * x2", 2)
         assert obj.value(np.array([1.0, 1.0, 1.0]), 0.0, 0) == 6.0

@@ -7,6 +7,8 @@ per-point loops within 1e-12 relative (absolute below magnitude 1), and
 raise the same exception type where the loops raise.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,6 +189,70 @@ def test_jet_sampling_matches_reference(seed, case, h, m):
     assert_close(tk.continuous_euler_residual_series(obj, path), want)
     per_time = np.array([tk.expectation(space, row) for row in sampled])
     assert_close(tk.objective_value(obj, path), np.trapezoid(per_time, dx=h))
+
+
+def _same_arithmetic(obj):
+    """obj whose per-point value is its batched formula at one point.
+
+    A domination quotient divides the difference of two values by eps down to
+    1e-6 eps_bar, which turns a last-bit difference between numpy's and libm's
+    log or pow into a gap near 1e-9 and can flip a growth flag.  The values
+    themselves are held to the per-point callables above; here the loop and
+    the engine evaluate the same arithmetic.
+    """
+    if obj.batch_eval_fn is None:
+        return obj
+
+    def ev(point, t, w):
+        return obj.batch_eval_fn(point[None], np.array([t]), np.array([w]))[0]
+
+    return dataclasses.replace(obj, eval_fn=ev)
+
+
+DOMINATION_CASES = {
+    "quadlin": DISCRETE_CASES["quadlin"],
+    "household": DISCRETE_CASES["household"],
+    "household-walled": DISCRETE_CASES["household-walled"],
+    "dsl-log": DISCRETE_CASES["dsl-log"],
+    "plain-analytic": DISCRETE_CASES["plain-analytic"],
+    # on the constant path 1 the quotient grows like eps^-1/2 past the onset
+    "dsl-kink": lambda rng, m: (tk.dsl_discrete_objective("sqrt(abs(y0 - 1)) + y1", 1),
+                                1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOMINATION_CASES))
+@given(seed=st.integers(0, 2**32 - 1), horizon=st.integers(10, 20), m=st.integers(1, 3),
+       eps_bar=st.sampled_from([0.01, 0.1, 0.5, 2.0]))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_domination_matches_reference(case, seed, horizon, m, eps_bar):
+    rng = np.random.default_rng(seed)
+    obj, lo, hi = DOMINATION_CASES[case](rng, m)
+    obj = _same_arithmetic(obj)
+    space = _space(rng, m)
+    domain = tk.TimeDomain.discrete(horizon)
+    path = tk.StochasticPath(domain, space, rng.uniform(lo, hi, size=(horizon + 1, m)))
+    q = tk.eventually_constant_curve(domain, space, int(rng.integers(0, 4)),
+                                     rng.uniform(-1.0, 1.0, size=m))
+    # up to 5 sample times; the largest possible one is past the last window
+    times = rng.integers(0, horizon - obj.order + 2, size=int(rng.integers(0, 6))).tolist()
+    got = outcome(tk.domination_check, obj, path, q, eps_bar, times)
+    want = outcome(reference.domination_check, obj, path, q, eps_bar, times)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "raised":
+        assert got[1] is want[1]
+        return
+    got, want = got[1], want[1]
+    assert got.verdict == want.verdict
+    assert got.eps_grid == want.eps_grid
+    assert len(got.entries) == len(want.entries)
+    for g, e in zip(got.entries, want.entries):
+        assert (g.t, g.state, g.eps_at_sup) == (e.t, e.state, e.eps_at_sup)
+        assert (g.domain_flagged, g.growth_flagged) == (e.domain_flagged, e.growth_flagged)
+        if e.sup_abs is None:
+            assert g.sup_abs is None
+        else:
+            assert abs(g.sup_abs - e.sup_abs) <= REL * abs(e.sup_abs)
 
 
 def test_empty_batches(quadlin_d):

@@ -75,6 +75,13 @@ class TestScenarioLoading:
         again = parse_scenario(json.loads(json.dumps(scenario.echo)))
         assert again.echo == scenario.echo
 
+    @pytest.mark.parametrize("key", ["gradient", "decomposition"])
+    def test_unread_tolerance_key_rejected(self, key):
+        # only the euler and tvc tolerances are read by any command
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(minimal_scenario(tolerances={"euler": 1e-8, key: 1e-30}))
+        assert err.value.key_path == f"tolerances.{key}"
+
     def test_solve_horizon_consistency(self):
         data = minimal_scenario(path={"solve": {"horizon": 5, "guess_constant": 0.0}})
         with pytest.raises(SchemaError) as err:
@@ -109,6 +116,25 @@ class TestCliExitCodes:
     def test_correspond_exit_0(self):
         assert main(["correspond", "--scenario",
                      str(SCENARIOS / "discrete-counterexample.json"), "--quiet"]) == 0
+
+    def test_correspond_continuous_objective_exit_2(self, capsys):
+        # the correspondence induces a continuous objective from a discrete one
+        assert main(["correspond", "--scenario",
+                     str(SCENARIOS / "continuous-counterexample.json"), "--quiet"]) == 2
+        assert "needs a discrete objective" in capsys.readouterr().err
+
+    def test_euler_uses_the_solve_boundary(self, tmp_path):
+        # the household solve pins a head of 2 rows in fixed mode
+        out = tmp_path / "r.json"
+        args = ["euler", "--scenario", str(SCENARIOS / "household.json"), "--out", str(out)]
+        assert main(args) == 0
+        report = json.loads(out.read_text())["euler"]
+        assert report["verdict"] == "STATIONARY"
+        assert report["mode"] == "fixed_initial"
+        assert report["indices"][0] == 2
+        # an explicit --boundary still wins
+        assert main(args + ["--boundary", "paper-literal"]) == 1
+        assert json.loads(out.read_text())["euler"]["mode"] == "paper_literal"
 
     def test_assume_assert_uniform(self, tmp_path):
         # eventually-constant perturbation: asserting uniformity fails
@@ -202,8 +228,9 @@ class TestReports:
         for key, section in sections.items():
             command, scenario = key.split(":")
             cmd_out = tmp_path / f"{key}.json"
+            seed = ["--seed", "7"] if command == "correspond" else []
             main([command, "--scenario", str(SCENARIOS / f"{scenario}.json"),
-                  "--seed", "7", "--out", str(cmd_out)])
+                  *seed, "--out", str(cmd_out)])
             assert section == json.loads(cmd_out.read_text())[command], key
 
     def test_demo_without_scenarios_exit_2(self, monkeypatch, tmp_path, capsys):
@@ -219,7 +246,15 @@ class TestFlags:
         ["assume", "--scenario", "s.json", "--tolerance", "0"],
         ["correspond", "--scenario", "s.json", "--tolerance", "1"],
         ["demo", "household", "--tmax", "5"],
-        ["demo", "household", "--eps-grid", "0.1,0.01"]])
+        ["demo", "household", "--eps-grid", "0.1,0.01"],
+        ["euler", "--scenario", "s.json", "--eps-grid", "0.5,0.1"],
+        ["tvc", "--scenario", "s.json", "--eps-grid", "0.5,0.1"],
+        ["solve", "--scenario", "s.json", "--eps-grid", "0.5,0.1"],
+        ["correspond", "--scenario", "s.json", "--eps-grid", "0.5,0.1"],
+        ["euler", "--scenario", "s.json", "--seed", "7"],
+        ["tvc", "--scenario", "s.json", "--seed", "7"],
+        ["assume", "--scenario", "s.json", "--seed", "7"],
+        ["solve", "--scenario", "s.json", "--seed", "7"]])
     def test_unread_flag_exit_2(self, argv, capsys):
         # a flag the command would ignore is refused by the parser
         with pytest.raises(SystemExit) as exc:

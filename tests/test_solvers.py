@@ -214,6 +214,10 @@ class TestCorrespondence:
         assert rep.verdict == "INCONCLUSIVE"
         assert rep.skipped == 1
 
+    def test_continuous_objective_rejected(self, quadlin_c):
+        with pytest.raises(tk.InputError, match="needs a discrete objective"):
+            tk.discrete_to_continuous(quadlin_c)
+
     def test_order_guard(self):
         V = tk.dsl_discrete_objective("y0 + y1", 1)
         with pytest.raises(UnsupportedError):
