@@ -108,9 +108,8 @@ def _boundary_mode(args, scenario) -> BoundaryMode:
     """--boundary when given, else the rows the scenario's solve directive imposes."""
     spec = args.boundary
     if spec is None:
-        if "solve" in scenario.echo["path"]:
-            return scenario.solve_spec().boundary
-        return BoundaryMode.paper_literal()
+        solve = scenario.solve_spec()
+        return BoundaryMode.paper_literal() if solve is None else solve.boundary
     if spec == "paper-literal":
         return BoundaryMode.paper_literal()
     if spec.startswith("fixed:"):
@@ -212,9 +211,9 @@ def _cmd_assume(args):
 
 def _cmd_solve(args):
     scenario = _load(args)
-    if "solve" not in scenario.echo["path"]:
-        raise InputError("path.solve: the solve command needs a solve directive")
     spec = scenario.solve_spec()
+    if spec is None:
+        raise InputError("path.solve: the solve command needs a solve directive")
     spec = dataclasses.replace(spec, tolerance=_tolerance(args, spec.tolerance))
     path, rep = newton_euler_solve(scenario.objective(), spec)
     report = _base_report("solve", scenario)

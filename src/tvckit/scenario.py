@@ -107,6 +107,10 @@ class Scenario:
         return builder(spec["expr"], self.order, constants)
 
     def path(self):
+        solve = self.solve_spec()
+        if solve is not None:
+            path, _ = newton_euler_solve(self.objective(), solve)
+            return path
         spec = self.echo["path"]
         if "closed_form" in spec:
             params = _quadlin_params(self.echo["objective"])
@@ -115,14 +119,14 @@ class Scenario:
             return constant_alpha_path(self.domain, self.space, params)
         if "constant" in spec:
             return StochasticPath.constant(self.domain, self.space, spec["constant"])
-        if "values" in spec:
-            return StochasticPath(self.domain, self.space, np.asarray(spec["values"]))
-        path, _ = newton_euler_solve(self.objective(), self.solve_spec())
-        return path
+        return StochasticPath(self.domain, self.space, np.asarray(spec["values"]))
 
-    def solve_spec(self) -> SolveSpec:
-        """The Newton solve of the path's solve directive, from a constant guess."""
-        solve = self.echo["path"]["solve"]
+    def solve_spec(self) -> SolveSpec | None:
+        """The Newton solve of the path's solve directive, from a constant guess;
+        None when the path has no solve directive."""
+        solve = self.echo["path"].get("solve")
+        if solve is None:
+            return None
         guess = StochasticPath.constant(self.domain, self.space, solve["guess_constant"])
         return SolveSpec(horizon=solve["horizon"], guess=guess, mode=solve["mode"],
                          head=solve.get("head"), tail=solve.get("tail"),
