@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -121,7 +122,9 @@ def _boundary_mode(args, scenario) -> BoundaryMode:
 
 
 def _tolerance(args, default):
-    """--tolerance when given (0 included), else the scenario's value."""
+    """--tolerance when given (finite, 0 included), else the scenario's value."""
+    if args.tolerance is not None and not 0.0 <= args.tolerance < math.inf:
+        raise InputError(f"--tolerance must be finite and >= 0, got {args.tolerance!r}")
     return default if args.tolerance is None else args.tolerance
 
 
@@ -241,6 +244,8 @@ def _cmd_correspond(args):
         "max_euler_gap": rep.max_euler_gap, "tolerance": rep.tolerance,
         "checked": rep.checked, "skipped": rep.skipped,
     }
+    if rep.verdict == "INCONCLUSIVE":  # no sample was checked
+        return report, EXIT_NUMERICAL
     return report, EXIT_OK if rep.passed else EXIT_VERDICT
 
 
@@ -249,6 +254,8 @@ def _cmd_demo(args):
     if not SCENARIOS.is_dir():
         raise InputError(f"demo scenarios not found: {SCENARIOS}")
     seed = args.seed if args.seed is not None else 0
+    if seed < 0:
+        raise InputError(f"--seed must be >= 0, got {seed}")
     parser = build_parser()
     report = _base_report(f"demo:{args.preset}", seed=seed)
     report["demo"] = {}

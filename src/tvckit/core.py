@@ -31,8 +31,8 @@ class SampleSpace:
         object.__setattr__(self, "probs", probs)
         if not probs:
             raise InputError("sample space needs at least one state")
-        if any(p < 0.0 for p in probs):
-            raise InputError("probabilities must be nonnegative")
+        if not all(0.0 <= p < math.inf for p in probs):
+            raise InputError("probabilities must be finite and nonnegative")
         total = math.fsum(probs)
         if abs(total - 1.0) > PROB_TOL:
             raise InputError(f"probabilities sum to {total!r}, expected 1")
@@ -82,10 +82,10 @@ class TimeDomain:
                 raise InputError("discrete domain needs an integer t_max >= 0")
             object.__setattr__(self, "t_max", int(self.t_max))
         elif self.kind == "continuous":
-            if self.t_end is None or self.h is None or self.t_end <= 0 or self.h <= 0:
+            if self.t_end is None or self.h is None or not (self.t_end > 0 and self.h > 0):
                 raise InputError("continuous domain needs t_end > 0 and h > 0")
             ratio = self.t_end / self.h
-            if abs(ratio - round(ratio)) > GRID_TOL * max(1.0, ratio):
+            if not math.isfinite(ratio) or abs(ratio - round(ratio)) > GRID_TOL * max(1.0, ratio):
                 raise InputError("t_end must be an integer multiple of h")
         else:
             raise InputError(f"unknown time-domain kind {self.kind!r}")

@@ -2,15 +2,17 @@
 
 A scenario bundles a time domain, a finite sample space, an objective (builtin
 or DSL expression), a path and an optional perturbation plus per-engine
-tolerances.  Validation errors always name the offending key path.  DSL
-objectives are gradient-checked at load time; failures surface as warnings,
-not errors.
+tolerances.  Each model is built once, at load, by the library constructor
+that checks it; its input errors are re-raised as SchemaError at the key path,
+so every command accepts and rejects the same scenarios.  DSL objectives are
+gradient-checked at load time; failures surface as warnings, not errors.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ import numpy as np
 from .core import (PerturbationCurve, SampleSpace, StochasticPath, TimeDomain,
                    compact_support_curve, eventually_constant_curve,
                    quintic_ramp_curve)
-from .errors import InputError
+from .errors import HorizonError, InputError
 from .expr import dsl_continuous_objective, dsl_discrete_objective
 from .objectives import (QuadLinParams, constant_alpha_path, gradient_check,
                          household_log, quadlin_continuous, quadlin_discrete,
@@ -64,9 +66,14 @@ def _get(node, key, key_path, required=True):
 
 
 def _number(value, key_path):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(key_path, f"expected a number, got {value!r}")
-    return float(value)
+    """A finite number; JSON's NaN and Infinity are refused."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    raise SchemaError(key_path, f"expected a finite number, got {value!r}")
 
 
 def _integer(value, key_path):
@@ -81,74 +88,67 @@ def _number_list(value, key_path):
     return [_number(v, f"{key_path}[{i}]") for i, v in enumerate(value)]
 
 
+def _per_state(value, key_path, space):
+    vals = _number_list(value, key_path)
+    if len(vals) != space.m:
+        raise SchemaError(key_path, f"needs one value per state ({space.m})")
+    return vals
+
+
+def _array(value, key_path):
+    """A rectangular nested list of numbers as a float array."""
+    try:
+        cells = np.array(value, dtype=object)
+        if {type(v) for v in cells.flat} <= {int, float}:
+            return cells.astype(float)
+    except (ValueError, OverflowError):
+        pass
+    raise SchemaError(key_path, "expected a rectangular array of numbers")
+
+
+def _build(key_path, constructor, *args, **kwargs):
+    """constructor(*args, **kwargs), its input errors re-raised at key_path."""
+    try:
+        return constructor(*args, **kwargs)
+    except (InputError, HorizonError) as exc:
+        raise SchemaError(key_path, str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class Scenario:
-    """A validated scenario with defaults resolved.
+    """A validated scenario with defaults resolved and its models built.
 
     `echo` is the normalized JSON-compatible dict; reparsing it yields an
-    identical scenario.  `warnings` carries load-time diagnostics such as
-    DSL gradient-check failures.
+    equal scenario (the built models are not compared).  `warnings` carries
+    load-time diagnostics such as DSL gradient-check failures.
     """
 
     domain: TimeDomain
     space: SampleSpace
     order: int
     echo: dict
+    _objective: object = field(compare=False)
+    _path: StochasticPath | SolveSpec = field(compare=False)
+    _curve: PerturbationCurve | None = field(compare=False)
     warnings: tuple[str, ...] = ()
 
     def objective(self):
-        spec = self.echo["objective"]
-        if "builtin" in spec:
-            return _build_builtin(spec, self.order)
-        constants = {k: tuple(v) if isinstance(v, list) else v
-                     for k, v in spec.get("constants", {}).items()}
-        builder = (dsl_continuous_objective if self.domain.kind == "continuous"
-                   else dsl_discrete_objective)
-        return builder(spec["expr"], self.order, constants)
+        return self._objective
 
     def path(self):
-        solve = self.solve_spec()
-        if solve is not None:
-            path, _ = newton_euler_solve(self.objective(), solve)
-            return path
-        spec = self.echo["path"]
-        if "closed_form" in spec:
-            params = _quadlin_params(self.echo["objective"])
-            if spec["closed_form"] == "quadlin-euler":
-                return quadlin_euler_path(self.domain, self.space, params)
-            return constant_alpha_path(self.domain, self.space, params)
-        if "constant" in spec:
-            return StochasticPath.constant(self.domain, self.space, spec["constant"])
-        return StochasticPath(self.domain, self.space, np.asarray(spec["values"]))
+        """The fixed path, or the Newton solution of the solve directive (solved
+        at each call)."""
+        if isinstance(self._path, SolveSpec):
+            return newton_euler_solve(self._objective, self._path)[0]
+        return self._path
 
     def solve_spec(self) -> SolveSpec | None:
         """The Newton solve of the path's solve directive, from a constant guess;
         None when the path has no solve directive."""
-        solve = self.echo["path"].get("solve")
-        if solve is None:
-            return None
-        guess = StochasticPath.constant(self.domain, self.space, solve["guess_constant"])
-        return SolveSpec(horizon=solve["horizon"], guess=guess, mode=solve["mode"],
-                         head=solve.get("head"), tail=solve.get("tail"),
-                         tolerance=solve.get("tolerance", 1e-10),
-                         max_iterations=solve.get("max_iterations", 100))
+        return self._path if isinstance(self._path, SolveSpec) else None
 
     def perturbation(self) -> PerturbationCurve | None:
-        spec = self.echo.get("perturbation")
-        if spec is None:
-            return None
-        kind = spec["kind"]
-        if kind == "eventually-constant":
-            return eventually_constant_curve(self.domain, self.space,
-                                             spec["onset"], np.asarray(spec["value"]))
-        if kind == "compact-support":
-            return compact_support_curve(self.domain, self.space, spec["onset"],
-                                         spec["cutoff"], np.asarray(spec["value"]))
-        if kind == "ramp":
-            return quintic_ramp_curve(self.domain, self.space,
-                                      np.asarray(spec["target"]),
-                                      ramp_end=spec["ramp_end"])
-        return PerturbationCurve(self.domain, self.space, np.asarray(spec["values"]))
+        return self._curve
 
     def tolerance(self, engine: str) -> float | None:
         value = self.echo.get("tolerances", {}).get(engine)
@@ -167,25 +167,6 @@ class Scenario:
         return self.echo.get("diagnostics", {}).get("tprime_grid")
 
 
-def _build_builtin(spec, order):
-    name = spec["builtin"]
-    params = spec.get("params", {})
-    if name == "household-log":
-        return household_log(params["discount"], params.get("n", order),
-                             zero_head=params.get("zero_head", True))
-    qp = _quadlin_params(spec)
-    return quadlin_discrete(qp) if name == "quadlin-discrete" else quadlin_continuous(qp)
-
-
-def _quadlin_params(obj_spec):
-    params = obj_spec.get("params", {})
-    if not {"alpha", "beta", "gamma"} <= set(params):
-        raise SchemaError("path.closed_form",
-                          "closed-form paths need a quadlin objective with alpha/beta/gamma")
-    return QuadLinParams(alpha=tuple(params["alpha"]), beta=tuple(params["beta"]),
-                        gamma=tuple(params["gamma"]))
-
-
 # ---------------------------------------------------------------------------
 # Validation
 
@@ -195,18 +176,14 @@ def _validate_time(node):
     if kind == "discrete":
         _reject_unknown(node, {"kind", "t_max"}, "time")
         t_max = _integer(_get(node, "t_max", "time"), "time.t_max")
-        if t_max < 0:
-            raise SchemaError("time.t_max", "must be >= 0")
-        return {"kind": "discrete", "t_max": t_max}, TimeDomain.discrete(t_max)
+        return ({"kind": "discrete", "t_max": t_max},
+                _build("time.t_max", TimeDomain.discrete, t_max))
     if kind == "continuous":
         _reject_unknown(node, {"kind", "t_end", "h"}, "time")
         t_end = _number(_get(node, "t_end", "time"), "time.t_end")
         h = _number(_get(node, "h", "time"), "time.h")
-        try:
-            domain = TimeDomain.continuous(t_end, h)
-        except InputError as exc:
-            raise SchemaError("time", str(exc)) from exc
-        return {"kind": "continuous", "t_end": t_end, "h": h}, domain
+        return ({"kind": "continuous", "t_end": t_end, "h": h},
+                _build("time", TimeDomain.continuous, t_end, h))
     raise SchemaError("time.kind", f"must be 'discrete' or 'continuous', got {kind!r}")
 
 
@@ -214,14 +191,11 @@ def _validate_omega(node):
     node = _require_mapping(node, "omega")
     _reject_unknown(node, {"probs"}, "omega")
     probs = _number_list(_get(node, "probs", "omega"), "omega.probs")
-    try:
-        space = SampleSpace(tuple(probs))
-    except InputError as exc:
-        raise SchemaError("omega.probs", str(exc)) from exc
-    return {"probs": probs}, space
+    return {"probs": probs}, _build("omega.probs", SampleSpace, tuple(probs))
 
 
 def _validate_objective(node, order, space, domain, warnings):
+    """(echo, objective, QuadLinParams or None)."""
     node = _require_mapping(node, "objective")
     if "builtin" in node:
         _reject_unknown(node, {"builtin", "params"}, "objective")
@@ -234,35 +208,31 @@ def _validate_objective(node, order, space, domain, warnings):
             _reject_unknown(params, {"discount", "n", "zero_head"}, "objective.params")
             discount = _number(_get(params, "discount", "objective.params"),
                                "objective.params.discount")
-            if not 0.0 < discount < 1.0:
-                raise SchemaError("objective.params.discount", "must lie in (0, 1)")
             n = params.get("n", order)
             if _integer(n, "objective.params.n") != order:
                 raise SchemaError("objective.params.n", f"must match order={order}")
             zero_head = params.get("zero_head", True)
             if not isinstance(zero_head, bool):
                 raise SchemaError("objective.params.zero_head", "expected a boolean")
-            return {"builtin": name,
-                    "params": {"discount": discount, "n": order,
-                               "zero_head": zero_head}}
+            obj = _build("objective.params", household_log, discount, order,
+                         zero_head=zero_head)
+            return ({"builtin": name,
+                     "params": {"discount": discount, "n": order, "zero_head": zero_head}},
+                    obj, None)
         _reject_unknown(params, {"alpha", "beta", "gamma"}, "objective.params")
-        out = {}
-        for key in ("alpha", "beta", "gamma"):
-            vals = _number_list(_get(params, key, "objective.params"),
-                                f"objective.params.{key}")
-            if len(vals) != space.m:
-                raise SchemaError(f"objective.params.{key}",
-                                  f"needs one value per state ({space.m})")
-            if any(v <= 0 for v in vals):
-                raise SchemaError(f"objective.params.{key}", "values must be positive")
-            out[key] = vals
+        out = {key: _per_state(_get(params, key, "objective.params"),
+                               f"objective.params.{key}", space)
+               for key in ("alpha", "beta", "gamma")}
+        qp = _build("objective.params", QuadLinParams,
+                    **{k: tuple(v) for k, v in out.items()})
         if order != 2:
             raise SchemaError("order", f"{name} has order 2, scenario says {order}")
         expected_kind = "discrete" if name.endswith("discrete") else "continuous"
         if domain.kind != expected_kind:
             raise SchemaError("objective.builtin",
                               f"{name} needs a {expected_kind} time domain")
-        return {"builtin": name, "params": out}
+        builder = quadlin_discrete if expected_kind == "discrete" else quadlin_continuous
+        return {"builtin": name, "params": out}, builder(qp), qp
     if "expr" not in node:
         raise SchemaError("objective", "needs either 'builtin' or 'expr'")
     _reject_unknown(node, {"expr", "constants"}, "objective")
@@ -273,11 +243,7 @@ def _validate_objective(node, order, space, domain, warnings):
     norm_constants = {}
     for cname, cval in constants.items():
         if isinstance(cval, list):
-            vals = _number_list(cval, f"objective.constants.{cname}")
-            if len(vals) != space.m:
-                raise SchemaError(f"objective.constants.{cname}",
-                                  f"needs one value per state ({space.m})")
-            norm_constants[cname] = vals
+            norm_constants[cname] = _per_state(cval, f"objective.constants.{cname}", space)
         else:
             norm_constants[cname] = _number(cval, f"objective.constants.{cname}")
     builder = (dsl_continuous_objective if domain.kind == "continuous"
@@ -292,10 +258,11 @@ def _validate_objective(node, order, space, domain, warnings):
         warnings.append(
             f"objective.expr: gradient check {report.verdict}"
             f" (max relative gap {report.max_rel_gap:.3g})")
-    return {"expr": source, "constants": norm_constants}
+    return {"expr": source, "constants": norm_constants}, obj, None
 
 
-def _validate_path(node, domain, space, order):
+def _validate_path(node, domain, space, order, params):
+    """(echo, fixed path or SolveSpec); params are the objective's QuadLinParams."""
     node = _require_mapping(node, "path")
     keys = {"closed_form", "constant", "values", "solve"}
     present = [k for k in keys if k in node]
@@ -311,20 +278,18 @@ def _validate_path(node, domain, space, order):
         expected = "discrete" if name == "quadlin-euler" else "continuous"
         if domain.kind != expected:
             raise SchemaError("path.closed_form", f"{name} needs a {expected} domain")
-        return {"closed_form": name}
+        if params is None:
+            raise SchemaError("path.closed_form",
+                              "closed-form paths need a quadlin objective with alpha/beta/gamma")
+        build = quadlin_euler_path if name == "quadlin-euler" else constant_alpha_path
+        return {"closed_form": name}, build(domain, space, params)
     if kind == "constant":
-        return {"constant": _number(node["constant"], "path.constant")}
+        value = _number(node["constant"], "path.constant")
+        return {"constant": value}, StochasticPath.constant(domain, space, value)
     if kind == "values":
-        vals = np.asarray(node["values"], dtype=float)
-        if vals.ndim not in (2, 3):
-            raise SchemaError("path.values", "expected a (time, state[, dim]) array")
-        if vals.shape[0] != domain.num_points or vals.shape[1] != space.m:
-            raise SchemaError("path.values",
-                              f"shape {vals.shape} does not match "
-                              f"({domain.num_points}, {space.m}[, dim])")
-        if not np.isfinite(vals).all():
-            raise SchemaError("path.values", "values must be finite")
-        return {"values": node["values"]}
+        vals = _array(node["values"], "path.values")
+        return {"values": node["values"]}, _build("path.values", StochasticPath,
+                                                  domain, space, vals)
     solve = _require_mapping(node["solve"], "path.solve")
     allowed = {"horizon", "guess_constant", "mode", "head", "tail",
                "tolerance", "max_iterations"}
@@ -337,31 +302,32 @@ def _validate_path(node, domain, space, order):
            "guess_constant": _number(solve.get("guess_constant", 0.0),
                                      "path.solve.guess_constant"),
            "mode": solve.get("mode", "paper_literal")}
-    if out["mode"] not in ("paper_literal", "fixed"):
-        raise SchemaError("path.solve.mode", f"unknown mode {out['mode']!r}")
+    arrays = {}
     for key in ("head", "tail"):
         if key in solve:
-            arr = np.asarray(solve[key], dtype=float)
+            arr = _array(solve[key], f"path.solve.{key}")
             if arr.ndim != 2 or arr.shape[1] != space.m:
                 raise SchemaError(f"path.solve.{key}",
                                   "expected a (length, state) array of numbers")
-            out[key] = solve[key]
+            out[key], arrays[key] = solve[key], arr
     if "tolerance" in solve:
         out["tolerance"] = _number(solve["tolerance"], "path.solve.tolerance")
     if "max_iterations" in solve:
         out["max_iterations"] = _integer(solve["max_iterations"],
                                          "path.solve.max_iterations")
-    return {"solve": out}
+    guess = StochasticPath.constant(domain, space, out["guess_constant"])
+    spec = _build("path.solve", SolveSpec, horizon=horizon, guess=guess, mode=out["mode"],
+                  tolerance=out.get("tolerance", 1e-10),
+                  max_iterations=out.get("max_iterations", 100), **arrays)
+    return {"solve": out}, spec
 
 
 def _validate_perturbation(node, domain, space):
-    if node is None:
-        return None
+    """(echo, curve)."""
     node = _require_mapping(node, "perturbation")
     kind = _get(node, "kind", "perturbation", required=False)
     if kind is None and "values" in node:
         kind = "explicit"
-        node = dict(node, kind="explicit")
     if kind not in PERTURBATION_KINDS:
         raise SchemaError("perturbation.kind",
                           f"expected one of {PERTURBATION_KINDS}, got {kind!r}")
@@ -372,45 +338,42 @@ def _validate_perturbation(node, domain, space):
             raise SchemaError("perturbation.kind", "eventually-constant is discrete-only")
         if not 0 <= onset <= domain.t_max:
             raise SchemaError("perturbation.onset", f"must lie in 0..{domain.t_max}")
-        return {"kind": kind, "onset": onset,
-                "value": _value_field(node, space, "perturbation.value")}
+        value = _value_field(node, space, "perturbation.value")
+        return ({"kind": kind, "onset": onset, "value": value},
+                eventually_constant_curve(domain, space, onset, value))
     if kind == "compact-support":
         _reject_unknown(node, {"kind", "onset", "cutoff", "value"}, "perturbation")
         onset = _integer(_get(node, "onset", "perturbation"), "perturbation.onset")
         cutoff = _integer(_get(node, "cutoff", "perturbation"), "perturbation.cutoff")
         if domain.kind != "discrete":
             raise SchemaError("perturbation.kind", "compact-support is discrete-only")
-        if not 0 <= onset <= cutoff <= domain.t_max:
-            raise SchemaError("perturbation.cutoff",
-                              f"need 0 <= onset <= cutoff <= {domain.t_max}")
-        return {"kind": kind, "onset": onset, "cutoff": cutoff,
-                "value": _value_field(node, space, "perturbation.value")}
+        value = _value_field(node, space, "perturbation.value")
+        return ({"kind": kind, "onset": onset, "cutoff": cutoff, "value": value},
+                _build("perturbation.cutoff", compact_support_curve, domain, space,
+                       onset, cutoff, value))
     if kind == "ramp":
         _reject_unknown(node, {"kind", "target", "ramp_end"}, "perturbation")
         if domain.kind != "continuous":
             raise SchemaError("perturbation.kind", "ramp curves are continuous-only")
-        out = {"kind": kind, "target": _value_field(node, space, "perturbation.target")}
+        target = _value_field(node, space, "perturbation.target")
         ramp_end = _number(node.get("ramp_end", 1.0), "perturbation.ramp_end")
         if ramp_end <= 0:
             raise SchemaError("perturbation.ramp_end", "must be positive")
-        out["ramp_end"] = ramp_end
-        return out
+        return ({"kind": kind, "target": target, "ramp_end": ramp_end},
+                _build("perturbation.ramp_end", quintic_ramp_curve, domain, space,
+                       target, ramp_end=ramp_end))
     _reject_unknown(node, {"kind", "values"}, "perturbation")
-    vals = np.asarray(_get(node, "values", "perturbation"), dtype=float)
-    if vals.ndim not in (2, 3) or vals.shape[0] != domain.num_points or vals.shape[1] != space.m:
-        raise SchemaError("perturbation.values",
-                          f"shape {vals.shape} does not match the domain and state count")
-    return {"kind": "explicit", "values": node["values"]}
+    values = _get(node, "values", "perturbation")
+    return ({"kind": "explicit", "values": values},
+            _build("perturbation.values", PerturbationCurve, domain, space,
+                   _array(values, "perturbation.values")))
 
 
 def _value_field(node, space, key_path):
     parent, key = key_path.rsplit(".", 1)
     value = _get(node, key, parent)
     if isinstance(value, list):
-        vals = _number_list(value, key_path)
-        if len(vals) != space.m:
-            raise SchemaError(key_path, f"needs one value per state ({space.m})")
-        return vals
+        return _per_state(value, key_path, space)
     return _number(value, key_path)
 
 
@@ -449,7 +412,7 @@ def _validate_tolerances(node):
 
 
 def parse_scenario(data: dict) -> Scenario:
-    """Validate a scenario dict and resolve defaults."""
+    """Validate a scenario dict, resolve defaults and build its models."""
     data = _require_mapping(data, "$")
     _reject_unknown(data, _TOP_KEYS, "$")
     time_echo, domain = _validate_time(_get(data, "time", "$"))
@@ -458,23 +421,26 @@ def parse_scenario(data: dict) -> Scenario:
     if order < 0:
         raise SchemaError("order", "must be >= 0")
     warnings: list[str] = []
-    objective_echo = _validate_objective(_get(data, "objective", "$"), order,
-                                         space, domain, warnings)
-    path_echo = _validate_path(_get(data, "path", "$"), domain, space, order)
+    objective_echo, obj, params = _validate_objective(
+        _get(data, "objective", "$"), order, space, domain, warnings)
+    path_echo, path = _validate_path(_get(data, "path", "$"), domain, space, order, params)
+    seed = _integer(data.get("seed", DEFAULT_SEED), "seed")
+    if seed < 0:
+        raise SchemaError("seed", "must be >= 0")
     echo = {"time": time_echo, "omega": omega_echo, "order": order,
-            "objective": objective_echo, "path": path_echo,
-            "seed": _integer(data.get("seed", DEFAULT_SEED), "seed")}
-    pert = _validate_perturbation(data.get("perturbation"), domain, space)
-    if pert is not None:
-        echo["perturbation"] = pert
+            "objective": objective_echo, "path": path_echo, "seed": seed}
+    curve = None
+    if data.get("perturbation") is not None:
+        echo["perturbation"], curve = _validate_perturbation(data["perturbation"],
+                                                             domain, space)
     diag = _validate_diagnostics(data.get("diagnostics"))
     if diag is not None:
         echo["diagnostics"] = diag
     tols = _validate_tolerances(data.get("tolerances"))
     if tols is not None:
         echo["tolerances"] = tols
-    return Scenario(domain=domain, space=space, order=order, echo=echo,
-                    warnings=tuple(warnings))
+    return Scenario(domain=domain, space=space, order=order, echo=echo, _objective=obj,
+                    _path=path, _curve=curve, warnings=tuple(warnings))
 
 
 def load_scenario(path) -> Scenario:

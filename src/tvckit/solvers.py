@@ -53,7 +53,7 @@ class SolveSpec:
             raise InputError(f"unknown solve mode {self.mode!r}")
         if self.horizon < 0:
             raise InputError("horizon must be >= 0")
-        if self.tolerance <= 0.0 or self.max_iterations < 1:
+        if not self.tolerance > 0.0 or self.max_iterations < 1:
             raise InputError("need tolerance > 0 and max_iterations >= 1")
         for name in ("head", "tail"):
             arr = getattr(self, name)
@@ -67,6 +67,10 @@ class SolveSpec:
             object.__setattr__(self, name, arr)
         if self.mode == "fixed" and self.tail is None:
             raise InputError("fixed mode needs tail values y(T+1..T+n)")
+        if self.tail is not None and len(self.tail) != self.guess.num_points - 1 - self.horizon:
+            raise InputError("tail needs one row per padding index y(T+1..T+n)")
+        if self.head_len > self.horizon:
+            raise InputError("no free indices: head covers the whole horizon")
         if self.mode == "paper_literal" and (self.head is not None or self.tail is not None):
             raise InputError("paper_literal mode takes no fixed head/tail values")
 
@@ -149,8 +153,6 @@ def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
         raise InputError(f"guess must live on the discrete grid 0..{T + n}")
     k = spec.head_len
     t_lo, t_hi = spec.boundary.first_index(), T
-    if t_hi < t_lo:
-        raise InputError("no free indices: head covers the whole horizon")
     dim = guess.dim
     m = guess.space.m
     out = np.array(guess.values)

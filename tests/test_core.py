@@ -22,6 +22,13 @@ class TestSampleSpace:
         with pytest.raises(InputError):
             tk.SampleSpace(())
 
+    @pytest.mark.parametrize("probs", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                                       (math.inf, -math.inf)])
+    def test_rejects_nonfinite_probs(self, probs):
+        # a NaN passes both the sign and the sum test
+        with pytest.raises(InputError):
+            tk.SampleSpace(probs)
+
     @given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6))
     @settings(max_examples=50, deadline=None)
     def test_normalized_probs_accepted(self, raw):

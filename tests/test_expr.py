@@ -123,17 +123,16 @@ class TestSimplify:
         assert simplify(parse_source("2 + 3 * 4", set())) == Const(14.0)
 
 
-# strategy for random well-formed ASTs over x, y
-_leaf = st.one_of(
-    st.floats(0.1, 10.0).map(lambda v: Const(round(v, 3))),
-    st.sampled_from([Var("x"), Var("y")]),
-)
+# strategy for random well-formed ASTs over x, y (or the given variables)
+def _leaves(names=("x", "y")):
+    return st.one_of(st.floats(0.1, 10.0).map(lambda v: Const(round(v, 3))),
+                     st.sampled_from([Var(name) for name in names]))
 
 
 def _ast_strategy(exponents=st.floats(1.0, 3.0).map(lambda v: float(round(v))),
-                  max_leaves=12):
+                  max_leaves=12, leaves=_leaves()):
     return st.recursive(
-        _leaf,
+        leaves,
         lambda children: st.one_of(
             st.tuples(st.sampled_from("+-*/"), children, children).map(
                 lambda t: Bin(t[0], t[1], t[2])),

@@ -6,6 +6,7 @@ import pytest
 
 import tvckit as tk
 import tvckit.cli
+import tvckit.scenario
 from tvckit.cli import DEMOS, main
 from tvckit.scenario import SchemaError, load_scenario, parse_scenario
 
@@ -89,6 +90,74 @@ class TestScenarioLoading:
         assert err.value.key_path == "path.solve.horizon"
 
 
+def _mutated(stem, keys, value):
+    data = json.loads((SCENARIOS / f"{stem}.json").read_text())
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return data
+
+
+NAN, INF = float("nan"), float("inf")
+COMMANDS = ("euler", "tvc", "assume", "solve", "correspond")
+
+
+class TestSchemaAtLoad:
+    """Each model is built when the scenario is parsed, so every command
+    accepts and rejects the same scenarios, naming the key path."""
+
+    @pytest.mark.parametrize("stem, keys, value, key_path", [
+        ("quadlin-dsl", ("path",), {"closed_form": "quadlin-euler"}, "path.closed_form"),
+        ("quadlin-dsl", ("path",), {"solve": {"horizon": 18, "tolerance": 0}}, "path.solve"),
+        ("quadlin-dsl", ("path",), {"solve": {"horizon": 18, "mode": "fixed"}}, "path.solve"),
+        ("household", ("path", "solve", "tail"), [[0.2, 0.2]] * 3, "path.solve"),
+        ("quadlin-dsl", ("perturbation",), {"values": [[NAN, 0.0]] + [[0.0, 0.0]] * 20},
+         "perturbation.values"),
+        ("continuous-counterexample", ("perturbation", "ramp_end"), 0.333,
+         "perturbation.ramp_end"),
+        ("continuous-counterexample", ("time", "t_end"), INF, "time.t_end"),
+        ("continuous-counterexample", ("perturbation", "ramp_end"), INF,
+         "perturbation.ramp_end"),
+        ("continuous-counterexample", ("time", "h"), NAN, "time.h"),
+        ("quadlin-dsl", ("omega", "probs"), [NAN, 1.0], "omega.probs[0]"),
+        ("quadlin-dsl", ("objective", "constants", "a"), [INF, 2], "objective.constants.a[0]"),
+        ("quadlin-dsl", ("seed",), -1, "seed"),
+        ("quadlin-dsl", ("path",), {"values": [[1.0, 1.0]] * 20 + [[1.0]]}, "path.values"),
+        ("quadlin-dsl", ("perturbation",), {"values": [[0.0, 0.0]] * 20 + [[0.0]]},
+         "perturbation.values"),
+        ("household", ("path", "solve", "head"), [[1.0, 1.0], [1.0]], "path.solve.head"),
+        ("household", ("path", "solve", "tail"), [[0.2], [0.1, 0.1]], "path.solve.tail"),
+    ])
+    def test_every_command_exits_2_at_the_key(self, tmp_path, capsys, stem, keys, value,
+                                              key_path):
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(_mutated(stem, keys, value)))
+        with pytest.raises(SchemaError) as err:
+            load_scenario(f)
+        assert err.value.key_path == key_path
+        for command in COMMANDS:
+            assert main([command, "--scenario", str(f), "--quiet"]) == 2, command
+            assert capsys.readouterr().err.startswith(f"input error: {key_path}: "), command
+
+    def test_dsl_objective_built_once(self, monkeypatch):
+        calls = []
+        build = tvckit.scenario.dsl_discrete_objective
+        monkeypatch.setattr(tvckit.scenario, "dsl_discrete_objective",
+                            lambda *args: calls.append(args) or build(*args))
+        scenario = load_scenario(SCENARIOS / "quadlin-dsl.json")
+        assert scenario.objective() is scenario.objective()
+        scenario.path()
+        scenario.perturbation()
+        assert len(calls) == 1
+
+    def test_solve_spec_is_built_once(self):
+        scenario = load_scenario(SCENARIOS / "household.json")
+        assert scenario.solve_spec() is scenario.solve_spec()
+        assert scenario.solve_spec().tail.shape == (2, 2, 1)
+        assert load_scenario(SCENARIOS / "quadlin-dsl.json").solve_spec() is None
+
+
 class TestCliExitCodes:
     def test_tvc_counterexample_exit_1(self, capsys):
         code = main(["tvc", "--scenario",
@@ -167,6 +236,29 @@ class TestCliExitCodes:
             objective={"expr": expr, "constants": {}}, path={"constant": level})))
         assert main(["euler", "--scenario", str(f), "--quiet"]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["euler", "--scenario", "discrete-counterexample", "--tolerance", "nan"],
+        ["euler", "--scenario", "discrete-counterexample", "--tolerance", "inf"],
+        ["tvc", "--scenario", "discrete-counterexample", "--tolerance", "-1"],
+        ["solve", "--scenario", "household", "--tolerance", "nan"],
+        ["correspond", "--scenario", "discrete-counterexample", "--seed", "-1"],
+        ["demo", "correspondence", "--seed", "-1"],
+        ["demo", "household", "--seed", "-1"]])
+    def test_bad_flag_value_exit_2(self, capsys, argv):
+        if argv[1] == "--scenario":
+            argv = argv[:2] + [str(SCENARIOS / f"{argv[2]}.json")] + argv[3:]
+        assert main(argv + ["--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+
+    def test_correspond_inconclusive_exit_3(self, tmp_path):
+        # -inf on every sample: nothing was checked, which is not a failed verdict
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(_mutated("quadlin-dsl", ("objective", "expr"), "ln(y0 - 10)")))
+        out = tmp_path / "r.json"
+        assert main(["correspond", "--scenario", str(f), "--out", str(out)]) == 3
+        report = json.loads(out.read_text())["correspond"]
+        assert (report["verdict"], report["checked"]) == ("INCONCLUSIVE", 0)
 
     def test_zero_tolerance_is_used(self, tmp_path):
         out = tmp_path / "r.json"

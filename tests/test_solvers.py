@@ -24,6 +24,20 @@ class TestSolveSpec:
         with pytest.raises(InputError):
             tk.SolveSpec(horizon=4, guess=guess, tail=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("tolerance", [np.nan, 0.0, -1.0])
+    def test_tolerance_must_be_positive(self, space, tolerance):
+        guess = tk.StochasticPath.constant(tk.TimeDomain.discrete(6), space, 1.0)
+        with pytest.raises(InputError):
+            tk.SolveSpec(horizon=4, guess=guess, tolerance=tolerance)
+
+    def test_fixed_value_lengths(self, space):
+        guess = tk.StochasticPath.constant(tk.TimeDomain.discrete(6), space, 1.0)
+        with pytest.raises(InputError, match="tail"):  # y(5), y(6): two rows
+            tk.SolveSpec(horizon=4, guess=guess, mode="fixed", tail=np.zeros((3, 2)))
+        with pytest.raises(InputError, match="no free indices"):
+            tk.SolveSpec(horizon=4, guess=guess, mode="fixed", head=np.ones((5, 2)),
+                         tail=np.zeros((2, 2)))
+
     def test_nonfinite_fixed_values(self, space):
         dom = tk.TimeDomain.discrete(6)
         guess = tk.StochasticPath.constant(dom, space, 1.0)
