@@ -24,7 +24,7 @@ from . import __version__
 from .diagnostics import a_grid, uniformity_verdict
 from .errors import (DomainError, InputError, NumericalError, ToolkitError)
 from .euler import BoundaryMode, euler_report
-from .scenario import parse_scenario
+from .scenario import _require_mapping, parse_scenario
 from .solvers import (correspondence_check, discrete_to_continuous,
                       newton_euler_solve)
 from .tvc import tvc_liminf_continuous, tvc_liminf_discrete
@@ -91,17 +91,26 @@ def _emit(report: dict, args) -> None:
 
 
 def _load(args):
+    """Parse the scenario file with the --tmax, --seed and --eps-grid overrides
+    written into it; a node an override lands in must be an object."""
     with open(args.scenario, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # bad JSON, or an integer literal too long to convert
+            raise InputError(str(exc)) from exc
+    data = _require_mapping(data, "$")
     if args.tmax is not None:
-        if data.get("time", {}).get("kind") != "discrete":
+        time = _require_mapping(data.get("time", {}), "time")
+        if time.get("kind") != "discrete":
             raise InputError("--tmax applies to discrete scenarios only")
-        data["time"]["t_max"] = args.tmax
+        time["t_max"] = args.tmax
     # only the commands that read --seed or --eps-grid take them
     if getattr(args, "seed", None) is not None:
         data["seed"] = args.seed
     if getattr(args, "eps_grid", None) is not None:
-        data.setdefault("diagnostics", {})["eps_grid"] = args.eps_grid
+        if data.get("diagnostics") is None:  # null reads as absent
+            data["diagnostics"] = {}
+        _require_mapping(data["diagnostics"], "diagnostics")["eps_grid"] = args.eps_grid
     return parse_scenario(data)
 
 
@@ -331,7 +340,7 @@ def main(argv=None) -> int:
     except (NumericalError, DomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ToolkitError, OSError, json.JSONDecodeError) as exc:
+    except (ToolkitError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -450,6 +450,6 @@ def load_scenario(path) -> Scenario:
         raise InputError(f"scenario file not found: {path}")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer literal too long to convert
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
     return parse_scenario(data)

@@ -10,7 +10,6 @@ instances.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +26,8 @@ NEG_INF = float("-inf")
 
 MAX_FREE_VARS = 6
 MAX_GRID_COMBOS = 10_000_000
+# grid combinations per batched objective call in brute_force_solve
+BRUTE_FORCE_CHUNK = 1024
 
 JAC_FD_STEP = 1e-6
 
@@ -96,22 +97,25 @@ class NewtonReport:
     mode: str
 
 
-def _state_windows(values_w, n, j_lo, j_hi, w):
-    """Windows j_lo..j_hi of one state's (time, dim) trajectory, for values_at/partials_at."""
-    return window_stack(values_w[:, None, :], n, j_lo, j_hi), np.arange(j_lo, j_hi + 1), [w]
+def _trial_residuals(obj, values_w, U, t_lo, n, w) -> np.ndarray:
+    """Rows t_lo..T of one state's stationarity system at K trial vectors.
 
-
-def _residual_vector(obj, values_w, t_lo, t_hi, n, t_total, w):
-    """Rows t_lo..t_hi of the stationarity system for one state; values_w is
-    the full (t_total+1, dim) trajectory of that state."""
-    j_lo, j_hi = max(0, t_lo - n), min(t_hi, t_total - n)
-    P = partials_at(obj, *_state_windows(values_w, n, j_lo, j_hi, w))
-    return euler_rows(P)[t_lo - j_lo : t_hi - j_lo + 1].ravel()
-
-
-def _domain_valid(obj, values_w, n, t_total, w) -> bool:
-    vals = values_at(obj, *_state_windows(values_w, n, 0, t_total - n, w))
-    return not np.isneginf(vals).any()
+    values_w is the state's (T+n+1, dim) trajectory and U (K, N) holds K
+    trial values of its entries t_lo..T, flattened; shape (K, N).  The K
+    trajectories stack along the state axis: one values_at call checks the
+    windows a trial can change, one partials_at call gives every row.
+    """
+    count = len(U)
+    T = len(values_w) - 1 - n
+    j_lo = max(0, t_lo - n)
+    traj = np.repeat(values_w[:, None, :], count, axis=1)
+    traj[t_lo : T + 1] = U.reshape(count, T + 1 - t_lo, -1).transpose(1, 0, 2)
+    stack = window_stack(traj, n, j_lo, T)
+    times, states = np.arange(j_lo, T + 1), np.full(count, w)
+    if np.isneginf(values_at(obj, stack, times, states)).any():
+        raise DomainError("trial point left the objective's domain")
+    rows = euler_rows(partials_at(obj, stack, times, states))[t_lo - j_lo : T - j_lo + 1]
+    return rows.transpose(1, 0, 2).reshape(count, -1)
 
 
 def _classify_curvature(jac: np.ndarray) -> str:
@@ -125,15 +129,29 @@ def _classify_curvature(jac: np.ndarray) -> str:
     return "indefinite"
 
 
-def _fd_jacobian(residual, u: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of residual at u, one column per unknown."""
-    jac = np.empty((u.size, u.size))
-    for col in range(u.size):
-        h = JAC_FD_STEP * max(1.0, abs(u[col]))
-        up, um = u.copy(), u.copy()
-        up[col] += h
-        um[col] -= h
-        jac[:, col] = (residual(up) - residual(um)) / (2.0 * h)
+def _fd_jacobian(residuals, u: np.ndarray, n: int, dim: int) -> np.ndarray:
+    """Central-difference Jacobian of the stationarity rows at u.
+
+    Row time r depends only on times r-n..r+n, so columns whose times lie
+    2n+1 apart share no row (Curtis-Powell-Reid grouping).  Each group's
+    columns are perturbed together, and all 2(2n+1)dim perturbed vectors go
+    through one residuals call.  Every entry in the band is the one a
+    column-by-column difference gives; entries off the band are 0.0.
+    """
+    size = u.size
+    groups = min(size, (2 * n + 1) * dim)
+    cols = np.arange(size)
+    h = JAC_FD_STEP * np.maximum(1.0, np.abs(u))
+    member = cols % groups == np.arange(groups)[:, None]
+    res = residuals(np.concatenate([np.where(member, u + h, u), np.where(member, u - h, u)]))
+    # rows at times within n of each column's time, every component
+    offsets = (np.arange(-n, n + 1)[:, None] * dim + np.arange(dim)).ravel()
+    rows = (cols - cols % dim) + offsets[:, None]
+    inside = (rows >= 0) & (rows < size)
+    r, c = rows[inside], np.broadcast_to(cols, rows.shape)[inside]
+    g = c % groups
+    jac = np.zeros((size, size))
+    jac[r, c] = (res[g, r] - res[groups + g, r]) / (2.0 * h[c])
     return jac
 
 
@@ -152,7 +170,7 @@ def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
     if guess.domain.kind != "discrete" or t_total != T + n:
         raise InputError(f"guess must live on the discrete grid 0..{T + n}")
     k = spec.head_len
-    t_lo, t_hi = spec.boundary.first_index(), T
+    t_lo = spec.boundary.first_index()
     dim = guess.dim
     m = guess.space.m
     out = np.array(guess.values)
@@ -167,17 +185,16 @@ def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
     converged = True
     for w in range(m):
         values_w = out[:, w, :].copy()
-        if not _domain_valid(obj, values_w, n, t_total, w):
+        guess_vals = values_at(obj, window_stack(values_w[:, None, :], n, 0, T),
+                               np.arange(T + 1), [w])
+        if np.isneginf(guess_vals).any():
             raise DomainError(f"guess violates domain validity in state {w}")
 
-        def residual(u):
-            values_w[t_lo : t_hi + 1] = u.reshape(-1, dim)
-            if not _domain_valid(obj, values_w, n, t_total, w):
-                raise DomainError("trial point left the objective's domain")
-            return _residual_vector(obj, values_w, t_lo, t_hi, n, t_total, w)
+        def residuals(U):
+            return _trial_residuals(obj, values_w, U, t_lo, n, w)
 
-        u = values_w[t_lo : t_hi + 1].ravel().copy()
-        res = residual(u)
+        u = values_w[t_lo : T + 1].ravel()
+        res = residuals(u[None])[0]
         norm = float(np.abs(res).max())
         it = 0
         jac = None
@@ -185,7 +202,7 @@ def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
             if it >= spec.max_iterations:
                 converged = False
                 break
-            jac = _fd_jacobian(residual, u)
+            jac = _fd_jacobian(residuals, u, n, dim)
             try:
                 step = np.linalg.solve(jac, -res)
             except np.linalg.LinAlgError as exc:
@@ -196,7 +213,7 @@ def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
                     raise NumericalError(f"no valid Newton step found in state {w}")
                 try:
                     trial = u + lam * step
-                    trial_res = residual(trial)
+                    trial_res = residuals(trial[None])[0]
                 except DomainError:
                     lam *= 0.5
                     continue
@@ -206,13 +223,11 @@ def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
                     break
                 lam *= 0.5
             it += 1
-        values_w[t_lo : t_hi + 1] = u.reshape(-1, dim)
-        out[:, w, :] = values_w
+        out[t_lo : T + 1, w, :] = u.reshape(-1, dim)
         iterations.append(it)
         worst = max(worst, norm)
         if jac is None:  # already stationary at the guess
-            jac = _fd_jacobian(residual, u)
-            residual(u)  # restore values_w to the solution
+            jac = _fd_jacobian(residuals, u, n, dim)
         curvature.append(_classify_curvature(jac))
 
     path = StochasticPath(guess.domain, guess.space, out)
@@ -253,12 +268,18 @@ def brute_force_solve(obj: DiscreteObjective, base: StochasticPath,
                       free_indices, grids) -> BruteForceResult:
     """Exhaustive search maximizing the expected objective sum over the free
     time indices, one value grid per index; everything else is pinned to the
-    base path.  States are searched independently (no cross-state coupling)."""
+    base path.  States are searched independently (no cross-state coupling).
+
+    Combinations run in itertools.product order, BRUTE_FORCE_CHUNK of them per
+    batched objective call over the windows that touch a free index; the
+    first strict maximum wins."""
     free_indices = [int(t) for t in free_indices]
     if base.dim != 1:
         raise UnsupportedError("brute_force_solve handles scalar states only")
     if len(free_indices) > MAX_FREE_VARS:
         raise InputError(f"at most {MAX_FREE_VARS} free variables, got {len(free_indices)}")
+    if not free_indices or not all(0 <= t <= base.domain.t_max for t in free_indices):
+        raise InputError(f"need free indices in 0..{base.domain.t_max}, got {free_indices}")
     grids = [np.asarray(g, dtype=float) for g in grids]
     if len(grids) != len(free_indices):
         raise InputError("need one grid per free index")
@@ -271,28 +292,38 @@ def brute_force_solve(obj: DiscreteObjective, base: StochasticPath,
     touched = sorted({j for t in free_indices
                      for j in range(max(0, t - n), min(t, last) + 1)})
     fixed = [j for j in range(last + 1) if j not in touched]
+    # candidates cover only the times of the touched windows, from lo on
+    lo = touched[0]
+    slots = np.asarray(touched)[:, None] - lo + np.arange(n + 1)
+    shape = tuple(len(g) for g in grids)
 
     out = np.array(base.values)
     per_state = []
     for w in range(base.space.m):
-        values_w = out[:, w, 0].copy()
-        base_part = sum(obj.value(values_w[j : j + n + 1], j, w) for j in fixed)
-        best_val, best_combo = NEG_INF, None
-        for combo in itertools.product(*grids):
-            for t, v in zip(free_indices, combo):
-                values_w[t] = v
-            val = base_part
-            for j in touched:
-                val += obj.value(values_w[j : j + n + 1], j, w)
-                if val == NEG_INF:
-                    break
-            if val > best_val:
-                best_val, best_combo = val, combo
-        if best_combo is None:
+        values_w = out[:, w, 0]
+        base_part = 0.0
+        if fixed:
+            fixed_windows = values_w[np.asarray(fixed)[:, None] + np.arange(n + 1)]
+            base_part = sum(values_at(obj, fixed_windows[:, None, :, None], fixed, [w])[:, 0])
+        best_val, best_at = NEG_INF, None
+        for start in range(0, combos, BRUTE_FORCE_CHUNK):
+            picks = np.unravel_index(np.arange(start, min(start + BRUTE_FORCE_CHUNK, combos)),
+                                     shape)
+            cand = np.repeat(values_w[None, lo : touched[-1] + n + 1], len(picks[0]), axis=0)
+            for t, g, p in zip(free_indices, grids, picks):
+                cand[:, t - lo] = g[p]
+            vals = values_at(obj, cand[:, slots].transpose(1, 0, 2)[..., None], touched,
+                             np.full(len(cand), w))
+            total = base_part
+            for row in vals:  # by increasing window index, the order of a per-point sum
+                total = total + row
+            i = int(np.argmax(total))  # the chunk's first maximum
+            if total[i] > best_val:
+                best_val, best_at = float(total[i]), start + i
+        if best_at is None:
             raise NumericalError(f"every grid point is infeasible in state {w}")
-        for t, v in zip(free_indices, best_combo):
-            values_w[t] = v
-        out[:, w, 0] = values_w
+        for t, g, p in zip(free_indices, grids, np.unravel_index(best_at, shape)):
+            values_w[t] = g[p]
         per_state.append(best_val)
     path = StochasticPath(base.domain, base.space, out)
     resolution = max(float(np.max(np.abs(np.diff(g)))) if len(g) > 1 else 0.0

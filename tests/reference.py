@@ -2,16 +2,21 @@
 
 These are the loop forms the engines used before they were written as
 reductions over one batched objective call: one partial_slot or value call
-per (window or time, state, slot).  The kernel tests hold the engines to
-them.
+per (window or time, state, slot), one residual call per Jacobian column and
+one value call per (grid combination, window).  The kernel and solver tests
+hold the engines to them.
 """
+
+import itertools
 
 import numpy as np
 
 import tvckit as tk
 from tvckit.diagnostics import DOMINATION_N_EPS, DominationEntry, DominationReport
-from tvckit.errors import DomainError, HorizonError, InputError, UnsupportedError
+from tvckit.errors import (DomainError, HorizonError, InputError, NumericalError,
+                           UnsupportedError)
 from tvckit.euler import max_window_start
+from tvckit.solvers import JAC_FD_STEP, BruteForceResult
 
 
 def discrete_euler_residual(obj, path, t, j_max=None):
@@ -135,3 +140,59 @@ def domination_check(obj, path, curve, eps_bar, sample_times):
             entries.append(DominationEntry(t, w, sup, eps_at, False, growth))
     verdict = "growth detected" if any_growth else "bounded on tested grid"
     return DominationReport(tuple(entries), eps_grid, verdict)
+
+
+def fd_jacobian(residual, u):
+    """Central-difference Jacobian of residual at u, one column per unknown."""
+    jac = np.empty((u.size, u.size))
+    for col in range(u.size):
+        h = JAC_FD_STEP * max(1.0, abs(u[col]))
+        up, um = u.copy(), u.copy()
+        up[col] += h
+        um[col] -= h
+        jac[:, col] = (residual(up) - residual(um)) / (2.0 * h)
+    return jac
+
+
+def brute_force_solve(obj, base, free_indices, grids):
+    """One value call per (grid combination, touched window, state), in
+    itertools.product order; a combination stops at its first -inf and the
+    first strict maximum wins."""
+    free_indices = [int(t) for t in free_indices]
+    if base.dim != 1:
+        raise UnsupportedError("brute_force_solve handles scalar states only")
+    grids = [np.asarray(g, dtype=float) for g in grids]
+    n = obj.order
+    last = max_window_start(base, n)
+    touched = sorted({j for t in free_indices
+                     for j in range(max(0, t - n), min(t, last) + 1)})
+    fixed = [j for j in range(last + 1) if j not in touched]
+
+    out = np.array(base.values)
+    per_state = []
+    for w in range(base.space.m):
+        values_w = out[:, w, 0].copy()
+        base_part = sum(obj.value(values_w[j : j + n + 1], j, w) for j in fixed)
+        best_val, best_combo = -np.inf, None
+        for combo in itertools.product(*grids):
+            for t, v in zip(free_indices, combo):
+                values_w[t] = v
+            val = base_part
+            for j in touched:
+                val += obj.value(values_w[j : j + n + 1], j, w)
+                if val == -np.inf:
+                    break
+            if val > best_val:
+                best_val, best_combo = val, combo
+        if best_combo is None:
+            raise NumericalError(f"every grid point is infeasible in state {w}")
+        for t, v in zip(free_indices, best_combo):
+            values_w[t] = v
+        out[:, w, 0] = values_w
+        per_state.append(best_val)
+    path = tk.StochasticPath(base.domain, base.space, out)
+    resolution = max(float(np.max(np.abs(np.diff(g)))) if len(g) > 1 else 0.0
+                     for g in grids)
+    return BruteForceResult(path=path, value=tk.objective_value(obj, path),
+                            per_state_values=tuple(per_state),
+                            grid_resolution=resolution)

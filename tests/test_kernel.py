@@ -18,7 +18,7 @@ import reference
 import tvckit as tk
 from tvckit import kernel
 from tvckit.errors import InputError, ToolkitError
-from tvckit.solvers import _residual_vector
+from tvckit.solvers import _trial_residuals
 
 REL = 1e-12
 
@@ -117,7 +117,9 @@ def test_discrete_engines_match_reference(seed, case, horizon, m):
                         outcome(reference.discrete_euler_residual, obj, path, t, j_max))
     w = int(rng.integers(0, m))
     t_lo = int(rng.integers(0, last + 1))
-    got = outcome(_residual_vector, obj, path.values[:, w, :], t_lo, last, n, horizon, w)
+    values_w = path.values[:, w, :]
+    got = outcome(lambda: _trial_residuals(obj, values_w, values_w[t_lo : last + 1].reshape(1, -1),
+                                           t_lo, n, w)[0])
     want = outcome(lambda: np.array([reference.discrete_euler_residual(obj, path, t)[w]
                                      for t in range(t_lo, last + 1)]).ravel())
     assert_same_outcome(got, want)

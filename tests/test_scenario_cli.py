@@ -226,6 +226,46 @@ class TestCliExitCodes:
         report = json.loads(out.read_text())
         assert report["scenario"]["time"]["t_max"] == 30
 
+    @pytest.mark.parametrize("argv, node, key_path", [
+        (["tvc", "--tmax", "5"], ("time", 3), "time"),
+        (["correspond", "--seed", "1"], (None, [1]), "$"),
+        (["assume", "--eps-grid", "0.5,0.1"], ("diagnostics", 3), "diagnostics")])
+    def test_override_into_wrongly_typed_node_exit_2(self, tmp_path, capsys, argv, node,
+                                                     key_path):
+        # the override is written into the raw file before it is validated
+        key, value = node
+        data = json.loads((SCENARIOS / "discrete-counterexample.json").read_text())
+        if key is None:
+            data = value
+        else:
+            data[key] = value
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(data))
+        assert main(argv + ["--scenario", str(f), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {key_path}: expected an object")
+
+    def test_eps_grid_into_null_diagnostics(self, tmp_path):
+        # null reads as an absent diagnostics section, as parse_scenario reads it
+        f = tmp_path / "s.json"
+        data = json.loads((SCENARIOS / "discrete-counterexample.json").read_text())
+        f.write_text(json.dumps(dict(data, diagnostics=None)))
+        out = tmp_path / "r.json"
+        assert main(["assume", "--eps-grid", "0.5,0.1", "--scenario", str(f),
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["assume"]["eps_grid"] == [0.5, 0.1]
+
+    @pytest.mark.parametrize("seed", ["9" * 5000, '"\xff"'])
+    def test_unreadable_json_value_exit_2(self, tmp_path, capsys, seed):
+        # json raises a plain ValueError, not JSONDecodeError, for an integer
+        # literal of more than 4300 digits and for bytes that are not UTF-8
+        f = tmp_path / "s.json"
+        text = json.dumps(minimal_scenario(seed=0)).replace('"seed": 0', '"seed": ' + seed)
+        f.write_bytes(text.encode("latin-1"))
+        assert main(["euler", "--scenario", str(f), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+        with pytest.raises(tk.InputError, match="invalid JSON"):
+            load_scenario(f)
+
 
     @pytest.mark.parametrize("expr, level", [("y0 ^ 0.5 + y1 + y2", -1.0),
                                              ("exp(y0) + y1 + y2", 1000.0)])

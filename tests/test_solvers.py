@@ -156,6 +156,12 @@ class TestBruteForce:
             tk.brute_force_solve(quadlin_d, base, [0, 1, 2],
                                  [np.arange(300.0)] * 3)
 
+    @pytest.mark.parametrize("free", [[], [11], [-1]])
+    def test_free_indices_on_the_grid(self, quadlin_d, space, free):
+        base = tk.StochasticPath.constant(tk.TimeDomain.discrete(10), space, 0.0)
+        with pytest.raises(InputError, match="free indices"):
+            tk.brute_force_solve(quadlin_d, base, free, [np.arange(3.0)] * len(free))
+
     def test_household_oracle_agreement(self, space):
         live = tk.household_log(DISCOUNT, 2, zero_head=False)
         dom = tk.TimeDomain.discrete(6)
