@@ -18,6 +18,9 @@ from .errors import HorizonError, InputError, UnsupportedError
 
 PROB_TOL = 1e-12
 GRID_TOL = 1e-9
+# most grid steps (discrete t_max, continuous t_end / h) a time domain takes:
+# 50 times the largest shipped or tested grid, and a path of it fits in memory
+GRID_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -81,14 +84,18 @@ class TimeDomain:
             if self.t_max is None or int(self.t_max) != self.t_max or self.t_max < 0:
                 raise InputError("discrete domain needs an integer t_max >= 0")
             object.__setattr__(self, "t_max", int(self.t_max))
+            steps = self.t_max
         elif self.kind == "continuous":
             if self.t_end is None or self.h is None or not (self.t_end > 0 and self.h > 0):
                 raise InputError("continuous domain needs t_end > 0 and h > 0")
             ratio = self.t_end / self.h
             if not math.isfinite(ratio) or abs(ratio - round(ratio)) > GRID_TOL * max(1.0, ratio):
                 raise InputError("t_end must be an integer multiple of h")
+            steps = round(ratio)
         else:
             raise InputError(f"unknown time-domain kind {self.kind!r}")
+        if steps > GRID_BUDGET:
+            raise InputError(f"{steps} grid steps exceed the budget of {GRID_BUDGET}")
 
     @classmethod
     def discrete(cls, t_max: int) -> "TimeDomain":

@@ -197,78 +197,15 @@ def parse_source(source: str, symbols) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
-
-def eval_ast(node: Node, env: dict[str, float]) -> float:
-    """IEEE double evaluation; ln(x <= 0) -> -inf, exp(-inf) -> 0.  Division by
-    zero, NaN, complex powers and overflow raise EvalError."""
-    out = _eval(node, env)
-    if math.isnan(out):
-        raise EvalError("expression evaluated to NaN")
-    return out
-
-
-def _eval(node: Node, env) -> float:
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        try:
-            return float(env[node.name])
-        except KeyError:
-            raise EvalError(f"unbound symbol {node.name!r}") from None
-    if isinstance(node, Neg):
-        return -_eval(node.child, env)
-    if isinstance(node, Call):
-        arg = _eval(node.arg, env)
-        if node.fn == "ln":
-            return math.log(arg) if arg > 0.0 else NEG_INF
-        if node.fn == "exp":
-            if arg == NEG_INF:
-                return 0.0
-            try:
-                return math.exp(arg)
-            except OverflowError:
-                raise EvalError(f"exp({arg}) overflows") from None
-        if node.fn == "abs":
-            return abs(arg)
-        if node.fn == "sqrt":
-            if arg < 0.0:
-                raise EvalError(f"sqrt of negative value {arg}")
-            return math.sqrt(arg)
-        raise EvalError(f"unknown function {node.fn!r}")
-    left = _eval(node.left, env)
-    right = _eval(node.right, env)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "/":
-        if right == 0.0:
-            raise EvalError("division by zero")
-        return left / right
-    if node.op == "^":
-        try:
-            out = left**right
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise EvalError(f"power failed: {exc}") from None
-        if isinstance(out, complex):
-            raise EvalError(f"{left} ^ {right} has no real value")
-        return out
-    raise EvalError(f"unknown operator {node.op!r}")
-
-
-# ---------------------------------------------------------------------------
-# Compilation to numpy closures
+# Evaluation: compilation to numpy closures
 
 def compile_ast(node: Node):
     """Compile an AST into f(env) -> ndarray, where env maps every symbol to an
     array (all of one shape) or a scalar.
 
-    Each entry of the result is what eval_ast returns on the matching entries
-    of env, up to the last bits numpy's vectorised math may differ in; where
-    eval_ast would raise EvalError for any entry, f raises EvalError.
+    IEEE double evaluation entry by entry: ln(x <= 0) -> -inf, exp(-inf) -> 0.
+    Where any entry divides by zero, is NaN, takes a complex power or
+    overflows, f raises EvalError.
     """
     fn = _compile(node)
 
@@ -280,6 +217,11 @@ def compile_ast(node: Node):
         return out
 
     return run
+
+
+def eval_ast(node: Node, env: dict[str, float]) -> float:
+    """compile_ast at one point: env maps every symbol to a float."""
+    return float(compile_ast(node)(env))
 
 
 def _ln(x):
@@ -525,7 +467,6 @@ def _build_objective(source: str, order: int, constants: dict, continuous: bool)
     slots = _slot_names(order, continuous)
     symbols = set(slots) | {"t"} | set(constants)
     ast = parse_source(source, symbols)
-    partial_asts = [symbolic_partial(ast, s) for s in slots]
     const_rows = {cname: np.asarray(cval, dtype=float) for cname, cval in constants.items()}
 
     def constant_at(cname, w):
@@ -539,26 +480,8 @@ def _build_objective(source: str, order: int, constants: dict, continuous: bool)
             raise InputError(f"constant {cname!r} has {len(arr)} per-state values, "
                              f"none for state {int(np.max(w))}") from None
 
-    def env_for(point, t, w):
-        env = {s: float(point[k, 0]) for k, s in enumerate(slots)}
-        env["t"] = float(t)
-        for cname in const_rows:
-            env[cname] = float(constant_at(cname, w))
-        return env
-
-    def ev(point, t, w):
-        return eval_ast(ast, env_for(point, t, w))
-
-    def make_partial(k):
-        past = partial_asts[k]
-
-        def p(point, t, w):
-            return eval_ast(past, env_for(point, t, w))
-
-        return p
-
     compiled = compile_ast(ast)
-    compiled_partials = [compile_ast(p) for p in partial_asts]
+    compiled_partials = [compile_ast(symbolic_partial(ast, s)) for s in slots]
 
     def batch_env(points, t, w):
         env = {s: points[:, k, 0] for k, s in enumerate(slots)}
@@ -578,9 +501,7 @@ def _build_objective(source: str, order: int, constants: dict, continuous: bool)
         return out
 
     cls = ContinuousObjective if continuous else DiscreteObjective
-    return cls(order=order, eval_fn=ev,
-               partial_fns=tuple(make_partial(k) for k in range(order + 1)),
-               name=f"dsl:{source}", batch_eval_fn=ev_batch,
+    return cls(order=order, name=f"dsl:{source}", batch_eval_fn=ev_batch,
                batch_partials_fn=partials_batch)
 
 

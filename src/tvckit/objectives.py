@@ -4,9 +4,10 @@ A discrete objective maps a window (y_t, ..., y_{t+n}) to a value in [-inf, inf)
 a continuous objective does the same for a jet (x, x', ..., x^(n)).  Slot-partials
 are analytic when supplied and central finite differences otherwise.
 
-Every objective also evaluates whole batches of points at once
-(values_batch, partials_batch).  The built-in and DSL objectives do so in
-numpy; any other objective falls back to a loop over its per-point callables.
+An objective holds its formula once: batched over N points (the built-in and
+DSL objectives, in numpy) or per point (plain callables, which a loop
+adapter runs).  Every engine and oracle evaluates whole batches of points;
+value and partial_slot are those batches at one point.
 """
 
 from __future__ import annotations
@@ -39,18 +40,19 @@ def _as_point(point: np.ndarray) -> np.ndarray:
 class _Objective:
     """Shared machinery for discrete and continuous reduced-form objectives.
 
-    eval_fn(point, t, w) -> float or -inf, where point has shape (order+1, dim).
-    partial_fns, when given, is a sequence of per-slot callables with the same
-    signature returning a scalar or a (dim,) vector.
-
-    batch_eval_fn(points, t, w) -> (N,) and batch_partials_fn(points, t, w) ->
-    (N, order+1, dim), when given, are the same maps over N points at once:
-    points has shape (N, order+1, dim), t and w shape (N,).  They must agree
-    with eval_fn and partial_fns point by point, errors included.
+    The formula comes in exactly one of two forms.  Batched:
+    batch_eval_fn(points, t, w) -> (N,) values in [-inf, inf) and, optionally,
+    batch_partials_fn(points, t, w) -> (N, order+1, dim) slot-partials, where
+    points has shape (N, order+1, dim) and t, w shape (N,).  Per point:
+    eval_fn(point, t, w) -> float or -inf with point of shape (order+1, dim)
+    and, optionally, partial_fns, one callable per slot with the same
+    signature returning a scalar or a (dim,) vector; values_batch and
+    partials_batch loop over them.  Without either partials, partials_batch
+    takes central finite differences of values_batch.
     """
 
     order: int
-    eval_fn: Callable[[np.ndarray, float, int], float]
+    eval_fn: Callable[[np.ndarray, float, int], float] | None = None
     partial_fns: tuple | None = None
     dim: int = 1
     name: str = ""
@@ -60,6 +62,11 @@ class _Objective:
     def __post_init__(self):
         if self.order < 0:
             raise InputError("objective order must be >= 0")
+        per_point = self.eval_fn is not None
+        other_partials = self.batch_partials_fn if per_point else self.partial_fns
+        if per_point == (self.batch_eval_fn is not None) or other_partials is not None:
+            raise InputError("an objective takes eval_fn (and partial_fns) or "
+                             "batch_eval_fn (and batch_partials_fn), not both")
         if self.partial_fns is not None:
             fns = tuple(self.partial_fns)
             if len(fns) != self.order + 1:
@@ -68,23 +75,20 @@ class _Objective:
 
     @property
     def has_analytic_partials(self) -> bool:
-        return self.partial_fns is not None
+        return self.partial_fns is not None or self.batch_partials_fn is not None
 
     def value(self, point, t, w) -> float:
-        out = float(self.eval_fn(_as_point(point), t, w))
-        if math.isnan(out) or out == math.inf:
-            raise NumericalError(f"objective {self.name or '<anonymous>'} returned {out} at t={t}, state {w}")
-        return out
+        """values_batch at one point."""
+        return float(self.values_batch(_as_point(point)[None], [t], [w])[0])
 
     def values_batch(self, points, t, w) -> np.ndarray:
-        """value() at each of N points; shape (N,)."""
-        points = np.asarray(points, dtype=float)
-        if self.batch_eval_fn is None:
-            return np.array([self.value(p, ti, wi) for p, ti, wi in
-                             zip(points, np.asarray(t).tolist(), np.asarray(w).tolist())],
-                            dtype=float)
-        t, w = np.asarray(t), np.asarray(w)
-        out = np.asarray(self.batch_eval_fn(points, t, w), dtype=float)
+        """The objective at each of N points; shape (N,).  NaN and +inf raise."""
+        points, t, w = np.asarray(points, dtype=float), np.asarray(t), np.asarray(w)
+        if self.batch_eval_fn is not None:
+            out = np.asarray(self.batch_eval_fn(points, t, w), dtype=float)
+        else:
+            out = np.array([float(self.eval_fn(p, ti, wi))
+                            for p, ti, wi in zip(points, t.tolist(), w.tolist())], dtype=float)
         bad = np.isnan(out) | (out == math.inf)
         if bad.any():
             i = int(np.argmax(bad))
@@ -93,17 +97,17 @@ class _Objective:
         return out
 
     def partials_batch(self, points, t, w) -> np.ndarray:
-        """partial_slot() for every slot at each of N points; shape (N, order+1, dim)."""
-        points = np.asarray(points, dtype=float)
+        """Every slot-partial at each of N points; shape (N, order+1, dim)."""
+        points, t, w = np.asarray(points, dtype=float), np.asarray(t), np.asarray(w)
         if self.batch_partials_fn is not None:
-            return np.asarray(self.batch_partials_fn(points, np.asarray(t), np.asarray(w)),
-                              dtype=float)
+            return np.asarray(self.batch_partials_fn(points, t, w), dtype=float)
         if len(points) == 0:
             return np.empty((0, self.order + 1, self.dim))
-        return np.array([[partial_slot(self, k, p, ti, wi) for k in range(self.order + 1)]
-                         for p, ti, wi in
-                         zip(points, np.asarray(t).tolist(), np.asarray(w).tolist())],
-                        dtype=float)
+        if self.partial_fns is None:
+            return _fd_or_raise(self, points, t, w)
+        return np.array([[np.atleast_1d(np.asarray(fn(p, ti, wi), dtype=float))
+                          for fn in self.partial_fns]
+                         for p, ti, wi in zip(points, t.tolist(), w.tolist())])
 
 
 @dataclass(frozen=True)
@@ -116,58 +120,100 @@ class ContinuousObjective(_Objective):
     """v(x, x', ..., x^(n), t, w); the point argument is the jet."""
 
 
+def _one_point(obj: _Objective, k: int, point, t, w):
+    if not (0 <= k <= obj.order):
+        raise InputError(f"slot {k} outside 0..{obj.order}")
+    return _as_point(point)[None], np.asarray([t]), np.asarray([w])
+
+
 def partial_slot(obj: _Objective, k: int, point, t, w) -> np.ndarray:
     """Partial derivative of the objective w.r.t. slot k at the given point; shape (dim,).
 
-    Uses the analytic partial when available, otherwise a central finite
-    difference with step FD_SCALE * max(1, |slot value|); falls back to a
-    second-order one-sided difference when one side hits -inf.
+    partials_batch at one point: the analytic partial when available,
+    otherwise fd_partials, where a -inf on both sides of any slot raises.
     """
-    if not (0 <= k <= obj.order):
-        raise InputError(f"slot {k} outside 0..{obj.order}")
-    point = _as_point(point)
-    if obj.partial_fns is not None:
-        out = np.atleast_1d(np.asarray(obj.partial_fns[k](point, t, w), dtype=float))
-        return out
-    f0 = obj.value(point, t, w)
-    if f0 == NEG_INF:
-        raise DomainError(f"objective is -inf at the evaluation point (t={t}, state {w})")
-    out = np.empty(obj.dim)
-    for i in range(obj.dim):
-        h = FD_SCALE * max(1.0, abs(point[k, i]))
-        out[i] = _fd_component(obj, point, t, w, k, i, h, f0)
-    return out
-
-
-def _shifted_value(obj, point, t, w, k, i, delta):
-    shifted = point.copy()
-    shifted[k, i] += delta
-    return obj.value(shifted, t, w)
-
-def _fd_component(obj, point, t, w, k, i, h, f0) -> float:
-    fp = _shifted_value(obj, point, t, w, k, i, +h)
-    fm = _shifted_value(obj, point, t, w, k, i, -h)
-    if fp != NEG_INF and fm != NEG_INF:
-        return (fp - fm) / (2.0 * h)
-    # one side crosses the -inf boundary: second-order one-sided stencil
-    if fp != NEG_INF:
-        f2 = _shifted_value(obj, point, t, w, k, i, +2.0 * h)
-        if f2 != NEG_INF:
-            return (-3.0 * f0 + 4.0 * fp - f2) / (2.0 * h)
-        return (fp - f0) / h
-    if fm != NEG_INF:
-        f2 = _shifted_value(obj, point, t, w, k, i, -2.0 * h)
-        if f2 != NEG_INF:
-            return (3.0 * f0 - 4.0 * fm + f2) / (2.0 * h)
-        return (f0 - fm) / h
-    raise DomainError(f"objective is -inf on both sides of slot {k} (t={t}, state {w})")
+    return obj.partials_batch(*_one_point(obj, k, point, t, w))[0, k]
 
 
 def fd_partial_slot(obj: _Objective, k: int, point, t, w) -> np.ndarray:
     """Finite-difference slot-partial, ignoring any analytic partials (oracle side)."""
-    stripped = type(obj)(order=obj.order, eval_fn=obj.eval_fn, partial_fns=None,
-                         dim=obj.dim, name=obj.name)
-    return partial_slot(stripped, k, point, t, w)
+    return _fd_or_raise(obj, *_one_point(obj, k, point, t, w))[0, k]
+
+
+def shifted_values(obj: _Objective, points: np.ndarray, t: np.ndarray, w: np.ndarray,
+                   deltas: np.ndarray) -> np.ndarray:
+    """values_batch at N points with one entry moved, all in one call.
+
+    deltas has shape (K, N, (order+1)*dim): deltas[k, i, e] moves entry e of
+    point i, entries in (slot, component) order.  Returns the K*N*entries
+    values in the shape of deltas.
+    """
+    count, shape = len(points), points.shape[1:]
+    size = shape[0] * shape[1]
+    moved = np.repeat(points.reshape(1, count, 1, size), size, axis=2).repeat(len(deltas), axis=0)
+    moved[:, :, np.arange(size), np.arange(size)] += deltas
+    grid = deltas.shape
+    return obj.values_batch(moved.reshape((-1,) + shape), np.broadcast_to(t[:, None], grid).ravel(),
+                            np.broadcast_to(w[:, None], grid).ravel()).reshape(grid)
+
+
+def fd_partials(obj: _Objective, points: np.ndarray, t: np.ndarray, w: np.ndarray,
+                f0: np.ndarray):
+    """Central differences of values_batch in every slot component at N points
+    whose values f0 are finite; analytic partials are ignored.
+
+    Returns (P, walled): P has shape (N, order+1, dim), and walled (N, order+1)
+    marks the slots where the objective is -inf on both sides of a component
+    (P is nan there).  The step is FD_SCALE * max(1, |entry|).  Where one side
+    is -inf, the second-order one-sided stencil on the other side is used, or
+    the first-order one when its second point is -inf too.  The points one
+    step away go through one values_batch call, the second points another.
+    """
+    flat = points.reshape(len(points), points.shape[1] * points.shape[2])
+    h = FD_SCALE * np.maximum(1.0, np.abs(flat))
+    fp, fm = shifted_values(obj, points, t, w, np.stack([h, -h]))
+    up = np.isneginf(fm) & ~np.isneginf(fp)
+    side = up | (np.isneginf(fp) & ~np.isneginf(fm))
+    with np.errstate(invalid="ignore"):  # -inf - -inf, and the branch np.where drops
+        out = (fp - fm) / (2.0 * h)
+        if side.any():
+            # the stencil on the finite side; s mirrors it onto the lower side
+            rows, cols = np.nonzero(side)
+            s, f1 = np.where(up[side], 1.0, -1.0), np.where(up, fp, fm)[side]
+            hs, f0s = h[side], f0[rows]
+            moved = flat[rows]
+            moved[np.arange(len(rows)), cols] += 2.0 * hs * s
+            f2 = obj.values_batch(moved.reshape((-1,) + points.shape[1:]), t[rows], w[rows])
+            out[side] = s * np.where(np.isneginf(f2), (f1 - f0s) / hs,
+                                     (-3.0 * f0s + 4.0 * f1 - f2) / (2.0 * hs))
+    walled = np.isneginf(fp) & np.isneginf(fm)
+    return out.reshape(points.shape), walled.reshape(points.shape).any(axis=2)
+
+
+def _fd_or_raise(obj, points, t, w) -> np.ndarray:
+    """fd_partials at points where the objective must be finite and no entry walled."""
+    f0 = obj.values_batch(points, t, w)
+    if np.isneginf(f0).any():
+        i = int(np.argmax(np.isneginf(f0)))
+        raise DomainError(f"objective is -inf at the evaluation point (t={t[i]}, state {w[i]})")
+    out, walled = fd_partials(obj, points, t, w, f0)
+    if walled.any():
+        i, k = np.argwhere(walled)[0]
+        raise DomainError(f"objective is -inf on both sides of slot {k} (t={t[i]}, state {w[i]})")
+    return out
+
+
+def stack_samples(obj: _Objective, samples: Sequence, slots: int):
+    """(points, t, w) arrays of a sequence of (point, t, w) samples.  Each point
+    must have shape (slots, obj.dim); a vector is one component per slot."""
+    samples = list(samples)
+    points = [_as_point(p) for p, _, _ in samples]
+    for p in points:
+        if p.shape != (slots, obj.dim):
+            raise InputError(f"sample of shape {p.shape}, objective "
+                             f"{obj.name or '<anonymous>'} needs ({slots}, {obj.dim})")
+    return (np.array(points, dtype=float).reshape(len(points), slots, obj.dim),
+            np.array([t for _, t, _ in samples]), np.array([w for _, _, w in samples], dtype=int))
 
 
 @dataclass(frozen=True)
@@ -187,29 +233,24 @@ def gradient_check(obj: _Objective, points: Sequence) -> GradientCheckReport:
     """Compare analytic slot-partials against central finite differences.
 
     points is a sequence of (point, t, w) triples; samples on the -inf boundary
-    are skipped, and the check is inconclusive if all of them are.
+    are skipped, and so is each slot whose finite difference meets -inf on
+    both sides.  The check is inconclusive if every sample is skipped.
     """
-    if obj.partial_fns is None:
+    if not obj.has_analytic_partials:
         raise InputError("gradient_check needs analytic partials to compare against")
-    worst = 0.0
-    checked = skipped = 0
-    for point, t, w in points:
-        point = _as_point(point)
-        if obj.value(point, t, w) == NEG_INF:
-            skipped += 1
-            continue
-        checked += 1
-        for k in range(obj.order + 1):
-            ana = partial_slot(obj, k, point, t, w)
-            try:
-                fd = fd_partial_slot(obj, k, point, t, w)
-            except DomainError:
-                skipped += 1
-                continue
-            gap = np.max(np.abs(ana - fd) / np.maximum(1.0, np.abs(ana)))
-            worst = max(worst, float(gap))
+    points, t, w = stack_samples(obj, points, obj.order + 1)
+    f0 = obj.values_batch(points, t, w)
+    live = ~np.isneginf(f0)
+    checked = int(live.sum())
     if checked == 0:
-        return GradientCheckReport(math.nan, 0, skipped, "INCONCLUSIVE", GRADIENT_REL_TOL)
+        return GradientCheckReport(math.nan, 0, len(f0), "INCONCLUSIVE", GRADIENT_REL_TOL)
+    points, t, w, f0 = points[live], t[live], w[live], f0[live]
+    ana = obj.partials_batch(points, t, w)
+    fd, walled = fd_partials(obj, points, t, w, f0)
+    with np.errstate(invalid="ignore"):
+        gaps = np.max(np.abs(ana - fd) / np.maximum(1.0, np.abs(ana)), axis=2)[~walled]
+    worst = float(np.max(gaps[~np.isnan(gaps)], initial=0.0))  # a nan gap is not a gap
+    skipped = len(live) - checked + int(walled.sum())
     verdict = "PASS" if worst <= GRADIENT_REL_TOL else "FAIL"
     return GradientCheckReport(worst, checked, skipped, verdict, GRADIENT_REL_TOL)
 
@@ -241,17 +282,7 @@ class QuadLinParams:
 
 def _quadlin(params: QuadLinParams, cls, name: str):
     """(p0 - alpha(w))^2 + beta(w) p1 + gamma(w) p2 over a window or a jet p."""
-    a, b, g = params.alpha, params.beta, params.gamma
-    A, B, G = (np.asarray(v) for v in (a, b, g))
-
-    def ev(point, t, w):
-        return (point[0, 0] - a[w]) ** 2 + b[w] * point[1, 0] + g[w] * point[2, 0]
-
-    partials = (
-        lambda point, t, w: 2.0 * (point[0, 0] - a[w]),
-        lambda point, t, w: b[w],
-        lambda point, t, w: g[w],
-    )
+    A, B, G = (np.asarray(v) for v in (params.alpha, params.beta, params.gamma))
 
     def ev_batch(points, t, w):
         return (points[:, 0, 0] - A[w]) ** 2 + B[w] * points[:, 1, 0] + G[w] * points[:, 2, 0]
@@ -263,8 +294,7 @@ def _quadlin(params: QuadLinParams, cls, name: str):
         out[:, 2, 0] = G[w]
         return out
 
-    return cls(order=2, eval_fn=ev, partial_fns=partials, name=name,
-               batch_eval_fn=ev_batch, batch_partials_fn=partials_batch)
+    return cls(order=2, name=name, batch_eval_fn=ev_batch, batch_partials_fn=partials_batch)
 
 
 def quadlin_continuous(params: QuadLinParams) -> ContinuousObjective:
@@ -292,30 +322,6 @@ def household_log(discount: float, n: int, zero_head: bool = True) -> DiscreteOb
     if n < 1:
         raise InputError("lag order n must be >= 1")
 
-    def consumption(win):
-        return float(np.sum(win[:n, 0]) - win[n, 0])
-
-    def ev(win, t, w):
-        if zero_head and t <= n - 1:
-            return 0.0
-        c = consumption(win)
-        if c <= 0.0:
-            return NEG_INF
-        return discount**t * math.log(c)
-
-    def make_partial(k):
-        sign = 1.0 if k < n else -1.0
-
-        def p(win, t, w):
-            if zero_head and t <= n - 1:
-                return 0.0
-            c = consumption(win)
-            if c <= 0.0:
-                raise DomainError(f"consumption {c} <= 0 at t={t}, state {w}")
-            return discount**t * sign / c
-
-        return p
-
     def batch_parts(points, t):
         """(consumption, mask of points outside the pinned head)."""
         c = np.sum(points[:, :n, 0], axis=1) - points[:, n, 0]
@@ -342,8 +348,7 @@ def household_log(discount: float, n: int, zero_head: bool = True) -> DiscreteOb
         out[:, n, 0] = np.where(live, -scale, 0.0)
         return out
 
-    return DiscreteObjective(order=n, eval_fn=ev,
-                             partial_fns=tuple(make_partial(k) for k in range(n + 1)),
+    return DiscreteObjective(order=n,
                              name="household-log" if zero_head else "household-log-live-head",
                              batch_eval_fn=ev_batch, batch_partials_fn=partials_batch)
 

@@ -183,7 +183,7 @@ def _validate_time(node):
         t_end = _number(_get(node, "t_end", "time"), "time.t_end")
         h = _number(_get(node, "h", "time"), "time.h")
         return ({"kind": "continuous", "t_end": t_end, "h": h},
-                _build("time", TimeDomain.continuous, t_end, h))
+                _build("time.t_end", TimeDomain.continuous, t_end, h))
     raise SchemaError("time.kind", f"must be 'discrete' or 'continuous', got {kind!r}")
 
 

@@ -20,7 +20,8 @@ from .errors import (DomainError, InputError, NumericalError, UnsupportedError)
 from .euler import BoundaryMode, max_window_start
 from .kernel import (euler_rows, expected_cumsum, jet_values, partials_at,
                      values_at, window_stack, window_values)
-from .objectives import (ContinuousObjective, DiscreteObjective, partial_slot)
+from .objectives import (ContinuousObjective, DiscreteObjective, fd_partials,
+                         shifted_values, stack_samples)
 
 NEG_INF = float("-inf")
 
@@ -351,11 +352,6 @@ class CorrespondencePair:
             raise InputError("pair members disagree on the state dimension")
 
 
-def _substituted_window(jet: np.ndarray) -> np.ndarray:
-    x, y, z = jet[0], jet[1], jet[2]
-    return np.stack([x, x + y, x + 2.0 * y + z])
-
-
 def discrete_to_continuous(V: DiscreteObjective) -> CorrespondencePair:
     """Induce the continuous objective by substitution; chain-rule partials
     v1 = V1 + V2 + V3, v2 = V2 + 2 V3, v3 = V3 when V has analytic partials."""
@@ -365,50 +361,32 @@ def discrete_to_continuous(V: DiscreteObjective) -> CorrespondencePair:
     if V.order != 2:
         raise UnsupportedError("discrete_to_continuous covers order 2 only")
 
-    def ev(jet, t, w):
-        return V.eval_fn(_substituted_window(jet), t, w)
+    def windows(jets):
+        x, y, z = jets[:, 0], jets[:, 1], jets[:, 2]
+        return np.stack([x, x + y, x + 2.0 * y + z], axis=1)
+
+    def ev(jets, t, w):
+        return V.values_batch(windows(jets), t, w)
 
     partials = None
-    if V.partial_fns is not None:
-        V1, V2, V3 = V.partial_fns
+    if V.has_analytic_partials:
+        def partials(jets, t, w):
+            P = V.partials_batch(windows(jets), t, w)
+            return np.stack([P[:, 0] + P[:, 1] + P[:, 2], P[:, 1] + 2.0 * P[:, 2], P[:, 2]],
+                            axis=1)
 
-        def p0(jet, t, w):
-            win = _substituted_window(jet)
-            return (np.asarray(V1(win, t, w)) + np.asarray(V2(win, t, w))
-                    + np.asarray(V3(win, t, w)))
-
-        def p1(jet, t, w):
-            win = _substituted_window(jet)
-            return np.asarray(V2(win, t, w)) + 2.0 * np.asarray(V3(win, t, w))
-
-        def p2(jet, t, w):
-            return np.asarray(V3(_substituted_window(jet), t, w))
-
-        partials = (p0, p1, p2)
-    v = ContinuousObjective(order=2, eval_fn=ev, partial_fns=partials, dim=V.dim,
+    v = ContinuousObjective(order=2, batch_eval_fn=ev, batch_partials_fn=partials, dim=V.dim,
                             name=(V.name + "-induced") if V.name else "induced")
     return CorrespondencePair(discrete=V, continuous=v)
 
 
-def _fd5_slot(obj, k, point, t, w) -> np.ndarray:
-    """Fourth-order five-point slot-partial of the raw eval function."""
-    point = np.asarray(point, dtype=float)
-    if point.ndim == 1:
-        point = point[:, None]
-    out = np.empty(obj.dim)
-    for i in range(obj.dim):
-        h = 1e-3 * max(1.0, abs(point[k, i]))
-        vals = []
-        for c in (-2, -1, 1, 2):
-            shifted = point.copy()
-            shifted[k, i] += c * h
-            v = obj.value(shifted, t, w)
-            if v == NEG_INF:
-                raise DomainError(f"-inf inside the five-point stencil at slot {k}")
-            vals.append(v)
-        fm2, fm1, fp1, fp2 = vals
-        out[i] = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
-    return out
+def _partials_walled(obj, points, t, w, f0):
+    """Slot-partials of obj at points where it is f0 > -inf, and per (point,
+    slot) whether their finite difference met -inf on both sides."""
+    if obj.has_analytic_partials:
+        P = obj.partials_batch(points, t, w)
+        return P, np.zeros(P.shape[:2], dtype=bool)
+    return fd_partials(obj, points, t, w, f0)
 
 
 @dataclass(frozen=True)
@@ -425,6 +403,10 @@ class CorrespondenceReport:
         return self.verdict == "PASS"
 
 
+# slots of the continuous partials the difference form (b) reads at jets 0, 1, 2
+_JET_SLOTS = np.array([[False, False, True], [False, True, True], [True, True, True]])
+
+
 def correspondence_check(pair: CorrespondencePair, segments) -> CorrespondenceReport:
     """Verify the chain-rule partial identities and the first-difference form
     of the induced Euler operator.
@@ -437,48 +419,60 @@ def correspondence_check(pair: CorrespondencePair, segments) -> CorrespondenceRe
     (b) the stationarity row at index t+2 over windows t..t+2 equals
         v1(t+2) + (v2(t+1) - v2(t+2)) + (v3(t) - 2 v3(t+1) + v3(t+2)).
 
-    Samples where the discrete objective is -inf on any needed window are
-    skipped and counted.  The gaps must stay within 1e-10 for analytic
-    partials, 1e-6 for finite differences.
+    A sample is skipped, and counted, when a value it needs is -inf: V on a
+    window, v at a jet or at a point of a stencil.  The gaps must stay within
+    1e-10 for analytic partials, 1e-6 for finite differences.  Every sample
+    goes through the same few batched calls; a slot gap of (a) already taken
+    before a sample is found to need a -inf value stays in max_partial_gap.
     """
     V, v = pair.discrete, pair.continuous
     tolerance = 1e-10 if V.has_analytic_partials else 1e-6
-    worst_a = worst_b = 0.0
-    checked = skipped = 0
-    for seg, t, w in segments:
-        seg = np.asarray(seg, dtype=float)
-        if seg.ndim == 1:
-            seg = seg[:, None]
-        if seg.shape[0] != 5:
-            raise InputError("each sample segment needs 5 consecutive values")
-        windows = [seg[o : o + 3] for o in range(3)]
-        jets = [np.stack([s[0], s[1] - s[0], s[2] - 2.0 * s[1] + s[0]])
-                for s in windows]
-        try:
-            if any(V.value(win, t + o, w) == NEG_INF
-                   for o, win in enumerate(windows)):
-                skipped += 1
-                continue
-            combos = [sum(partial_slot(V, k, windows[0], t, w) for k in (0, 1, 2)),
-                      (partial_slot(V, 1, windows[0], t, w)
-                       + 2.0 * partial_slot(V, 2, windows[0], t, w)),
-                      partial_slot(V, 2, windows[0], t, w)]
-            for k in range(3):
-                gap = np.abs(_fd5_slot(v, k, jets[0], t, w) - combos[k]).max()
-                worst_a = max(worst_a, float(gap))
+    segs, t, w = stack_samples(V, segments, 5)
+    count, dim = len(segs), V.dim
+    win = np.stack([segs[:, o : o + 3] for o in range(3)], axis=1)  # sample, offset, slot
+    times = t[:, None] + np.arange(3)
+    vals = V.values_batch(win.reshape(-1, 3, dim), times.ravel(), np.repeat(w, 3))
+    keep = ~np.isneginf(vals.reshape(count, 3)).any(axis=1)
+    win, t, w, times = win[keep], t[keep], w[keep], times[keep]
+    vals, states, live = vals.reshape(count, 3)[keep].ravel(), np.repeat(w, 3), len(win)
+    jets = np.stack([win[:, :, 0], win[:, :, 1] - win[:, :, 0],
+                     win[:, :, 2] - 2.0 * win[:, :, 1] + win[:, :, 0]], axis=2)
 
-            lhs = sum(partial_slot(V, 2 - o, windows[o], t + o, w) for o in range(3))
-            v1 = partial_slot(v, 0, jets[2], t + 2, w)
-            v2 = [partial_slot(v, 1, jets[o], t + o, w) for o in (1, 2)]
-            v3 = [partial_slot(v, 2, jets[o], t + o, w) for o in (0, 1, 2)]
-            rhs = v1 + (v2[0] - v2[1]) + (v3[0] - 2.0 * v3[1] + v3[2])
-            worst_b = max(worst_b, float(np.abs(lhs - rhs).max()))
-        except DomainError:
-            skipped += 1
-            continue
-        checked += 1
+    # V's partials on windows 0..2: (a) reads every slot of window 0, (b) the
+    # slots 2, 1, 0 of windows 0, 1, 2
+    PV, walled = _partials_walled(V, win.reshape(-1, 3, dim), times.ravel(), states, vals)
+    PV, walled = PV.reshape((live, 3) + PV.shape[1:]), walled.reshape(live, 3, 3)
+    ok_a = ~walled[:, 0].any(axis=1)
+    ok_b = ~(walled[:, 1, 1] | walled[:, 2, 0])
+
+    # v at every point of the five-point stencils around jet 0, in one call
+    h = 1e-3 * np.maximum(1.0, np.abs(jets[:, 0].reshape(live, 3 * dim)))
+    stencil = shifted_values(v, jets[:, 0], t, w, np.array([-2, -1, 1, 2])[:, None, None] * h)
+    fm2, fm1, fp1, fp2 = stencil
+    stencil_ok = ~np.isneginf(stencil).any(axis=0).reshape(live, 3, dim).any(axis=2)
+    fv = v.values_batch(jets.reshape(-1, 3, dim), times.ravel(), states).reshape(live, 3)
+    combos = np.stack([PV[:, 0, 0] + PV[:, 0, 1] + PV[:, 0, 2],
+                       PV[:, 0, 1] + 2.0 * PV[:, 0, 2], PV[:, 0, 2]], axis=1)
+    with np.errstate(invalid="ignore"):  # -inf in a stencil; such a gap is not taken
+        fd5 = ((fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)).reshape(live, 3, dim)
+        gaps = np.max(np.abs(fd5 - combos), axis=2)
+    # (a) goes slot by slot and stops at the first stencil that meets -inf
+    gaps = gaps[ok_a[:, None] & np.logical_and.accumulate(stencil_ok, axis=1)]
+    worst_a = float(np.max(gaps[~np.isnan(gaps)], initial=0.0))  # a nan gap is not a gap
+
+    ok = ok_a & stencil_ok.all(axis=1) & ok_b & ~np.isneginf(fv).any(axis=1)
+    Pv, walled = _partials_walled(v, jets[ok].reshape(-1, 3, dim), times[ok].ravel(),
+                                  np.repeat(w[ok], 3), fv[ok].ravel())
+    fine = ~(walled.reshape(-1, 3, 3) & _JET_SLOTS).any(axis=(1, 2))
+    checked = int(fine.sum())
     if checked == 0:
-        return CorrespondenceReport(math.nan, math.nan, 0, skipped,
-                                    tolerance, "INCONCLUSIVE")
+        return CorrespondenceReport(math.nan, math.nan, 0, count, tolerance, "INCONCLUSIVE")
+    PV, Pv = PV[ok][fine], Pv.reshape((-1, 3) + Pv.shape[1:])[fine]
+    lhs = PV[:, 0, 2] + PV[:, 1, 1] + PV[:, 2, 0]
+    rhs = (Pv[:, 2, 0] + (Pv[:, 1, 1] - Pv[:, 2, 1])
+           + (Pv[:, 0, 2] - 2.0 * Pv[:, 1, 2] + Pv[:, 2, 2]))
+    with np.errstate(invalid="ignore"):
+        gaps = np.max(np.abs(lhs - rhs), axis=1)
+    worst_b = float(np.max(gaps[~np.isnan(gaps)], initial=0.0))
     verdict = "PASS" if max(worst_a, worst_b) <= tolerance else "FAIL"
-    return CorrespondenceReport(worst_a, worst_b, checked, skipped, tolerance, verdict)
+    return CorrespondenceReport(worst_a, worst_b, checked, count - checked, tolerance, verdict)

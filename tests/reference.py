@@ -1,22 +1,319 @@
-"""Per-point reference implementations of the batched engines.
+"""Per-point reference implementations of the batched formulas and engines.
 
-These are the loop forms the engines used before they were written as
-reductions over one batched objective call: one partial_slot or value call
-per (window or time, state, slot), one residual call per Jacobian column and
-one value call per (grid combination, window).  The kernel and solver tests
-hold the engines to them.
+These are the loop forms the library used before every objective held one
+batched formula and every engine was a reduction over batched calls:
+
+- the per-point formulas of the built-in models and the DSL interpreter,
+  which build objectives from per-point callables (eval_fn, partial_fns);
+- one partial_slot or value call per (window or time, state, slot), one
+  residual call per Jacobian column and one value call per (grid
+  combination, window);
+- the per-point finite differences and the sample-by-sample gradient and
+  correspondence oracles.
+
+The kernel, objective and solver tests hold the library to them.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 import tvckit as tk
 from tvckit.diagnostics import DOMINATION_N_EPS, DominationEntry, DominationReport
-from tvckit.errors import (DomainError, HorizonError, InputError, NumericalError,
-                           UnsupportedError)
+from tvckit.errors import (DomainError, EvalError, HorizonError, InputError,
+                           NumericalError, UnsupportedError)
 from tvckit.euler import max_window_start
-from tvckit.solvers import JAC_FD_STEP, BruteForceResult
+from tvckit.expr import Call, Const, Neg, Var, parse_source, symbolic_partial
+from tvckit.objectives import (FD_SCALE, GRADIENT_REL_TOL, GradientCheckReport,
+                               _as_point)
+from tvckit.solvers import JAC_FD_STEP, BruteForceResult, CorrespondenceReport
+
+NEG_INF = float("-inf")
+
+
+# ---------------------------------------------------------------------------
+# Per-point formulas: the built-in models and the DSL interpreter
+
+def _quadlin(params, cls, name):
+    a, b, g = params.alpha, params.beta, params.gamma
+
+    def ev(point, t, w):
+        return (point[0, 0] - a[w]) ** 2 + b[w] * point[1, 0] + g[w] * point[2, 0]
+
+    partials = (
+        lambda point, t, w: 2.0 * (point[0, 0] - a[w]),
+        lambda point, t, w: b[w],
+        lambda point, t, w: g[w],
+    )
+    return cls(order=2, eval_fn=ev, partial_fns=partials, name=name)
+
+
+def quadlin_continuous(params):
+    return _quadlin(params, tk.ContinuousObjective, "quadlin-continuous")
+
+
+def quadlin_discrete(params):
+    return _quadlin(params, tk.DiscreteObjective, "quadlin-discrete")
+
+
+def household_log(discount, n, zero_head=True):
+    def consumption(win):
+        return float(np.sum(win[:n, 0]) - win[n, 0])
+
+    def ev(win, t, w):
+        if zero_head and t <= n - 1:
+            return 0.0
+        c = consumption(win)
+        if c <= 0.0:
+            return NEG_INF
+        return discount**t * math.log(c)
+
+    def make_partial(k):
+        sign = 1.0 if k < n else -1.0
+
+        def p(win, t, w):
+            if zero_head and t <= n - 1:
+                return 0.0
+            c = consumption(win)
+            if c <= 0.0:
+                raise DomainError(f"consumption {c} <= 0 at t={t}, state {w}")
+            return discount**t * sign / c
+
+        return p
+
+    return tk.DiscreteObjective(order=n, eval_fn=ev,
+                                partial_fns=tuple(make_partial(k) for k in range(n + 1)),
+                                name="household-log" if zero_head else "household-log-live-head")
+
+
+def eval_ast(node, env):
+    """Interpret an AST in IEEE doubles with Python's math: ln(x <= 0) -> -inf,
+    exp(-inf) -> 0; division by zero, NaN, complex powers and overflow raise
+    EvalError."""
+    out = _eval(node, env)
+    if math.isnan(out):
+        raise EvalError("expression evaluated to NaN")
+    return out
+
+
+def _eval(node, env):
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        try:
+            return float(env[node.name])
+        except KeyError:
+            raise EvalError(f"unbound symbol {node.name!r}") from None
+    if isinstance(node, Neg):
+        return -_eval(node.child, env)
+    if isinstance(node, Call):
+        arg = _eval(node.arg, env)
+        if node.fn == "ln":
+            return math.log(arg) if arg > 0.0 else NEG_INF
+        if node.fn == "exp":
+            if arg == NEG_INF:
+                return 0.0
+            try:
+                return math.exp(arg)
+            except OverflowError:
+                raise EvalError(f"exp({arg}) overflows") from None
+        if node.fn == "abs":
+            return abs(arg)
+        if node.fn == "sqrt":
+            if arg < 0.0:
+                raise EvalError(f"sqrt of negative value {arg}")
+            return math.sqrt(arg)
+        raise EvalError(f"unknown function {node.fn!r}")
+    left = _eval(node.left, env)
+    right = _eval(node.right, env)
+    if node.op == "+":
+        return left + right
+    if node.op == "-":
+        return left - right
+    if node.op == "*":
+        return left * right
+    if node.op == "/":
+        if right == 0.0:
+            raise EvalError("division by zero")
+        return left / right
+    if node.op == "^":
+        try:
+            out = left**right
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise EvalError(f"power failed: {exc}") from None
+        if isinstance(out, complex):
+            raise EvalError(f"{left} ^ {right} has no real value")
+        return out
+    raise EvalError(f"unknown operator {node.op!r}")
+
+
+def _dsl(source, order, constants, cls, prefix):
+    """A DSL objective evaluated per point by the interpreter."""
+    slots = [f"{prefix}{k}" for k in range(order + 1)]
+    constants = constants or {}
+    ast = parse_source(source, set(slots) | {"t"} | set(constants))
+
+    def env_for(point, t, w):
+        env = {s: float(point[k, 0]) for k, s in enumerate(slots)}
+        env["t"] = float(t)
+        for cname, cval in constants.items():
+            env[cname] = float(cval if np.ndim(cval) == 0 else cval[w])
+        return env
+
+    def interpret(node):
+        return lambda point, t, w: eval_ast(node, env_for(point, t, w))
+
+    return cls(order=order, eval_fn=interpret(ast),
+               partial_fns=tuple(interpret(symbolic_partial(ast, s)) for s in slots),
+               name=f"dsl:{source}")
+
+
+def dsl_discrete_objective(source, order, constants=None):
+    return _dsl(source, order, constants, tk.DiscreteObjective, "y")
+
+
+def dsl_continuous_objective(source, order, constants=None):
+    return _dsl(source, order, constants, tk.ContinuousObjective, "x")
+
+
+# ---------------------------------------------------------------------------
+# Per-point finite differences and the sample-by-sample oracles
+
+def fd_partial_slot(obj, k, point, t, w):
+    """Central difference of obj.value in each component of slot k, step
+    FD_SCALE * max(1, |y|), with a one-sided stencil next to a -inf wall."""
+    point = _as_point(point)
+    f0 = obj.value(point, t, w)
+    if f0 == NEG_INF:
+        raise DomainError(f"objective is -inf at the evaluation point (t={t}, state {w})")
+    out = np.empty(obj.dim)
+    for i in range(obj.dim):
+        h = FD_SCALE * max(1.0, abs(point[k, i]))
+        out[i] = _fd_component(obj, point, t, w, k, i, h, f0)
+    return out
+
+
+def _shifted_value(obj, point, t, w, k, i, delta):
+    shifted = point.copy()
+    shifted[k, i] += delta
+    return obj.value(shifted, t, w)
+
+
+def _fd_component(obj, point, t, w, k, i, h, f0):
+    fp = _shifted_value(obj, point, t, w, k, i, +h)
+    fm = _shifted_value(obj, point, t, w, k, i, -h)
+    if fp != NEG_INF and fm != NEG_INF:
+        return (fp - fm) / (2.0 * h)
+    if fp != NEG_INF:
+        f2 = _shifted_value(obj, point, t, w, k, i, +2.0 * h)
+        if f2 != NEG_INF:
+            return (-3.0 * f0 + 4.0 * fp - f2) / (2.0 * h)
+        return (fp - f0) / h
+    if fm != NEG_INF:
+        f2 = _shifted_value(obj, point, t, w, k, i, -2.0 * h)
+        if f2 != NEG_INF:
+            return (3.0 * f0 - 4.0 * fm + f2) / (2.0 * h)
+        return (f0 - fm) / h
+    raise DomainError(f"objective is -inf on both sides of slot {k} (t={t}, state {w})")
+
+
+def partial_slot(obj, k, point, t, w):
+    """The analytic partial at one point, or fd_partial_slot without one."""
+    if obj.has_analytic_partials:
+        return tk.partial_slot(obj, k, point, t, w)
+    return fd_partial_slot(obj, k, point, t, w)
+
+
+def gradient_check(obj, points):
+    """One value call per sample, then per slot one analytic and one FD partial."""
+    if not obj.has_analytic_partials:
+        raise InputError("gradient_check needs analytic partials to compare against")
+    worst = 0.0
+    checked = skipped = 0
+    for point, t, w in points:
+        point = _as_point(point)
+        if obj.value(point, t, w) == NEG_INF:
+            skipped += 1
+            continue
+        checked += 1
+        for k in range(obj.order + 1):
+            ana = tk.partial_slot(obj, k, point, t, w)
+            try:
+                fd = fd_partial_slot(obj, k, point, t, w)
+            except DomainError:
+                skipped += 1
+                continue
+            gap = np.max(np.abs(ana - fd) / np.maximum(1.0, np.abs(ana)))
+            worst = max(worst, float(gap))
+    if checked == 0:
+        return GradientCheckReport(math.nan, 0, skipped, "INCONCLUSIVE", GRADIENT_REL_TOL)
+    verdict = "PASS" if worst <= GRADIENT_REL_TOL else "FAIL"
+    return GradientCheckReport(worst, checked, skipped, verdict, GRADIENT_REL_TOL)
+
+
+def _fd5_slot(obj, k, point, t, w):
+    """Fourth-order five-point slot-partial of obj.value, step 1e-3 * max(1, |y|)."""
+    point = _as_point(point)
+    out = np.empty(obj.dim)
+    for i in range(obj.dim):
+        h = 1e-3 * max(1.0, abs(point[k, i]))
+        vals = []
+        for c in (-2, -1, 1, 2):
+            shifted = point.copy()
+            shifted[k, i] += c * h
+            v = obj.value(shifted, t, w)
+            if v == NEG_INF:
+                raise DomainError(f"-inf inside the five-point stencil at slot {k}")
+            vals.append(v)
+        fm2, fm1, fp1, fp2 = vals
+        out[i] = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
+    return out
+
+
+def correspondence_check(pair, segments):
+    """Sample by sample: values, partials and stencils one point at a time; a
+    DomainError anywhere skips the sample."""
+    V, v = pair.discrete, pair.continuous
+    tolerance = 1e-10 if V.has_analytic_partials else 1e-6
+    worst_a = worst_b = 0.0
+    checked = skipped = 0
+    for seg, t, w in segments:
+        seg = _as_point(seg)
+        if seg.shape[0] != 5:
+            raise InputError("each sample segment needs 5 consecutive values")
+        windows = [seg[o : o + 3] for o in range(3)]
+        jets = [np.stack([s[0], s[1] - s[0], s[2] - 2.0 * s[1] + s[0]]) for s in windows]
+        try:
+            if any(V.value(win, t + o, w) == NEG_INF for o, win in enumerate(windows)):
+                skipped += 1
+                continue
+            combos = [sum(partial_slot(V, k, windows[0], t, w) for k in (0, 1, 2)),
+                      (partial_slot(V, 1, windows[0], t, w)
+                       + 2.0 * partial_slot(V, 2, windows[0], t, w)),
+                      partial_slot(V, 2, windows[0], t, w)]
+            for k in range(3):
+                gap = np.abs(_fd5_slot(v, k, jets[0], t, w) - combos[k]).max()
+                worst_a = max(worst_a, float(gap))
+
+            lhs = sum(partial_slot(V, 2 - o, windows[o], t + o, w) for o in range(3))
+            v1 = partial_slot(v, 0, jets[2], t + 2, w)
+            v2 = [partial_slot(v, 1, jets[o], t + o, w) for o in (1, 2)]
+            v3 = [partial_slot(v, 2, jets[o], t + o, w) for o in (0, 1, 2)]
+            rhs = v1 + (v2[0] - v2[1]) + (v3[0] - 2.0 * v3[1] + v3[2])
+            worst_b = max(worst_b, float(np.abs(lhs - rhs).max()))
+        except DomainError:
+            skipped += 1
+            continue
+        checked += 1
+    if checked == 0:
+        return CorrespondenceReport(math.nan, math.nan, 0, skipped, tolerance, "INCONCLUSIVE")
+    verdict = "PASS" if max(worst_a, worst_b) <= tolerance else "FAIL"
+    return CorrespondenceReport(worst_a, worst_b, checked, skipped, tolerance, verdict)
+
+
+# ---------------------------------------------------------------------------
+# Per-point engines
 
 
 def discrete_euler_residual(obj, path, t, j_max=None):

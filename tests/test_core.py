@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tvckit as tk
+from tvckit.core import GRID_BUDGET
 from tvckit.errors import HorizonError, InputError, UnsupportedError
 
 
@@ -88,6 +89,18 @@ class TestTimeDomain:
     def test_off_multiple_rejected(self):
         with pytest.raises(InputError):
             tk.TimeDomain.continuous(1.0, 0.3)
+
+    def test_grid_budget(self):
+        # a time domain holds no array, so neither side of the limit allocates
+        budget = GRID_BUDGET
+        assert tk.TimeDomain.discrete(budget).num_points == budget + 1
+        assert tk.TimeDomain.continuous(budget * 0.5, 0.5).num_points == budget + 1
+        for make in (lambda: tk.TimeDomain.discrete(budget + 1),
+                     lambda: tk.TimeDomain.discrete(10**11),
+                     lambda: tk.TimeDomain.continuous((budget + 1) * 0.5, 0.5),
+                     lambda: tk.TimeDomain.continuous(1e11, 1.0)):
+            with pytest.raises(InputError, match="exceed the budget"):
+                make()
 
     def test_bad_kinds(self):
         with pytest.raises(InputError):

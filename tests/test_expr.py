@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 import tvckit as tk
 from tvckit.errors import EvalError, ExprSyntaxError
 from tvckit.expr import (Bin, Call, Const, Neg, Var, compile_ast, eval_ast,
@@ -185,12 +186,13 @@ class TestCompiled:
            st.lists(st.tuples(_inputs, _inputs), min_size=1, max_size=6))
     @settings(max_examples=400, deadline=None, derandomize=True)
     def test_compiled_matches_eval_ast(self, ast, points):
-        """The numpy closure raises EvalError exactly when eval_ast does at
-        some point, and otherwise returns eval_ast's values (-inf included)."""
+        """The numpy closure raises EvalError exactly when the per-point
+        interpreter (tests/reference.py) does at some point, and otherwise
+        returns the interpreter's values (-inf included)."""
         expected, failed = [], False
         for x, y in points:
             try:
-                expected.append(eval_ast(ast, {"x": x, "y": y}))
+                expected.append(reference.eval_ast(ast, {"x": x, "y": y}))
             except EvalError:
                 failed = True
         run = compile_ast(ast)

@@ -4,10 +4,10 @@ Every engine that sweeps a grid is a reduction over one batched objective
 call.  On random paths and curves, for every builtin, DSL objectives and
 plain per-point callables (loop adapter), the engines must agree with the
 per-point loops within 1e-12 relative (absolute below magnitude 1), and
-raise the same exception type where the loops raise.
+raise the same exception type where the loops raise.  The loops run on the
+per-point twin of each objective: the builtins' per-point formulas and the
+DSL interpreter, so the numpy formulas are held to them too.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -71,20 +71,30 @@ def _plain(order, with_partials):
     return tk.DiscreteObjective(order=order, eval_fn=ev, partial_fns=partials)
 
 
-# (name -> builder(rng, m) returning (objective, path value range))
+# (name -> builder(rng, m, lib) returning (objective, path value range)); lib
+# is tvckit or the reference module, whose same-named builders make the
+# per-point twin
 DISCRETE_CASES = {
-    "quadlin": lambda rng, m: (tk.quadlin_discrete(_quadlin_params(rng, m)), -1.0, 3.0),
-    "household": lambda rng, m: (tk.household_log(0.9, 2), 1.0, 1.9),
-    "household-live-n3": lambda rng, m: (tk.household_log(0.8, 3, zero_head=False), 1.0, 1.9),
-    "household-walled": lambda rng, m: (tk.household_log(0.9, 1, zero_head=False), 0.2, 1.0),
-    "dsl-linear": lambda rng, m: (tk.dsl_discrete_objective(
+    "quadlin": lambda rng, m, lib: (lib.quadlin_discrete(_quadlin_params(rng, m)), -1.0, 3.0),
+    "household": lambda rng, m, lib: (lib.household_log(0.9, 2), 1.0, 1.9),
+    "household-live-n3": lambda rng, m, lib: (lib.household_log(0.8, 3, zero_head=False),
+                                              1.0, 1.9),
+    "household-walled": lambda rng, m, lib: (lib.household_log(0.9, 1, zero_head=False),
+                                             0.2, 1.0),
+    "dsl-linear": lambda rng, m, lib: (lib.dsl_discrete_objective(
         "(y0 - a)^2 + b*y1 + g*y2 + d*y3", 3, _constants(rng, m, "abgd")), -1.0, 3.0),
-    "dsl-log": lambda rng, m: (tk.dsl_discrete_objective(
+    "dsl-log": lambda rng, m, lib: (lib.dsl_discrete_objective(
         "ln(y0 + y1 - c) * exp(0 - t / 10) + y2 ^ 2 / (1 + y0 ^ 2)", 2,
         _constants(rng, m, "c")), 0.5, 2.0),
-    "plain-analytic": lambda rng, m: (_plain(2, True), -1.0, 3.0),
-    "plain-fd": lambda rng, m: (_plain(1, False), -1.0, 3.0),
+    "plain-analytic": lambda rng, m, lib: (_plain(2, True), -1.0, 3.0),
+    "plain-fd": lambda rng, m, lib: (_plain(1, False), -1.0, 3.0),
 }
+
+
+def twins(cases, case, seed, m):
+    """(rng after the draws, the case built from tvckit, and from the reference)."""
+    rng = np.random.default_rng(seed)
+    return rng, cases[case](rng, m, tk), cases[case](np.random.default_rng(seed), m, reference)
 
 
 def _space(rng, m):
@@ -96,8 +106,7 @@ def _space(rng, m):
        horizon=st.integers(10, 30), m=st.integers(1, 3))
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_discrete_engines_match_reference(seed, case, horizon, m):
-    rng = np.random.default_rng(seed)
-    obj, lo, hi = DISCRETE_CASES[case](rng, m)
+    rng, (obj, lo, hi), (ref, _, _) = twins(DISCRETE_CASES, case, seed, m)
     n = obj.order
     space = _space(rng, m)
     domain = tk.TimeDomain.discrete(horizon)
@@ -108,35 +117,35 @@ def test_discrete_engines_match_reference(seed, case, horizon, m):
 
     # Euler rows: the report, one clipped row, and the Newton rows of one state
     got = outcome(lambda: tk.euler_report(obj, path).residuals)
-    want = outcome(lambda: np.stack([reference.discrete_euler_residual(obj, path, t)
+    want = outcome(lambda: np.stack([reference.discrete_euler_residual(ref, path, t)
                                      for t in range(last + 1)]))
     assert_same_outcome(got, want)
     t = int(rng.integers(0, horizon + 1))
     j_max = int(rng.integers(max(0, t - n), last + 1))
     assert_same_outcome(outcome(tk.discrete_euler_residual, obj, path, t, j_max),
-                        outcome(reference.discrete_euler_residual, obj, path, t, j_max))
+                        outcome(reference.discrete_euler_residual, ref, path, t, j_max))
     w = int(rng.integers(0, m))
     t_lo = int(rng.integers(0, last + 1))
     values_w = path.values[:, w, :]
     got = outcome(lambda: _trial_residuals(obj, values_w, values_w[t_lo : last + 1].reshape(1, -1),
                                            t_lo, n, w)[0])
-    want = outcome(lambda: np.array([reference.discrete_euler_residual(obj, path, t)[w]
+    want = outcome(lambda: np.array([reference.discrete_euler_residual(ref, path, t)[w]
                                      for t in range(t_lo, last + 1)]).ravel())
     assert_same_outcome(got, want)
 
     # tail terms over every truncation, and at one
     got = outcome(lambda: tk.tvc_liminf_discrete(obj, path, q).values)
-    want = outcome(lambda: [reference.discrete_tvc_tail(obj, path, q, tp)
+    want = outcome(lambda: [reference.discrete_tvc_tail(ref, path, q, tp)
                             for tp in range(max(n - 1, 0), last + 1)])
     assert_same_outcome(got, want)
     tprime = int(rng.integers(max(n - 1, 0), last + 1))
     assert_same_outcome(outcome(tk.discrete_tvc_tail, obj, path, q, tprime),
-                        outcome(reference.discrete_tvc_tail, obj, path, q, tprime))
+                        outcome(reference.discrete_tvc_tail, ref, path, q, tprime))
 
     # windowed objective sums
     assert_same_outcome(outcome(tk.truncated_objective, obj, path, tprime),
-                        outcome(reference.truncated_objective, obj, path, tprime))
-    want = outcome(lambda: sum(tk.expectation(space, [obj.value(path.window(j, n)[:, s, :], j, s)
+                        outcome(reference.truncated_objective, ref, path, tprime))
+    want = outcome(lambda: sum(tk.expectation(space, [ref.value(path.window(j, n)[:, s, :], j, s)
                                                       for s in range(m)])
                                for j in range(last + 1)))
     assert_same_outcome(outcome(tk.objective_value, obj, path), want)
@@ -152,10 +161,10 @@ def _plain_continuous():
 
 
 CONTINUOUS_CASES = {
-    "quadlin": lambda rng, m: tk.quadlin_continuous(_quadlin_params(rng, m)),
-    "dsl": lambda rng, m: tk.dsl_continuous_objective(
+    "quadlin": lambda rng, m, lib: lib.quadlin_continuous(_quadlin_params(rng, m)),
+    "dsl": lambda rng, m, lib: lib.dsl_continuous_objective(
         "(x0 - a)^2 + b * x1 + x2 ^ 2 / 2 + ln(x0)", 2, _constants(rng, m, "ab")),
-    "plain": lambda rng, m: _plain_continuous(),
+    "plain": lambda rng, m, lib: _plain_continuous(),
 }
 
 
@@ -163,8 +172,7 @@ CONTINUOUS_CASES = {
        h=st.sampled_from([0.02, 0.05, 0.1]), m=st.integers(1, 3))
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_jet_sampling_matches_reference(seed, case, h, m):
-    rng = np.random.default_rng(seed)
-    obj = CONTINUOUS_CASES[case](rng, m)
+    rng, obj, ref = twins(CONTINUOUS_CASES, case, seed, m)
     n = obj.order
     space = _space(rng, m)
     domain = tk.TimeDomain.continuous(2.0, h)
@@ -176,10 +184,10 @@ def test_jet_sampling_matches_reference(seed, case, h, m):
     jets = reference.jet_paths(path, n)
 
     P = kernel.jet_partials(obj, path)
-    series = [reference.partial_series(obj, k, jets, times, m, 1) for k in range(n + 1)]
+    series = [reference.partial_series(ref, k, jets, times, m, 1) for k in range(n + 1)]
     for k in range(n + 1):
         assert_close(P[:, k], series[k])
-    sampled = reference.sampled_values(obj, jets, times, m, 1)
+    sampled = reference.sampled_values(ref, jets, times, m, 1)
     assert_close(kernel.jet_values(obj, path), sampled)
 
     want = np.zeros_like(series[0])
@@ -193,24 +201,6 @@ def test_jet_sampling_matches_reference(seed, case, h, m):
     assert_close(tk.objective_value(obj, path), np.trapezoid(per_time, dx=h))
 
 
-def _same_arithmetic(obj):
-    """obj whose per-point value is its batched formula at one point.
-
-    A domination quotient divides the difference of two values by eps down to
-    1e-6 eps_bar, which turns a last-bit difference between numpy's and libm's
-    log or pow into a gap near 1e-9 and can flip a growth flag.  The values
-    themselves are held to the per-point callables above; here the loop and
-    the engine evaluate the same arithmetic.
-    """
-    if obj.batch_eval_fn is None:
-        return obj
-
-    def ev(point, t, w):
-        return obj.batch_eval_fn(point[None], np.array([t]), np.array([w]))[0]
-
-    return dataclasses.replace(obj, eval_fn=ev)
-
-
 DOMINATION_CASES = {
     "quadlin": DISCRETE_CASES["quadlin"],
     "household": DISCRETE_CASES["household"],
@@ -218,17 +208,21 @@ DOMINATION_CASES = {
     "dsl-log": DISCRETE_CASES["dsl-log"],
     "plain-analytic": DISCRETE_CASES["plain-analytic"],
     # on the constant path 1 the quotient grows like eps^-1/2 past the onset
-    "dsl-kink": lambda rng, m: (tk.dsl_discrete_objective("sqrt(abs(y0 - 1)) + y1", 1),
-                                1.0, 1.0),
+    "dsl-kink": lambda rng, m, lib: (lib.dsl_discrete_objective("sqrt(abs(y0 - 1)) + y1", 1),
+                                     1.0, 1.0),
 }
 
 
 def _domination_outcomes(case, seed, horizon, m, eps_bar, same_arithmetic):
-    """(engine, loop) outcomes of domination_check on one random input."""
-    rng = np.random.default_rng(seed)
-    obj, lo, hi = DOMINATION_CASES[case](rng, m)
-    if same_arithmetic:
-        obj = _same_arithmetic(obj)
+    """(engine, loop) outcomes of domination_check on one random input.
+
+    With same_arithmetic the loop calls obj.value, the batched formula at one
+    point.  Otherwise it calls the per-point twin: a domination quotient
+    divides the difference of two values by eps down to 1e-6 eps_bar, which
+    turns a last-bit difference between numpy's and libm's log or pow into a
+    gap near 1e-9 and can flip a growth flag.
+    """
+    rng, (obj, lo, hi), (twin, _, _) = twins(DOMINATION_CASES, case, seed, m)
     space = _space(rng, m)
     domain = tk.TimeDomain.discrete(horizon)
     path = tk.StochasticPath(domain, space, rng.uniform(lo, hi, size=(horizon + 1, m)))
@@ -237,7 +231,8 @@ def _domination_outcomes(case, seed, horizon, m, eps_bar, same_arithmetic):
     # up to 5 sample times; the largest possible one is past the last window
     times = rng.integers(0, horizon - obj.order + 2, size=int(rng.integers(0, 6))).tolist()
     return (outcome(tk.domination_check, obj, path, q, eps_bar, times),
-            outcome(reference.domination_check, obj, path, q, eps_bar, times))
+            outcome(reference.domination_check, obj if same_arithmetic else twin,
+                    path, q, eps_bar, times))
 
 
 DOMINATION_INPUTS = dict(seed=st.integers(0, 2**32 - 1), horizon=st.integers(10, 20),
@@ -270,7 +265,7 @@ def test_domination_matches_reference(case, seed, horizon, m, eps_bar):
 @given(**DOMINATION_INPUTS)
 @settings(max_examples=25, deadline=None, derandomize=True)
 def test_domination_close_to_reference_per_point(case, seed, horizon, m, eps_bar):
-    """With the per-point callables in the loop, the sups agree up to a value
+    """With the per-point twin in the loop, the sups agree up to a value
     gap of 1e-13 divided by the smallest eps; flags are not compared, since
     such a gap can in principle tip a growth test."""
     got, want = _domination_outcomes(case, seed, horizon, m, eps_bar, False)

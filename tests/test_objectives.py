@@ -1,8 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 import tvckit as tk
 from tvckit.errors import DomainError, InputError, NumericalError
 from tvckit.objectives import fd_partial_slot
@@ -129,11 +133,13 @@ class TestGradientCheck:
 
     def test_corrupted_partial_fails(self, params):
         base = tk.quadlin_discrete(params)
-        bad = tk.DiscreteObjective(
-            order=2, eval_fn=base.eval_fn,
-            partial_fns=(base.partial_fns[0],
-                         lambda p, t, w: base.partial_fns[1](p, t, w) + 0.1,
-                         base.partial_fns[2]))
+
+        def corrupted(points, t, w):
+            out = base.partials_batch(points, t, w)
+            out[:, 1] += 0.1
+            return out
+
+        bad = dataclasses.replace(base, batch_partials_fn=corrupted)
         report = tk.gradient_check(bad, [(np.array([1.0, 1.0, 1.0]), 0, 0)])
         assert not report.passed
         assert report.max_rel_gap == pytest.approx(0.1, rel=1e-3)
@@ -147,3 +153,96 @@ class TestGradientCheck:
         obj = tk.DiscreteObjective(order=0, eval_fn=lambda p, t, w: 0.0)
         with pytest.raises(InputError):
             tk.gradient_check(obj, [])
+
+    def test_sample_shapes_checked(self, quadlin_d):
+        # a 4-slot point for an order-2 objective, a 2-component one for a dim-1 objective
+        for point in (np.ones(4), np.ones((3, 2))):
+            with pytest.raises(InputError, match="sample of shape"):
+                tk.gradient_check(quadlin_d, [(np.ones(3), 0, 0), (point, 1, 0)])
+
+
+def test_one_form_per_objective():
+    f = lambda p, t, w: 0.0  # noqa: E731
+    for kwargs in ({}, {"eval_fn": f, "batch_eval_fn": f},
+                   {"eval_fn": f, "batch_partials_fn": f},
+                   {"batch_eval_fn": f, "partial_fns": (f,)}):
+        with pytest.raises(InputError, match="not both"):
+            tk.DiscreteObjective(order=0, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# One formula per objective
+
+REL = 1e-12  # the kernel tests' bound between numpy and per-point formulas
+PARAMS = tk.QuadLinParams(alpha=(1.0, 2.0), beta=(0.5, 0.4), gamma=(0.25, 0.2))
+
+
+def _near_wall(lo, hi):
+    """Points whose last slot often puts y0 + y1 - y2 on, next to or past 0."""
+    def draw(rng):
+        y = rng.uniform(lo, hi, size=3)
+        if rng.random() < 0.4:
+            y[2] = y[0] + y[1] - rng.choice([-1e-9, 0.0, 1e-12, 1e-7, 1e-3])
+        return y
+    return draw
+
+
+# name -> (builder(lib) of the objective, point sampler); lib is tvckit or the
+# reference module, whose builders make the per-point twin
+FORMULA_CASES = {
+    "quadlin-discrete": (lambda lib: lib.quadlin_discrete(PARAMS),
+                         lambda rng: rng.uniform(-2.0, 4.0, size=3)),
+    "quadlin-continuous": (lambda lib: lib.quadlin_continuous(PARAMS),
+                           lambda rng: rng.uniform(-2.0, 4.0, size=3)),
+    "household": (lambda lib: lib.household_log(0.9, 2), _near_wall(0.3, 1.5)),
+    "household-live": (lambda lib: lib.household_log(0.9, 2, zero_head=False),
+                       _near_wall(0.3, 1.5)),
+    # ln's wall, and EvalError where y0 < 0 (sqrt) or y0 = 0 (its partial)
+    "dsl-discrete": (lambda lib: lib.dsl_discrete_objective(
+        "a * ln(y0 + y1 - y2) + sqrt(y0) - b * y2 ^ 2 * t", 2,
+        {"a": (1.0, 0.5), "b": 0.3}), _near_wall(-0.2, 1.5)),
+    "dsl-continuous": (lambda lib: lib.dsl_continuous_objective(
+        "(x0 - a)^2 + b * x1 + x2 ^ 2 / 2 + ln(x0)", 2, {"a": (1.0, 2.0), "b": (0.5, 0.4)}),
+        lambda rng: rng.uniform(-0.5, 2.0, size=3)),
+}
+
+
+def _outcome(fn):
+    try:
+        return "ok", np.asarray(fn(), dtype=float)
+    except tk.ToolkitError as exc:
+        return "raised", type(exc)
+
+
+def _bits(outcome):
+    return outcome if outcome[0] == "raised" else ("ok", outcome[1].tobytes())
+
+
+@given(case=st.sampled_from(sorted(FORMULA_CASES)), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_value_and_partial_slot_are_the_batch_at_one_point(case, seed):
+    """value and partial_slot equal values_batch and partials_batch at one
+    point bit for bit, -inf and exception types included; both stay within
+    1e-12 of the per-point formulas in tests/reference.py."""
+    build, draw = FORMULA_CASES[case]
+    obj, twin = build(tk), build(reference)
+    rng = np.random.default_rng(seed)
+    point, w = draw(rng), int(rng.integers(0, 2))
+    t = int(rng.integers(0, 10)) if isinstance(obj, tk.DiscreteObjective) else rng.uniform(0, 5)
+    batch = (point[None, :, None], [t], [w])
+    pairs = [(_outcome(lambda: obj.value(point, t, w)),
+              _outcome(lambda: obj.values_batch(*batch)[0]),
+              _outcome(lambda: twin.value(point, t, w)))]
+    for k in range(obj.order + 1):
+        pairs.append((_outcome(lambda: tk.partial_slot(obj, k, point, t, w)),
+                      _outcome(lambda: obj.partials_batch(*batch)[0, k]),
+                      _outcome(lambda: tk.partial_slot(twin, k, point, t, w))))
+    for one, many, per_point in pairs:
+        assert _bits(one) == _bits(many)
+        assert one[0] == per_point[0], (one, per_point)
+        if one[0] == "raised":
+            assert one[1] is per_point[1]
+            continue
+        got, want = one[1], per_point[1]
+        with np.errstate(invalid="ignore"):  # -inf - -inf
+            assert ((got == want) | (np.abs(got - want) <= REL * np.maximum(1.0, np.abs(want)))).all()

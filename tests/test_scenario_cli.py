@@ -128,6 +128,9 @@ class TestSchemaAtLoad:
          "perturbation.values"),
         ("household", ("path", "solve", "head"), [[1.0, 1.0], [1.0]], "path.solve.head"),
         ("household", ("path", "solve", "tail"), [[0.2], [0.1, 0.1]], "path.solve.tail"),
+        # past the grid budget: refused before any array is built
+        ("discrete-counterexample", ("time", "t_max"), 10**11, "time.t_max"),
+        ("continuous-counterexample", ("time", "t_end"), 1e11, "time.t_end"),
     ])
     def test_every_command_exits_2_at_the_key(self, tmp_path, capsys, stem, keys, value,
                                               key_path):
@@ -225,6 +228,13 @@ class TestCliExitCodes:
         assert code == 1
         report = json.loads(out.read_text())
         assert report["scenario"]["time"]["t_max"] == 30
+
+    def test_tmax_past_the_grid_budget_exit_2(self, capsys):
+        code = main(["tvc", "--scenario", str(SCENARIOS / "discrete-counterexample.json"),
+                     "--tmax", "100000000000", "--quiet"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("input error: time.t_max: 100000000000 grid "
+                                                  "steps exceed the budget")
 
     @pytest.mark.parametrize("argv, node, key_path", [
         (["tvc", "--tmax", "5"], ("time", 3), "time"),

@@ -1,16 +1,19 @@
-"""The batched solvers against their loop forms (tests/reference.py).
+"""The batched solvers and oracles against their loop forms (tests/reference.py).
 
 The Newton Jacobian groups columns whose times lie 2n+1 apart and evaluates
 every perturbed vector in one batched call; it must equal the column-by-column
 Jacobian bit for bit.  The brute-force oracle scores chunks of grid
 combinations in one batched call; it must pick the same combination as the
 per-point loop, ties and -inf combinations included, with the same sums.
-A work-count guard pins the number of batched objective calls, so a return to
-per-column or per-point evaluation fails here.
+gradient_check and correspondence_check evaluate every sample in a few
+batched calls; their reports must equal the sample-by-sample loops' bit for
+bit.  A work-count guard pins the number of batched objective calls, so a
+return to per-column or per-point evaluation fails here.
 """
 
 import collections
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -49,16 +52,6 @@ CASES = {
     "dim2": lambda rng: (_dim2(), -1.0, 2.0),
     "plain-fd": lambda rng: (_plain(2, False), -1.0, 3.0),
 }
-
-
-def _pointwise(obj):
-    """obj with its batched value formula evaluated one point at a time.  The
-    per-point loop then does the arithmetic of one batched call: np.log and
-    math.log, or 0.9**t in numpy and in Python, may differ in the last bit."""
-    if obj.batch_eval_fn is None:
-        return obj
-    return dataclasses.replace(
-        obj, eval_fn=lambda p, t, w: obj.values_batch(p[None], [t], [w])[0])
 
 
 def _outcome(fn, *args):
@@ -137,7 +130,7 @@ def test_brute_force_equals_loop(seed, case, free, points):
     # one decimal: repeated grid values make ties between combinations
     grids = [np.round(rng.uniform(lo - 0.5, hi + 0.5, size=points), 1) for _ in range(free)]
     _assert_same_result(_outcome(tk.brute_force_solve, obj, base, free_indices, grids),
-                        _outcome(reference.brute_force_solve, _pointwise(obj), base,
+                        _outcome(reference.brute_force_solve, obj, base,
                                  free_indices, grids))
 
 
@@ -161,9 +154,104 @@ def test_brute_force_ties_and_walls(space, make, values, grid, infeasible):
     base = tk.StochasticPath.constant(tk.TimeDomain.discrete(6), space, values)
     assert len(grid) ** 3 > solvers.BRUTE_FORCE_CHUNK
     got = _outcome(tk.brute_force_solve, obj, base, [2, 3, 4], [grid] * 3)
-    _assert_same_result(got, _outcome(reference.brute_force_solve, _pointwise(obj), base,
+    _assert_same_result(got, _outcome(reference.brute_force_solve, obj, base,
                                       [2, 3, 4], [grid] * 3))
     assert (got == ("raised", NumericalError)) == infeasible
+
+
+# ---------------------------------------------------------------------------
+# gradient_check and correspondence_check against the sample-by-sample loops
+
+def _walled_values(lo, hi):
+    """Values where y[o] + y[o+1] - y[o+2] often lies on, next to or past 0."""
+    def draw(rng, size):
+        y = rng.uniform(lo, hi, size=size)
+        for o in range(size - 2):
+            if rng.random() < 0.3:
+                y[o + 2] = y[o] + y[o + 1] - rng.choice([-1e-9, 0.0, 1e-7, 1e-5, 1e-3, 0.1])
+        return y
+    return draw
+
+
+def _ones(rng, size):
+    """Values that are 1 or 1 -+ 5e-7 half of the time: inside a spike of width
+    1e-6 around 1, a difference step of 1e-6 leaves it on both sides or on
+    one side, and a second step on that side leaves it too."""
+    near = rng.choice([1.0 - 5e-7, 1.0, 1.0 + 5e-7], size=size)
+    return np.where(rng.random(size) < 0.5, near, rng.uniform(0.5, 1.5, size=size))
+
+
+def _subnormal(rng, size):
+    """Values in (0, 1), the first one subnormal now and then: ln's partial
+    1/y0 then overflows to inf and its relative gap is nan."""
+    y = rng.uniform(0.0, 1.0, size=size)
+    if rng.random() < 0.3:
+        y[0] = 1e-320
+    return y
+
+
+def _hundreds(rng, size):
+    """Values that are exactly 100 half of the time."""
+    return np.where(rng.random(size) < 0.5, 100.0, rng.uniform(99.0, 101.0, size=size))
+
+
+def _plain_log(p, t, w):
+    c = p[0, 0] + p[1, 0] - p[2, 0]
+    return (1.0 + 0.5 * w) * math.log(c) + p[0, 0] * p[2, 0] if c > 0.0 else -math.inf
+
+
+def _plain_spike(p, t, w):
+    """Smooth except at times 1 mod 3, where it is finite only within 5e-6 of
+    slot w = 100.  A difference step of 1e-4 (1e-6 times a value near 100)
+    meets -inf on both sides there; one of 1e-6, taken in a jet's derivative
+    slots, does not."""
+    base = p[0, 0] * p[2, 0] + (w + 1) * p[1, 0] ** 2
+    gap = 2.5e-11 - (p[w, 0] - 100.0) ** 2
+    if t % 3 != 1:
+        return base
+    return base + math.log(gap) if gap > 0.0 else -math.inf
+
+
+# name -> (order-2 discrete objective, value sampler)
+ORACLE_CASES = {
+    "quadlin": (tk.quadlin_discrete(tk.QuadLinParams((1.0, 2.0), (0.5, 0.4), (0.25, 0.2))),
+                lambda rng, size: rng.uniform(-1.0, 3.0, size=size)),
+    "household": (tk.household_log(0.9, 2), _walled_values(0.2, 1.5)),
+    "household-live": (tk.household_log(0.9, 2, zero_head=False), _walled_values(0.2, 1.5)),
+    "dsl-log": (tk.dsl_discrete_objective("a * ln(y0 + y1 - y2) + b * y2 ^ 2", 2,
+                                          {"a": (1.0, 0.5), "b": (0.3, 0.7)}),
+                _walled_values(0.2, 1.5)),
+    # spikes of width 1e-6 and 5e-7 around 1 in slots 1 and 2
+    "dsl-spike": (tk.dsl_discrete_objective(
+        "ln(1e-12 - (y1 - 1)^2) + ln(2.5e-13 - (y2 - 1)^2) + y0", 2), _ones),
+    "dsl-subnormal": (tk.dsl_discrete_objective("ln(y0) + y1 * y2", 2), _subnormal),
+    "plain-analytic": (_plain(2, True), lambda rng, size: rng.uniform(-1.0, 3.0, size=size)),
+    "plain-fd-log": (tk.DiscreteObjective(order=2, eval_fn=_plain_log), _walled_values(0.2, 1.5)),
+    "plain-fd-spike": (tk.DiscreteObjective(order=2, eval_fn=_plain_spike), _hundreds),
+}
+
+
+def _same_report(got, want):
+    """Equal outcomes; reports equal field by field, floats bit for bit."""
+    assert got[0] == want[0], (got, want)
+    assert repr(got[1]) == repr(want[1])
+
+
+@given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(sorted(ORACLE_CASES)),
+       samples=st.integers(0, 40))
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_batched_oracles_equal_the_loops(seed, case, samples):
+    rng = np.random.default_rng(seed)
+    obj, draw = ORACLE_CASES[case]
+    points = [(draw(rng, 3), int(rng.integers(0, 10)), int(rng.integers(0, M)))
+              for _ in range(samples)]
+    _same_report(_outcome(tk.gradient_check, obj, points),
+                 _outcome(reference.gradient_check, obj, points))
+    segments = [(draw(rng, 5), int(rng.integers(0, 10)), int(rng.integers(0, M)))
+                for _ in range(samples)]
+    pair = tk.discrete_to_continuous(obj)
+    _same_report(_outcome(tk.correspondence_check, pair, segments),
+                 _outcome(reference.correspondence_check, pair, segments))
 
 
 # ---------------------------------------------------------------------------
@@ -208,3 +296,25 @@ def test_brute_force_batched_call_count(space):
     # every window touches a free index, so no base-part call
     assert solvers.BRUTE_FORCE_CHUNK == 1024
     assert dict(counts) == {"values": 2 * 10 + 1}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: tk.household_log(0.9, 2),
+    lambda: tk.dsl_discrete_objective("a * ln(y0 + y1 - y2) + b * y2 ^ 2", 2,
+                                      {"a": (1.0, 0.5), "b": (0.3, 0.7)})])
+def test_oracle_batched_call_counts(make):
+    obj, counts = _counting(make())
+    rng = np.random.default_rng(3)
+    segments = [(rng.uniform(0.5, 3.0, size=5), int(rng.integers(0, 10)),
+                 int(rng.integers(0, 2))) for _ in range(100)]
+    rep = tk.correspondence_check(tk.discrete_to_continuous(obj), segments)
+    assert rep.checked > 0 and rep.skipped > 0
+    # values: the windows, every stencil point, the jets; partials: the
+    # windows, the jets
+    assert dict(counts) == {"values": 3, "partials": 2}
+    counts.clear()
+    points = [(rng.uniform(1.0, 1.9, size=3), int(rng.integers(0, 10)),
+               int(rng.integers(0, 2))) for _ in range(50)]
+    assert tk.gradient_check(obj, points).checked == 50
+    # values: the -inf screen and the central differences; one partials call
+    assert dict(counts) == {"values": 2, "partials": 1}

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -215,11 +217,12 @@ class TestCorrespondence:
         assert rep.passed
 
     def test_corrupted_partial_fails(self, quadlin_d, params):
-        bad = tk.DiscreteObjective(
-            order=2, eval_fn=quadlin_d.eval_fn,
-            partial_fns=(quadlin_d.partial_fns[0],
-                         lambda p, t, w: params.beta[w] + 0.1,
-                         quadlin_d.partial_fns[2]))
+        def corrupted(points, t, w):
+            out = quadlin_d.partials_batch(points, t, w)
+            out[:, 1, 0] = np.asarray(params.beta)[w] + 0.1
+            return out
+
+        bad = dataclasses.replace(quadlin_d, batch_partials_fn=corrupted)
         pair = tk.CorrespondencePair(discrete=bad,
                                      continuous=tk.discrete_to_continuous(
                                          quadlin_d).continuous)
@@ -233,6 +236,13 @@ class TestCorrespondence:
         rep = tk.correspondence_check(pair, segments)
         assert rep.verdict == "INCONCLUSIVE"
         assert rep.skipped == 1
+
+    def test_segment_shape_checked(self, quadlin_d):
+        # 2 components on a dim-1 objective, and 4 consecutive values
+        pair = tk.discrete_to_continuous(quadlin_d)
+        for seg in (np.stack([np.linspace(1.0, 2.0, 5), np.full(5, 7.0)], axis=1), np.ones(4)):
+            with pytest.raises(InputError, match="sample of shape"):
+                tk.correspondence_check(pair, [(np.ones(5), 0, 0), (seg, 1, 0)])
 
     def test_continuous_objective_rejected(self, quadlin_c):
         with pytest.raises(tk.InputError, match="needs a discrete objective"):
