@@ -141,10 +141,14 @@ def euler_report(obj, path: StochasticPath, mode: BoundaryMode | None = None,
         default_tol = DEFAULT_TOL_ANALYTIC if obj.has_analytic_partials else DEFAULT_TOL_FD
         indices = tuple(idxs)
     else:
-        series = continuous_euler_residual_series(obj, path)
         n = obj.order
+        if mode.kind != "paper_literal":
+            raise InputError(f"boundary mode {mode.kind} needs a discrete objective")
+        if path.num_points < 2 * n + 1:
+            raise HorizonError(f"a grid of {path.num_points} points has no interior index "
+                               f"for order {n} stencils")
         interior = slice(n, path.num_points - n)
-        residuals = series[interior]
+        residuals = continuous_euler_residual_series(obj, path)[interior]
         indices = tuple(path.domain.times()[interior])
         default_tol = DEFAULT_TOL_FD  # grid stencils dominate the error budget
     tol = default_tol if tolerance is None else tolerance

@@ -2,7 +2,7 @@
 
 A discrete objective maps a window (y_t, ..., y_{t+n}) to a value in [-inf, inf);
 a continuous objective does the same for a jet (x, x', ..., x^(n)).  Slot-partials
-are analytic when supplied and central finite differences otherwise.
+are analytic when supplied and five-point finite differences otherwise.
 
 An objective holds its formula once: batched over N points (the built-in and
 DSL objectives, in numpy) or per point (plain callables, which a loop
@@ -23,8 +23,11 @@ from .errors import DomainError, InputError, NumericalError
 
 NEG_INF = float("-inf")
 
-# slot-partial finite-difference step: relative, balanced for double precision
-FD_SCALE = 1e-6
+# five-point slot-partial steps, tried in turn, in units of the largest power
+# of two <= max(1, |entry|): powers of two, so every stencil point is exact
+FD_STEPS = 2.0 ** -np.arange(10, 40, 2)
+# largest relative gap between the five-point and central differences at one step
+FD_AGREEMENT = 1e-6
 # largest relative gap gradient_check accepts between analytic and FD partials
 GRADIENT_REL_TOL = 1e-6
 
@@ -48,7 +51,7 @@ class _Objective:
     and, optionally, partial_fns, one callable per slot with the same
     signature returning a scalar or a (dim,) vector; values_batch and
     partials_batch loop over them.  Without either partials, partials_batch
-    takes central finite differences of values_batch.
+    takes fd_partials of values_batch.
     """
 
     order: int
@@ -130,7 +133,7 @@ def partial_slot(obj: _Objective, k: int, point, t, w) -> np.ndarray:
     """Partial derivative of the objective w.r.t. slot k at the given point; shape (dim,).
 
     partials_batch at one point: the analytic partial when available,
-    otherwise fd_partials, where a -inf on both sides of any slot raises.
+    otherwise fd_partials, where an unresolved slot raises.
     """
     return obj.partials_batch(*_one_point(obj, k, point, t, w))[0, k]
 
@@ -141,66 +144,68 @@ def fd_partial_slot(obj: _Objective, k: int, point, t, w) -> np.ndarray:
 
 
 def shifted_values(obj: _Objective, points: np.ndarray, t: np.ndarray, w: np.ndarray,
-                   deltas: np.ndarray) -> np.ndarray:
-    """values_batch at N points with one entry moved, all in one call.
+                   rows: np.ndarray, cols: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """values_batch at K = len(rows) points with one entry moved, all in one call.
 
-    deltas has shape (K, N, (order+1)*dim): deltas[k, i, e] moves entry e of
-    point i, entries in (slot, component) order.  Returns the K*N*entries
-    values in the shape of deltas.
-    """
-    count, shape = len(points), points.shape[1:]
-    size = shape[0] * shape[1]
-    moved = np.repeat(points.reshape(1, count, 1, size), size, axis=2).repeat(len(deltas), axis=0)
-    moved[:, :, np.arange(size), np.arange(size)] += deltas
-    grid = deltas.shape
-    return obj.values_batch(moved.reshape((-1,) + shape), np.broadcast_to(t[:, None], grid).ravel(),
-                            np.broadcast_to(w[:, None], grid).ravel()).reshape(grid)
-
-
-def fd_partials(obj: _Objective, points: np.ndarray, t: np.ndarray, w: np.ndarray,
-                f0: np.ndarray):
-    """Central differences of values_batch in every slot component at N points
-    whose values f0 are finite; analytic partials are ignored.
-
-    Returns (P, walled): P has shape (N, order+1, dim), and walled (N, order+1)
-    marks the slots where the objective is -inf on both sides of a component
-    (P is nan there).  The step is FD_SCALE * max(1, |entry|).  Where one side
-    is -inf, the second-order one-sided stencil on the other side is used, or
-    the first-order one when its second point is -inf too.  The points one
-    step away go through one values_batch call, the second points another.
+    Point rows[i] has its entry cols[i] (in (slot, component) order) moved by
+    deltas[s, i]; deltas has shape (S, K), and so do the returned values.
     """
     flat = points.reshape(len(points), points.shape[1] * points.shape[2])
-    h = FD_SCALE * np.maximum(1.0, np.abs(flat))
-    fp, fm = shifted_values(obj, points, t, w, np.stack([h, -h]))
-    up = np.isneginf(fm) & ~np.isneginf(fp)
-    side = up | (np.isneginf(fp) & ~np.isneginf(fm))
-    with np.errstate(invalid="ignore"):  # -inf - -inf, and the branch np.where drops
-        out = (fp - fm) / (2.0 * h)
-        if side.any():
-            # the stencil on the finite side; s mirrors it onto the lower side
-            rows, cols = np.nonzero(side)
-            s, f1 = np.where(up[side], 1.0, -1.0), np.where(up, fp, fm)[side]
-            hs, f0s = h[side], f0[rows]
-            moved = flat[rows]
-            moved[np.arange(len(rows)), cols] += 2.0 * hs * s
-            f2 = obj.values_batch(moved.reshape((-1,) + points.shape[1:]), t[rows], w[rows])
-            out[side] = s * np.where(np.isneginf(f2), (f1 - f0s) / hs,
-                                     (-3.0 * f0s + 4.0 * f1 - f2) / (2.0 * hs))
-    walled = np.isneginf(fp) & np.isneginf(fm)
-    return out.reshape(points.shape), walled.reshape(points.shape).any(axis=2)
+    moved = np.repeat(flat[None, rows], len(deltas), axis=0)
+    moved[:, np.arange(len(rows)), cols] += deltas
+    return obj.values_batch(moved.reshape((-1,) + points.shape[1:]), np.tile(t[rows], len(deltas)),
+                            np.tile(w[rows], len(deltas))).reshape(deltas.shape)
+
+
+def fd_partials(obj: _Objective, points: np.ndarray, t: np.ndarray, w: np.ndarray):
+    """Five-point differences of values_batch in every slot component at N
+    points; analytic partials are ignored.
+
+    Each entry takes the stencil (f(-2h) - 8 f(-h) + 8 f(h) - f(2h)) / 12h at
+    the first of the steps h = FD_STEPS * 2^floor(log2 max(1, |entry|)) whose
+    four points are finite and whose value is within FD_AGREEMENT (relative)
+    of the central difference at h.  Each step is one values_batch call over
+    the entries still open.  Returns (P, unresolved): P has shape (N,
+    order+1, dim), and unresolved (N, order+1) marks the slots with an entry
+    that no step resolves (P is nan there).
+    """
+    flat = points.reshape(len(points), points.shape[1] * points.shape[2])
+    out = np.full(flat.shape, np.nan)
+    rows, cols = np.indices(flat.shape).reshape(2, -1)
+    for step in FD_STEPS:
+        if not len(rows):
+            break
+        h = np.ldexp(step, np.frexp(np.maximum(1.0, np.abs(flat[rows, cols])))[1] - 1)
+        fm2, fm1, fp1, fp2 = shifted_values(obj, points, t, w, rows, cols,
+                                            np.array([[-2.0], [-1.0], [1.0], [2.0]]) * h)
+        with np.errstate(invalid="ignore"):  # -inf - -inf where a point meets the wall
+            five = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
+            done = np.isfinite(five) & (np.abs(five - (fp1 - fm1) / (2.0 * h))
+                                        <= FD_AGREEMENT * np.maximum(1.0, np.abs(five)))
+        out[rows[done], cols[done]] = five[done]
+        rows, cols = rows[~done], cols[~done]
+    return out.reshape(points.shape), np.isnan(out).reshape(points.shape).any(axis=2)
 
 
 def _fd_or_raise(obj, points, t, w) -> np.ndarray:
-    """fd_partials at points where the objective must be finite and no entry walled."""
+    """fd_partials at points where the objective must be finite and every entry resolved."""
     f0 = obj.values_batch(points, t, w)
     if np.isneginf(f0).any():
         i = int(np.argmax(np.isneginf(f0)))
         raise DomainError(f"objective is -inf at the evaluation point (t={t[i]}, state {w[i]})")
-    out, walled = fd_partials(obj, points, t, w, f0)
-    if walled.any():
-        i, k = np.argwhere(walled)[0]
-        raise DomainError(f"objective is -inf on both sides of slot {k} (t={t[i]}, state {w[i]})")
+    out, unresolved = fd_partials(obj, points, t, w)
+    if unresolved.any():
+        i, k = np.argwhere(unresolved)[0]
+        raise DomainError(f"no finite-difference step resolves slot {k} (t={t[i]}, state {w[i]})")
     return out
+
+
+def rel_gap(approx: np.ndarray, reference: np.ndarray) -> float:
+    """max |approx - reference| / max(1, |reference|) over every entry; 0.0 when
+    empty.  A nan (an infinite reference) propagates, and fails any tolerance."""
+    with np.errstate(invalid="ignore"):
+        gaps = np.abs(approx - reference) / np.maximum(1.0, np.abs(reference))
+    return float(np.max(gaps, initial=0.0))
 
 
 def stack_samples(obj: _Objective, samples: Sequence, slots: int):
@@ -230,27 +235,23 @@ class GradientCheckReport:
 
 
 def gradient_check(obj: _Objective, points: Sequence) -> GradientCheckReport:
-    """Compare analytic slot-partials against central finite differences.
+    """Compare analytic slot-partials against fd_partials by rel_gap.
 
     points is a sequence of (point, t, w) triples; samples on the -inf boundary
-    are skipped, and so is each slot whose finite difference meets -inf on
-    both sides.  The check is inconclusive if every sample is skipped.
+    are skipped, and so is each slot with an entry fd_partials leaves
+    unresolved.  The check is inconclusive if every sample is skipped.
     """
     if not obj.has_analytic_partials:
         raise InputError("gradient_check needs analytic partials to compare against")
     points, t, w = stack_samples(obj, points, obj.order + 1)
-    f0 = obj.values_batch(points, t, w)
-    live = ~np.isneginf(f0)
+    live = ~np.isneginf(obj.values_batch(points, t, w))
     checked = int(live.sum())
     if checked == 0:
-        return GradientCheckReport(math.nan, 0, len(f0), "INCONCLUSIVE", GRADIENT_REL_TOL)
-    points, t, w, f0 = points[live], t[live], w[live], f0[live]
-    ana = obj.partials_batch(points, t, w)
-    fd, walled = fd_partials(obj, points, t, w, f0)
-    with np.errstate(invalid="ignore"):
-        gaps = np.max(np.abs(ana - fd) / np.maximum(1.0, np.abs(ana)), axis=2)[~walled]
-    worst = float(np.max(gaps[~np.isnan(gaps)], initial=0.0))  # a nan gap is not a gap
-    skipped = len(live) - checked + int(walled.sum())
+        return GradientCheckReport(math.nan, 0, len(live), "INCONCLUSIVE", GRADIENT_REL_TOL)
+    points, t, w = points[live], t[live], w[live]
+    fd, unresolved = fd_partials(obj, points, t, w)
+    worst = rel_gap(fd[~unresolved], obj.partials_batch(points, t, w)[~unresolved])
+    skipped = len(live) - checked + int(unresolved.sum())
     verdict = "PASS" if worst <= GRADIENT_REL_TOL else "FAIL"
     return GradientCheckReport(worst, checked, skipped, verdict, GRADIENT_REL_TOL)
 

@@ -20,8 +20,8 @@ from .errors import (DomainError, InputError, NumericalError, UnsupportedError)
 from .euler import BoundaryMode, max_window_start
 from .kernel import (euler_rows, expected_cumsum, jet_values, partials_at,
                      values_at, window_stack, window_values)
-from .objectives import (ContinuousObjective, DiscreteObjective, fd_partials,
-                         shifted_values, stack_samples)
+from .objectives import (ContinuousObjective, DiscreteObjective, fd_partials, rel_gap,
+                         stack_samples)
 
 NEG_INF = float("-inf")
 
@@ -380,13 +380,13 @@ def discrete_to_continuous(V: DiscreteObjective) -> CorrespondencePair:
     return CorrespondencePair(discrete=V, continuous=v)
 
 
-def _partials_walled(obj, points, t, w, f0):
-    """Slot-partials of obj at points where it is f0 > -inf, and per (point,
-    slot) whether their finite difference met -inf on both sides."""
+def _partials_unresolved(obj, points, t, w):
+    """Slot-partials of obj at points where it is finite, and per (point, slot)
+    whether fd_partials left them unresolved."""
     if obj.has_analytic_partials:
         P = obj.partials_batch(points, t, w)
         return P, np.zeros(P.shape[:2], dtype=bool)
-    return fd_partials(obj, points, t, w, f0)
+    return fd_partials(obj, points, t, w)
 
 
 @dataclass(frozen=True)
@@ -414,19 +414,19 @@ def correspondence_check(pair: CorrespondencePair, segments) -> CorrespondenceRe
     segments is a sequence of (seg, t, w) with seg a run of 5 consecutive path
     values (y_t .. y_{t+4}) per state dimension.  For each sample:
 
-    (a) at the jet (y_t, dy_t, d2y_t): the five-point slot-partials of the
-        substituted v match V1+V2+V3, V2+2V3 and V3 evaluated at the window;
+    (a) at the jet (y_t, dy_t, d2y_t): the fd_partials of the substituted v
+        match V1+V2+V3, V2+2V3 and V3 evaluated at the window;
     (b) the stationarity row at index t+2 over windows t..t+2 equals
         v1(t+2) + (v2(t+1) - v2(t+2)) + (v3(t) - 2 v3(t+1) + v3(t+2)).
 
-    A sample is skipped, and counted, when a value it needs is -inf: V on a
-    window, v at a jet or at a point of a stencil.  The gaps must stay within
-    1e-10 for analytic partials, 1e-6 for finite differences.  Every sample
-    goes through the same few batched calls; a slot gap of (a) already taken
-    before a sample is found to need a -inf value stays in max_partial_gap.
+    A sample is skipped, and counted, when a value it needs is -inf (V on a
+    window, v at a jet) or fd_partials leaves a partial it needs unresolved.
+    Both gaps are rel_gap against the V side and must stay within 1e-8 for
+    analytic partials, 1e-6 for finite differences.  Every sample goes
+    through the same few batched calls.
     """
     V, v = pair.discrete, pair.continuous
-    tolerance = 1e-10 if V.has_analytic_partials else 1e-6
+    tolerance = 1e-8 if V.has_analytic_partials else 1e-6
     segs, t, w = stack_samples(V, segments, 5)
     count, dim = len(segs), V.dim
     win = np.stack([segs[:, o : o + 3] for o in range(3)], axis=1)  # sample, offset, slot
@@ -434,45 +434,30 @@ def correspondence_check(pair: CorrespondencePair, segments) -> CorrespondenceRe
     vals = V.values_batch(win.reshape(-1, 3, dim), times.ravel(), np.repeat(w, 3))
     keep = ~np.isneginf(vals.reshape(count, 3)).any(axis=1)
     win, t, w, times = win[keep], t[keep], w[keep], times[keep]
-    vals, states, live = vals.reshape(count, 3)[keep].ravel(), np.repeat(w, 3), len(win)
+    states, live = np.repeat(w, 3), len(win)
     jets = np.stack([win[:, :, 0], win[:, :, 1] - win[:, :, 0],
                      win[:, :, 2] - 2.0 * win[:, :, 1] + win[:, :, 0]], axis=2)
 
     # V's partials on windows 0..2: (a) reads every slot of window 0, (b) the
     # slots 2, 1, 0 of windows 0, 1, 2
-    PV, walled = _partials_walled(V, win.reshape(-1, 3, dim), times.ravel(), states, vals)
-    PV, walled = PV.reshape((live, 3) + PV.shape[1:]), walled.reshape(live, 3, 3)
-    ok_a = ~walled[:, 0].any(axis=1)
-    ok_b = ~(walled[:, 1, 1] | walled[:, 2, 0])
-
-    # v at every point of the five-point stencils around jet 0, in one call
-    h = 1e-3 * np.maximum(1.0, np.abs(jets[:, 0].reshape(live, 3 * dim)))
-    stencil = shifted_values(v, jets[:, 0], t, w, np.array([-2, -1, 1, 2])[:, None, None] * h)
-    fm2, fm1, fp1, fp2 = stencil
-    stencil_ok = ~np.isneginf(stencil).any(axis=0).reshape(live, 3, dim).any(axis=2)
+    PV, unresolved = _partials_unresolved(V, win.reshape(-1, 3, dim), times.ravel(), states)
+    PV, unresolved = PV.reshape((live, 3) + PV.shape[1:]), unresolved.reshape(live, 3, 3)
+    fd, fd_unresolved = fd_partials(v, jets[:, 0], t, w)
     fv = v.values_batch(jets.reshape(-1, 3, dim), times.ravel(), states).reshape(live, 3)
-    combos = np.stack([PV[:, 0, 0] + PV[:, 0, 1] + PV[:, 0, 2],
-                       PV[:, 0, 1] + 2.0 * PV[:, 0, 2], PV[:, 0, 2]], axis=1)
-    with np.errstate(invalid="ignore"):  # -inf in a stencil; such a gap is not taken
-        fd5 = ((fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)).reshape(live, 3, dim)
-        gaps = np.max(np.abs(fd5 - combos), axis=2)
-    # (a) goes slot by slot and stops at the first stencil that meets -inf
-    gaps = gaps[ok_a[:, None] & np.logical_and.accumulate(stencil_ok, axis=1)]
-    worst_a = float(np.max(gaps[~np.isnan(gaps)], initial=0.0))  # a nan gap is not a gap
-
-    ok = ok_a & stencil_ok.all(axis=1) & ok_b & ~np.isneginf(fv).any(axis=1)
-    Pv, walled = _partials_walled(v, jets[ok].reshape(-1, 3, dim), times[ok].ravel(),
-                                  np.repeat(w[ok], 3), fv[ok].ravel())
-    fine = ~(walled.reshape(-1, 3, 3) & _JET_SLOTS).any(axis=(1, 2))
+    ok = ~(unresolved[:, 0].any(axis=1) | unresolved[:, 1, 1] | unresolved[:, 2, 0]
+           | fd_unresolved.any(axis=1) | np.isneginf(fv).any(axis=1))
+    Pv, unresolved = _partials_unresolved(v, jets[ok].reshape(-1, 3, dim), times[ok].ravel(),
+                                          np.repeat(w[ok], 3))
+    fine = ~(unresolved.reshape(-1, 3, 3) & _JET_SLOTS).any(axis=(1, 2))
     checked = int(fine.sum())
     if checked == 0:
         return CorrespondenceReport(math.nan, math.nan, 0, count, tolerance, "INCONCLUSIVE")
-    PV, Pv = PV[ok][fine], Pv.reshape((-1, 3) + Pv.shape[1:])[fine]
+    PV, fd, Pv = PV[ok][fine], fd[ok][fine], Pv.reshape((-1, 3) + Pv.shape[1:])[fine]
+    combos = np.stack([PV[:, 0, 0] + PV[:, 0, 1] + PV[:, 0, 2],
+                       PV[:, 0, 1] + 2.0 * PV[:, 0, 2], PV[:, 0, 2]], axis=1)
     lhs = PV[:, 0, 2] + PV[:, 1, 1] + PV[:, 2, 0]
     rhs = (Pv[:, 2, 0] + (Pv[:, 1, 1] - Pv[:, 2, 1])
            + (Pv[:, 0, 2] - 2.0 * Pv[:, 1, 2] + Pv[:, 2, 2]))
-    with np.errstate(invalid="ignore"):
-        gaps = np.max(np.abs(lhs - rhs), axis=1)
-    worst_b = float(np.max(gaps[~np.isnan(gaps)], initial=0.0))
+    worst_a, worst_b = rel_gap(fd, combos), rel_gap(rhs, lhs)
     verdict = "PASS" if max(worst_a, worst_b) <= tolerance else "FAIL"
     return CorrespondenceReport(worst_a, worst_b, checked, count - checked, tolerance, verdict)

@@ -25,8 +25,8 @@ from tvckit.errors import (DomainError, EvalError, HorizonError, InputError,
                            NumericalError, UnsupportedError)
 from tvckit.euler import max_window_start
 from tvckit.expr import Call, Const, Neg, Var, parse_source, symbolic_partial
-from tvckit.objectives import (FD_SCALE, GRADIENT_REL_TOL, GradientCheckReport,
-                               _as_point)
+from tvckit.objectives import (FD_AGREEMENT, FD_STEPS, GRADIENT_REL_TOL,
+                               GradientCheckReport, _as_point)
 from tvckit.solvers import JAC_FD_STEP, BruteForceResult, CorrespondenceReport
 
 NEG_INF = float("-inf")
@@ -181,16 +181,25 @@ def dsl_continuous_objective(source, order, constants=None):
 # Per-point finite differences and the sample-by-sample oracles
 
 def fd_partial_slot(obj, k, point, t, w):
-    """Central difference of obj.value in each component of slot k, step
-    FD_SCALE * max(1, |y|), with a one-sided stencil next to a -inf wall."""
+    """Five-point difference of obj.value in each component of slot k at the
+    first step h = FD_STEPS * 2^floor(log2 max(1, |y|)) whose four points are
+    finite and whose value is within FD_AGREEMENT of the central one."""
     point = _as_point(point)
-    f0 = obj.value(point, t, w)
-    if f0 == NEG_INF:
+    if obj.value(point, t, w) == NEG_INF:
         raise DomainError(f"objective is -inf at the evaluation point (t={t}, state {w})")
     out = np.empty(obj.dim)
     for i in range(obj.dim):
-        h = FD_SCALE * max(1.0, abs(point[k, i]))
-        out[i] = _fd_component(obj, point, t, w, k, i, h, f0)
+        for step in FD_STEPS:
+            h = math.ldexp(step, math.frexp(max(1.0, abs(point[k, i])))[1] - 1)
+            fm2, fm1, fp1, fp2 = (_shifted_value(obj, point, t, w, k, i, c * h)
+                                  for c in (-2.0, -1.0, 1.0, 2.0))
+            five = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
+            if (math.isfinite(five) and abs(five - (fp1 - fm1) / (2.0 * h))
+                    <= FD_AGREEMENT * max(1.0, abs(five))):
+                out[i] = five
+                break
+        else:
+            raise DomainError(f"no finite-difference step resolves slot {k} (t={t}, state {w})")
     return out
 
 
@@ -200,22 +209,8 @@ def _shifted_value(obj, point, t, w, k, i, delta):
     return obj.value(shifted, t, w)
 
 
-def _fd_component(obj, point, t, w, k, i, h, f0):
-    fp = _shifted_value(obj, point, t, w, k, i, +h)
-    fm = _shifted_value(obj, point, t, w, k, i, -h)
-    if fp != NEG_INF and fm != NEG_INF:
-        return (fp - fm) / (2.0 * h)
-    if fp != NEG_INF:
-        f2 = _shifted_value(obj, point, t, w, k, i, +2.0 * h)
-        if f2 != NEG_INF:
-            return (-3.0 * f0 + 4.0 * fp - f2) / (2.0 * h)
-        return (fp - f0) / h
-    if fm != NEG_INF:
-        f2 = _shifted_value(obj, point, t, w, k, i, -2.0 * h)
-        if f2 != NEG_INF:
-            return (3.0 * f0 - 4.0 * fm + f2) / (2.0 * h)
-        return (f0 - fm) / h
-    raise DomainError(f"objective is -inf on both sides of slot {k} (t={t}, state {w})")
+def _rel_gap(approx, reference):
+    return np.max(np.abs(approx - reference) / np.maximum(1.0, np.abs(reference)))
 
 
 def partial_slot(obj, k, point, t, w):
@@ -229,7 +224,7 @@ def gradient_check(obj, points):
     """One value call per sample, then per slot one analytic and one FD partial."""
     if not obj.has_analytic_partials:
         raise InputError("gradient_check needs analytic partials to compare against")
-    worst = 0.0
+    gaps = [0.0]
     checked = skipped = 0
     for point, t, w in points:
         point = _as_point(point)
@@ -240,43 +235,22 @@ def gradient_check(obj, points):
         for k in range(obj.order + 1):
             ana = tk.partial_slot(obj, k, point, t, w)
             try:
-                fd = fd_partial_slot(obj, k, point, t, w)
+                gaps.append(_rel_gap(fd_partial_slot(obj, k, point, t, w), ana))
             except DomainError:
                 skipped += 1
-                continue
-            gap = np.max(np.abs(ana - fd) / np.maximum(1.0, np.abs(ana)))
-            worst = max(worst, float(gap))
     if checked == 0:
         return GradientCheckReport(math.nan, 0, skipped, "INCONCLUSIVE", GRADIENT_REL_TOL)
+    worst = float(np.max(gaps))
     verdict = "PASS" if worst <= GRADIENT_REL_TOL else "FAIL"
     return GradientCheckReport(worst, checked, skipped, verdict, GRADIENT_REL_TOL)
 
 
-def _fd5_slot(obj, k, point, t, w):
-    """Fourth-order five-point slot-partial of obj.value, step 1e-3 * max(1, |y|)."""
-    point = _as_point(point)
-    out = np.empty(obj.dim)
-    for i in range(obj.dim):
-        h = 1e-3 * max(1.0, abs(point[k, i]))
-        vals = []
-        for c in (-2, -1, 1, 2):
-            shifted = point.copy()
-            shifted[k, i] += c * h
-            v = obj.value(shifted, t, w)
-            if v == NEG_INF:
-                raise DomainError(f"-inf inside the five-point stencil at slot {k}")
-            vals.append(v)
-        fm2, fm1, fp1, fp2 = vals
-        out[i] = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
-    return out
-
-
 def correspondence_check(pair, segments):
-    """Sample by sample: values, partials and stencils one point at a time; a
-    DomainError anywhere skips the sample."""
+    """Sample by sample: values, partials and finite differences one point at a
+    time; a DomainError anywhere skips the sample."""
     V, v = pair.discrete, pair.continuous
-    tolerance = 1e-10 if V.has_analytic_partials else 1e-6
-    worst_a = worst_b = 0.0
+    tolerance = 1e-8 if V.has_analytic_partials else 1e-6
+    gaps_a, gaps_b = [0.0], [0.0]
     checked = skipped = 0
     for seg, t, w in segments:
         seg = _as_point(seg)
@@ -286,28 +260,29 @@ def correspondence_check(pair, segments):
         jets = [np.stack([s[0], s[1] - s[0], s[2] - 2.0 * s[1] + s[0]]) for s in windows]
         try:
             if any(V.value(win, t + o, w) == NEG_INF for o, win in enumerate(windows)):
-                skipped += 1
-                continue
+                raise DomainError("-inf on a window")
+            if any(v.value(jet, t + o, w) == NEG_INF for o, jet in enumerate(jets)):
+                raise DomainError("-inf at a jet")
             combos = [sum(partial_slot(V, k, windows[0], t, w) for k in (0, 1, 2)),
                       (partial_slot(V, 1, windows[0], t, w)
                        + 2.0 * partial_slot(V, 2, windows[0], t, w)),
                       partial_slot(V, 2, windows[0], t, w)]
-            for k in range(3):
-                gap = np.abs(_fd5_slot(v, k, jets[0], t, w) - combos[k]).max()
-                worst_a = max(worst_a, float(gap))
-
+            gap_a = np.max([_rel_gap(fd_partial_slot(v, k, jets[0], t, w), combos[k])
+                            for k in range(3)])
             lhs = sum(partial_slot(V, 2 - o, windows[o], t + o, w) for o in range(3))
             v1 = partial_slot(v, 0, jets[2], t + 2, w)
             v2 = [partial_slot(v, 1, jets[o], t + o, w) for o in (1, 2)]
             v3 = [partial_slot(v, 2, jets[o], t + o, w) for o in (0, 1, 2)]
             rhs = v1 + (v2[0] - v2[1]) + (v3[0] - 2.0 * v3[1] + v3[2])
-            worst_b = max(worst_b, float(np.abs(lhs - rhs).max()))
         except DomainError:
             skipped += 1
             continue
+        gaps_a.append(gap_a)
+        gaps_b.append(_rel_gap(rhs, lhs))
         checked += 1
     if checked == 0:
         return CorrespondenceReport(math.nan, math.nan, 0, skipped, tolerance, "INCONCLUSIVE")
+    worst_a, worst_b = float(np.max(gaps_a)), float(np.max(gaps_b))
     verdict = "PASS" if max(worst_a, worst_b) <= tolerance else "FAIL"
     return CorrespondenceReport(worst_a, worst_b, checked, skipped, tolerance, verdict)
 

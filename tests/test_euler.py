@@ -122,6 +122,23 @@ class TestContinuousResidual:
         with pytest.raises(InputError):
             tk.continuous_euler_residual(quadlin_c, path, 0.0)
 
+    def test_report_needs_an_interior_index(self, space):
+        # 4 grid points leave no index n = 2 away from both ends
+        obj = tk.dsl_continuous_objective("(x0 - 1)^2 + x1^2 + 5*x2^2", 2)
+        dom = tk.TimeDomain.continuous(0.03, 0.01)
+        path = tk.StochasticPath(dom, space, np.repeat([[0.0], [3.0], [0.0], [7.0]], 2, axis=1))
+        with pytest.raises(HorizonError, match="no interior index"):
+            tk.euler_report(obj, path)
+        longer = tk.StochasticPath.constant(tk.TimeDomain.continuous(0.04, 0.01), space, 1.0)
+        assert tk.euler_report(obj, longer).indices == (pytest.approx(0.02),)
+
+    @pytest.mark.parametrize("k", [0, 3, 500])
+    def test_report_takes_only_paper_literal(self, quadlin_c, space, params, k):
+        path = tk.constant_alpha_path(tk.TimeDomain.continuous(2.0, 0.1), space, params)
+        with pytest.raises(InputError, match="needs a discrete objective"):
+            tk.euler_report(quadlin_c, path, tk.BoundaryMode.fixed_initial(k))
+        assert tk.euler_report(quadlin_c, path, tk.BoundaryMode.paper_literal()).stationary
+
     def test_discrete_domain_unsupported(self, quadlin_c, space):
         dom = tk.TimeDomain.discrete(10)
         path = tk.StochasticPath.constant(dom, space, 1.0)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import reference
 import tvckit as tk
 from tvckit.errors import DomainError, InputError, NumericalError
-from tvckit.objectives import fd_partial_slot
+from tvckit.objectives import fd_partial_slot, fd_partials, rel_gap
 
 NEG_INF = float("-inf")
 
@@ -92,8 +92,8 @@ class TestPartialSlot:
                 assert np.allclose(ana, fd, rtol=1e-6, atol=1e-6)
 
     def test_one_sided_fallback_near_boundary(self):
-        # linear objective with a hard -inf wall: the central step crosses it,
-        # the one-sided stencil is exact
+        # linear objective with a hard -inf wall 1e-7 away: the steps shrink
+        # until the stencil fits, and it is exact
         obj = tk.DiscreteObjective(
             order=0,
             eval_fn=lambda p, t, w: float(p[0, 0]) if p[0, 0] >= 0.0 else NEG_INF)
@@ -159,6 +159,54 @@ class TestGradientCheck:
         for point in (np.ones(4), np.ones((3, 2))):
             with pytest.raises(InputError, match="sample of shape"):
                 tk.gradient_check(quadlin_d, [(np.ones(3), 0, 0), (point, 1, 0)])
+
+
+# ---------------------------------------------------------------------------
+# The five-point stencil
+
+def _quartic(coef, e):
+    """sum_k sum_d coef[k, d] y_k^d + e y0 y1^2 y2 over an order-2 window: a
+    polynomial of degree <= 4 in every entry, with its exact partials."""
+    def ev(p, t, w):
+        y = p[:, :, 0]
+        return (np.sum(coef[None] * y[:, :, None] ** np.arange(5), axis=(1, 2))
+                + e * y[:, 0] * y[:, 1] ** 2 * y[:, 2])
+
+    def partials(p, t, w):
+        y = p[:, :, 0]
+        out = np.sum(coef[None, :, 1:] * np.arange(1, 5) * y[:, :, None] ** np.arange(4),
+                     axis=2)
+        out += e * np.stack([y[:, 1] ** 2 * y[:, 2], 2.0 * y[:, 0] * y[:, 1] * y[:, 2],
+                             y[:, 0] * y[:, 1] ** 2], axis=1)
+        return out[:, :, None]
+
+    return tk.DiscreteObjective(order=2, batch_eval_fn=ev, batch_partials_fn=partials)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_stencil_exact_on_quartics(seed):
+    """The five-point stencil has no truncation error on a polynomial of
+    degree <= 4: it matches the exact partials to rounding (about
+    eps * |f| / h, below 1e-10 here)."""
+    rng = np.random.default_rng(seed)
+    obj = _quartic(rng.uniform(-1.0, 1.0, size=(3, 5)), rng.uniform(-1.0, 1.0))
+    points = rng.uniform(-1.0, 1.0, size=(20, 3, 1)) * 10.0 ** rng.integers(-3, 1)
+    t, w = np.zeros(20), np.zeros(20, dtype=int)
+    fd, unresolved = fd_partials(obj, points, t, w)
+    assert not unresolved.any()
+    assert rel_gap(fd, obj.partials_batch(points, t, w)) <= 1e-9
+
+
+@pytest.mark.parametrize("c", [1e-7, 1e-5, 1e-3])
+@pytest.mark.parametrize("zero_head", [True, False])
+def test_gradient_check_near_the_log_wall(c, zero_head):
+    """The step shrinks until the stencil fits between the point and the wall
+    c away: the relative gap stays far below the tolerance."""
+    report = tk.gradient_check(tk.household_log(0.9, 2, zero_head),
+                               [(np.array([1.0, 1.0, 2.0 - c]), 3, 0)])
+    assert (report.verdict, report.skipped) == ("PASS", 0)
+    assert report.max_rel_gap <= 1e-9
 
 
 def test_one_form_per_objective():

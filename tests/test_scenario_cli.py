@@ -310,11 +310,68 @@ class TestCliExitCodes:
         report = json.loads(out.read_text())["correspond"]
         assert (report["verdict"], report["checked"]) == ("INCONCLUSIVE", 0)
 
+    @pytest.mark.parametrize("boundary", ["fixed:3", "fixed:500", "fixed:0"])
+    def test_continuous_euler_boundary_exit_2(self, capsys, boundary):
+        # a continuous residual has no initial rows to pin
+        assert main(["euler", "--scenario", str(SCENARIOS / "continuous-counterexample.json"),
+                     "--boundary", boundary, "--quiet"]) == 2
+        assert "needs a discrete objective" in capsys.readouterr().err
+
+    def test_continuous_euler_without_interior_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(minimal_scenario(
+            time={"kind": "continuous", "t_end": 0.03, "h": 0.01}, order=2,
+            objective={"expr": "(x0 - 1)^2 + x1^2 + 5*x2^2"},
+            path={"values": [[0.0, 0.0], [3.0, 3.0], [0.0, 0.0], [7.0, 7.0]]})))
+        assert main(["euler", "--scenario", str(f), "--quiet"]) == 2
+        assert "no interior index" in capsys.readouterr().err
+
     def test_zero_tolerance_is_used(self, tmp_path):
         out = tmp_path / "r.json"
         main(["euler", "--scenario", str(SCENARIOS / "discrete-counterexample.json"),
               "--tolerance", "0", "--out", str(out)])
         assert json.loads(out.read_text())["euler"]["tolerance"] == 0.0
+
+
+# Every command each shipped scenario supports, with the exit code the README
+# gives; correspond on household at the seeds of its former false FAIL
+SHIPPED_CONTRACT = [
+    ("discrete-counterexample", "euler", None, 0),
+    ("discrete-counterexample", "tvc", None, 1),
+    ("discrete-counterexample", "assume", None, 0),
+    ("discrete-counterexample", "correspond", None, 0),
+    ("continuous-counterexample", "euler", None, 0),
+    ("continuous-counterexample", "tvc", None, 1),
+    ("continuous-counterexample", "assume", None, 0),
+    ("continuous-counterexample", "correspond", None, 2),
+    ("household", "euler", None, 0),
+    ("household", "solve", None, 0),
+    ("household", "correspond", 0, 0),
+    ("household", "correspond", 1, 0),
+    ("household", "correspond", 7, 0),
+    ("household", "correspond", 42, 0),
+    ("quadlin-dsl", "euler", None, 1),
+    ("quadlin-dsl", "tvc", None, 0),
+    ("quadlin-dsl", "assume", None, 0),
+    ("quadlin-dsl", "correspond", None, 0),
+]
+
+
+@pytest.mark.parametrize("stem, command, seed, code", SHIPPED_CONTRACT)
+def test_shipped_scenario_exit_codes(capsys, stem, command, seed, code):
+    argv = [command, "--scenario", str(SCENARIOS / f"{stem}.json"), "--quiet"]
+    assert main(argv + ([] if seed is None else ["--seed", str(seed)])) == code
+
+
+@pytest.mark.parametrize("seed, checked", [(0, 81), (1, 81), (7, 72), (42, 73)])
+def test_household_correspond_skips_only_walled_windows(tmp_path, seed, checked):
+    # the skipped samples are those with a -inf window; every partial resolves
+    out = tmp_path / "r.json"
+    main(["correspond", "--scenario", str(SCENARIOS / "household.json"),
+          "--seed", str(seed), "--out", str(out)])
+    report = json.loads(out.read_text())["correspond"]
+    assert (report["verdict"], report["checked"]) == ("PASS", checked)
+    assert report["max_partial_gap"] <= 1e-9 and report["tolerance"] == 1e-8
 
 
 class TestReports:

@@ -175,8 +175,8 @@ def _walled_values(lo, hi):
 
 def _ones(rng, size):
     """Values that are 1 or 1 -+ 5e-7 half of the time: inside a spike of width
-    1e-6 around 1, a difference step of 1e-6 leaves it on both sides or on
-    one side, and a second step on that side leaves it too."""
+    1e-6 around 1, the first difference steps leave it on both sides or on
+    one side, and only the smaller ones fit inside."""
     near = rng.choice([1.0 - 5e-7, 1.0, 1.0 + 5e-7], size=size)
     return np.where(rng.random(size) < 0.5, near, rng.uniform(0.5, 1.5, size=size))
 
@@ -202,9 +202,9 @@ def _plain_log(p, t, w):
 
 def _plain_spike(p, t, w):
     """Smooth except at times 1 mod 3, where it is finite only within 5e-6 of
-    slot w = 100.  A difference step of 1e-4 (1e-6 times a value near 100)
-    meets -inf on both sides there; one of 1e-6, taken in a jet's derivative
-    slots, does not."""
+    slot w = 100.  The difference steps there start at 2^-4 (FD_STEPS[0]
+    times 64 for a value near 100) and meet -inf on both sides until they
+    shrink below 5e-6; those in a jet's derivative slots start at 2^-10."""
     base = p[0, 0] * p[2, 0] + (w + 1) * p[1, 0] ** 2
     gap = 2.5e-11 - (p[w, 0] - 100.0) ** 2
     if t % 3 != 1:
@@ -252,6 +252,59 @@ def test_batched_oracles_equal_the_loops(seed, case, samples):
     pair = tk.discrete_to_continuous(obj)
     _same_report(_outcome(tk.correspondence_check, pair, segments),
                  _outcome(reference.correspondence_check, pair, segments))
+
+
+# ---------------------------------------------------------------------------
+# The oracles near the log wall: no false alarm, and a real fault still caught
+
+LOG_CASES = {
+    "household": tk.household_log(0.9, 2),
+    "household-live": tk.household_log(0.9, 2, zero_head=False),
+    "dsl-log": ORACLE_CASES["dsl-log"][0],
+}
+
+
+def _near_the_wall(rng, dist, samples):
+    """Points and 5-value segments whose first window y0 + y1 - y2 lies dist to
+    2 dist inside the log wall; the segments' later windows stay clear of it."""
+    points, segments = [], []
+    for _ in range(samples):
+        y = rng.uniform(0.5, 2.0, size=5)
+        y[2] = y[0] + y[1] - dist * rng.uniform(1.0, 2.0)
+        for o in (3, 4):
+            y[o] = y[o - 2] + y[o - 1] - rng.uniform(0.2, 1.0)
+        t, w = int(rng.integers(2, 10)), int(rng.integers(0, M))
+        points.append((y[:3], t, w))
+        segments.append((y, t, w))
+    return points, segments
+
+
+def _scaled_partial(obj, factor):
+    """obj with its slot-1 partial multiplied by factor."""
+    def partials(points, t, w):
+        out = obj.partials_batch(points, t, w)
+        out[:, 1] *= factor
+        return out
+    return dataclasses.replace(obj, batch_partials_fn=partials)
+
+
+@given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(sorted(LOG_CASES)),
+       dist=st.sampled_from([1e-6, 1e-5, 1e-4, 1e-3, 1e-1]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_oracles_near_the_wall(seed, case, dist):
+    """Down to 1e-6 of the wall every partial resolves and both oracles PASS;
+    a slot-1 partial off by 1e-4 relative FAILs both."""
+    obj = LOG_CASES[case]
+    points, segments = _near_the_wall(np.random.default_rng(seed), dist, 20)
+    grad = tk.gradient_check(obj, points)
+    corr = tk.correspondence_check(tk.discrete_to_continuous(obj), segments)
+    assert (grad.verdict, grad.checked, grad.skipped) == ("PASS", 20, 0)
+    assert (corr.verdict, corr.checked, corr.skipped) == ("PASS", 20, 0)
+    assert max(grad.max_rel_gap, corr.max_partial_gap, corr.max_euler_gap) <= 1e-9
+    bad = _scaled_partial(obj, 1.0 + 1e-4)
+    assert tk.gradient_check(bad, points).verdict == "FAIL"
+    pair = tk.CorrespondencePair(bad, tk.discrete_to_continuous(obj).continuous)
+    assert tk.correspondence_check(pair, segments).verdict == "FAIL"
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +362,13 @@ def test_oracle_batched_call_counts(make):
                  int(rng.integers(0, 2))) for _ in range(100)]
     rep = tk.correspondence_check(tk.discrete_to_continuous(obj), segments)
     assert rep.checked > 0 and rep.skipped > 0
-    # values: the windows, every stencil point, the jets; partials: the
-    # windows, the jets
-    assert dict(counts) == {"values": 3, "partials": 2}
+    # values: the windows, the jets, and one call per fd_partials step, at
+    # most one per entry of FD_STEPS; partials: the windows, the jets
+    steps = len(tk.objectives.FD_STEPS)
+    assert counts["partials"] == 2 and 3 <= counts["values"] <= 2 + steps
     counts.clear()
     points = [(rng.uniform(1.0, 1.9, size=3), int(rng.integers(0, 10)),
                int(rng.integers(0, 2))) for _ in range(50)]
     assert tk.gradient_check(obj, points).checked == 50
-    # values: the -inf screen and the central differences; one partials call
-    assert dict(counts) == {"values": 2, "partials": 1}
+    # values: the -inf screen and the fd_partials steps; one partials call
+    assert counts["partials"] == 1 and 2 <= counts["values"] <= 1 + steps
