@@ -46,11 +46,12 @@ def values_at(obj, stack, t_axis, states) -> np.ndarray:
     return obj.values_batch(*_flatten(stack, t_axis, states)).reshape(stack.shape[:2])
 
 
-def partials_at(obj, stack, t_axis, states) -> np.ndarray:
-    """Slot-partials at every point of a stack as P[j, k, w, :]; shape (J, n+1, m, dim)."""
+def partials_at(obj, stack, t_axis, states, partials_fn=None) -> np.ndarray:
+    """Slot-partials at every point of a stack as P[j, k, w, :]; shape (J, n+1, m, dim).
+    partials_fn(points, t, w), if given, stands in for obj.partials_batch."""
     _check_dim(obj, stack)
     count, m, slots = stack.shape[:3]
-    out = obj.partials_batch(*_flatten(stack, t_axis, states))
+    out = (partials_fn or obj.partials_batch)(*_flatten(stack, t_axis, states))
     out = np.broadcast_to(out.reshape(count, m, slots, out.shape[-1]), stack.shape)
     return out.transpose(0, 2, 1, 3)
 

@@ -164,7 +164,9 @@ def fd_partials(obj: _Objective, points: np.ndarray, t: np.ndarray, w: np.ndarra
     Each entry takes the stencil (f(-2h) - 8 f(-h) + 8 f(h) - f(2h)) / 12h at
     the first of the steps h = FD_STEPS * 2^floor(log2 max(1, |entry|)) whose
     four points are finite and whose value is within FD_AGREEMENT (relative)
-    of the central difference at h.  Each step is one values_batch call over
+    of the central difference at h.  A step is also refused when the rounding
+    of the values, eps * max |f| / h, exceeds that same margin: the two
+    differences then agree on noise.  Each step is one values_batch call over
     the entries still open.  Returns (P, unresolved): P has shape (N,
     order+1, dim), and unresolved (N, order+1) marks the slots with an entry
     that no step resolves (P is nan there).
@@ -180,8 +182,10 @@ def fd_partials(obj: _Objective, points: np.ndarray, t: np.ndarray, w: np.ndarra
                                             np.array([[-2.0], [-1.0], [1.0], [2.0]]) * h)
         with np.errstate(invalid="ignore"):  # -inf - -inf where a point meets the wall
             five = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
-            done = np.isfinite(five) & (np.abs(five - (fp1 - fm1) / (2.0 * h))
-                                        <= FD_AGREEMENT * np.maximum(1.0, np.abs(five)))
+            margin = FD_AGREEMENT * np.maximum(1.0, np.abs(five))
+            rounding = np.finfo(float).eps * np.max(np.abs([fm2, fm1, fp1, fp2]), axis=0) / h
+            done = (np.isfinite(five) & (np.abs(five - (fp1 - fm1) / (2.0 * h)) <= margin)
+                    & (rounding <= margin))
         out[rows[done], cols[done]] = five[done]
         rows, cols = rows[~done], cols[~done]
     return out.reshape(points.shape), np.isnan(out).reshape(points.shape).any(axis=2)
@@ -239,7 +243,7 @@ def gradient_check(obj: _Objective, points: Sequence) -> GradientCheckReport:
 
     points is a sequence of (point, t, w) triples; samples on the -inf boundary
     are skipped, and so is each slot with an entry fd_partials leaves
-    unresolved.  The check is inconclusive if every sample is skipped.
+    unresolved.  The check is inconclusive if no slot is compared.
     """
     if not obj.has_analytic_partials:
         raise InputError("gradient_check needs analytic partials to compare against")
@@ -252,6 +256,8 @@ def gradient_check(obj: _Objective, points: Sequence) -> GradientCheckReport:
     fd, unresolved = fd_partials(obj, points, t, w)
     worst = rel_gap(fd[~unresolved], obj.partials_batch(points, t, w)[~unresolved])
     skipped = len(live) - checked + int(unresolved.sum())
+    if unresolved.all():
+        return GradientCheckReport(math.nan, checked, skipped, "INCONCLUSIVE", GRADIENT_REL_TOL)
     verdict = "PASS" if worst <= GRADIENT_REL_TOL else "FAIL"
     return GradientCheckReport(worst, checked, skipped, verdict, GRADIENT_REL_TOL)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import StochasticPath, expectation
-from .errors import (DomainError, InputError, NumericalError, UnsupportedError)
+from .errors import (DomainError, InputError, NumericalError, ToolkitError, UnsupportedError)
 from .euler import BoundaryMode, max_window_start
 from .kernel import (euler_rows, expected_cumsum, jet_values, partials_at,
                      values_at, window_stack, window_values)
@@ -98,25 +98,55 @@ class NewtonReport:
     mode: str
 
 
-def _trial_residuals(obj, values_w, U, t_lo, n, w) -> np.ndarray:
-    """Rows t_lo..T of one state's stationarity system at K trial vectors.
-
-    values_w is the state's (T+n+1, dim) trajectory and U (K, N) holds K
-    trial values of its entries t_lo..T, flattened; shape (K, N).  The K
-    trajectories stack along the state axis: one values_at call checks the
-    windows a trial can change, one partials_at call gives every row.
-    """
-    count = len(U)
-    T = len(values_w) - 1 - n
-    j_lo = max(0, t_lo - n)
-    traj = np.repeat(values_w[:, None, :], count, axis=1)
+def _trial_stack(out, U, states, t_lo, n):
+    """Windows j_lo..T of K trial trajectories: vector i holds the entries
+    t_lo..T (flattened) of state states[i], the rest comes from out (T+n+1, m,
+    dim).  Returns (stack (J, K, n+1, dim), times, states)."""
+    count, T = len(U), len(out) - 1 - n
+    states = np.asarray(states)
+    traj = out[:, states]
     traj[t_lo : T + 1] = U.reshape(count, T + 1 - t_lo, -1).transpose(1, 0, 2)
-    stack = window_stack(traj, n, j_lo, T)
-    times, states = np.arange(j_lo, T + 1), np.full(count, w)
-    if np.isneginf(values_at(obj, stack, times, states)).any():
-        raise DomainError("trial point left the objective's domain")
-    rows = euler_rows(partials_at(obj, stack, times, states))[t_lo - j_lo : T - j_lo + 1]
-    return rows.transpose(1, 0, 2).reshape(count, -1)
+    j_lo = max(0, t_lo - n)
+    return window_stack(traj, n, j_lo, T), np.arange(j_lo, T + 1), states
+
+
+def _residuals(obj, out, U, states, t_lo, n):
+    """Rows t_lo..T of the stationarity system at K trial vectors (see
+    _trial_stack), in one values_at and one partials call.
+
+    Returns (rows, valid): rows (K, N), and valid (K,) marks the vectors whose
+    windows are all finite and whose partials resolve.  Only vectors with
+    finite windows reach the partials call; the rows of invalid vectors are nan.
+    """
+    stack, times, states = _trial_stack(out, U, states, t_lo, n)
+    valid = ~np.isneginf(values_at(obj, stack, times, states)).any(axis=0)
+    rows = np.full((len(U), len(out) - n - t_lo, out.shape[2]), np.nan)
+    if valid.any():
+        live = stack if valid.all() else stack[:, valid]
+        unresolved = []
+
+        def partials(points, t, w):
+            P, bad = _partials_unresolved(obj, points, t, w)
+            unresolved.append(bad)
+            return P
+
+        P = partials_at(obj, live, times, states[valid], partials)
+        rows[valid] = euler_rows(P)[t_lo - times[0] : len(times)].transpose(1, 0, 2)
+        valid[valid] = ~unresolved[0].reshape(live.shape[:3]).any(axis=(0, 2))
+        rows[~valid] = np.nan
+    return rows.reshape(len(U), -1), valid
+
+
+def _fault(obj, out, U, state, t_lo, n) -> DomainError:
+    """The DomainError that evaluating the vectors U of one state together
+    raises: a -inf window, else the first unresolved finite-difference partial."""
+    stack, times, states = _trial_stack(out, U, np.full(len(U), state), t_lo, n)
+    if not np.isneginf(values_at(obj, stack, times, states)).any():
+        try:
+            partials_at(obj, stack, times, states)
+        except DomainError as exc:
+            return exc
+    return DomainError("trial point left the objective's domain")
 
 
 def _classify_curvature(jac: np.ndarray) -> str:
@@ -130,39 +160,62 @@ def _classify_curvature(jac: np.ndarray) -> str:
     return "indefinite"
 
 
-def _fd_jacobian(residuals, u: np.ndarray, n: int, dim: int) -> np.ndarray:
-    """Central-difference Jacobian of the stationarity rows at u.
+def _stencil_layout(size: int, n: int, dim: int):
+    """Curtis-Powell-Reid grouping of the columns of the stationarity system.
 
     Row time r depends only on times r-n..r+n, so columns whose times lie
-    2n+1 apart share no row (Curtis-Powell-Reid grouping).  Each group's
-    columns are perturbed together, and all 2(2n+1)dim perturbed vectors go
-    through one residuals call.  Every entry in the band is the one a
-    column-by-column difference gives; entries off the band are 0.0.
+    2n+1 apart share no row and are perturbed together.  Returns (member, r,
+    c): member (G, size) marks each group's columns, and (r, c) are the
+    entries of the band.
     """
-    size = u.size
     groups = min(size, (2 * n + 1) * dim)
     cols = np.arange(size)
-    h = JAC_FD_STEP * np.maximum(1.0, np.abs(u))
     member = cols % groups == np.arange(groups)[:, None]
-    res = residuals(np.concatenate([np.where(member, u + h, u), np.where(member, u - h, u)]))
     # rows at times within n of each column's time, every component
     offsets = (np.arange(-n, n + 1)[:, None] * dim + np.arange(dim)).ravel()
     rows = (cols - cols % dim) + offsets[:, None]
     inside = (rows >= 0) & (rows < size)
-    r, c = rows[inside], np.broadcast_to(cols, rows.shape)[inside]
-    g = c % groups
-    jac = np.zeros((size, size))
-    jac[r, c] = (res[g, r] - res[groups + g, r]) / (2.0 * h[c])
-    return jac
+    return member, rows[inside], np.broadcast_to(cols, rows.shape)[inside]
+
+
+def _fd_step(u: np.ndarray) -> np.ndarray:
+    return JAC_FD_STEP * np.maximum(1.0, np.abs(u))
+
+
+def _stencils(x: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """Each row of x (S, N), then the 2G central-difference vectors around it:
+    each group's columns moved by +h, then each group's by -h; shape (S,
+    1 + 2G, N)."""
+    h = _fd_step(x)
+    return np.concatenate([x[:, None], np.where(member, (x + h)[:, None], x[:, None]),
+                           np.where(member, (x - h)[:, None], x[:, None])], axis=1)
+
+
+def _jacobians(rows: np.ndarray, x: np.ndarray, member: np.ndarray, r, c) -> np.ndarray:
+    """The band of the central-difference Jacobian at each row of x, from the
+    rows (S, 1 + 2G, N) of _stencils(x): entry [s, e] lies at (r[e], c[e]).
+    Each equals the column-by-column difference bit for bit."""
+    groups = len(member)
+    g = 1 + c % groups
+    return (rows[:, g, r] - rows[:, groups + g, r]) / (2.0 * _fd_step(x)[:, c])
 
 
 def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
     """Damped Newton on the stationarity rows; returns (path, report).
 
     States decouple (no cross-state coupling in any supported objective), so
-    each state's banded system is solved independently.  The line search halves
-    the step while the trial point is domain-invalid or the residual norm fails
-    to decrease.
+    each state's banded system is solved on its own, but every state advances
+    in lockstep: one batched call per iteration for all states evaluates each
+    iterating state's line-search trial together with the grouped
+    central-difference stencil around it, which is the state's next Jacobian
+    if the trial is accepted.  The line search halves a state's step while its
+    trial point is domain-invalid or its residual norm fails to decrease.
+    Curvature is read from the Jacobian of each state's last step (at the
+    guess if it took none).  Paths, reports and errors are those of solving
+    the states one after another: the error raised is the lowest-numbered
+    failing state's, and when the objective raises a ToolkitError inside a
+    batched call, that iteration is redone state by state, evaluating only
+    what solving the state alone would.
     """
     n = obj.order
     T = spec.horizon
@@ -180,61 +233,105 @@ def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
             out[:k] = spec.head
         out[T + 1 :] = spec.tail
 
-    iterations = []
-    curvature = []
-    worst = 0.0
+    windows, times = window_stack(out, n, 0, T), np.arange(T + 1)
+    try:
+        walled = np.isneginf(values_at(obj, windows, times, np.arange(m))).any(axis=0).tolist()
+    except ToolkitError:
+        walled = None  # the objective raised on some guess: check state by state
+    failure, going = None, np.arange(m)  # states iterating
+    for s in range(m):
+        try:
+            if (walled[s] if walled is not None
+                    else np.isneginf(values_at(obj, windows[:, s : s + 1], times, [s])).any()):
+                raise DomainError(f"guess violates domain validity in state {s}")
+        except ToolkitError as exc:
+            failure, going = exc, np.arange(s)
+            break
+    u = out[t_lo : T + 1].transpose(1, 0, 2).reshape(m, -1)
+    size = u.shape[1]
+    member, r, c = _stencil_layout(size, n, dim)
+    trial, res, step = u.copy(), np.empty_like(u), np.empty_like(u)
+    norm, iterations, lam = [0.0] * m, [0] * m, np.ones(m)
+    # per state, the Jacobian of its last step; only the band is ever written
+    jacs = np.zeros((m, size, size))
     converged = True
-    for w in range(m):
-        values_w = out[:, w, :].copy()
-        guess_vals = values_at(obj, window_stack(values_w[:, None, :], n, 0, T),
-                               np.arange(T + 1), [w])
-        if np.isneginf(guess_vals).any():
-            raise DomainError(f"guess violates domain validity in state {w}")
-
-        def residuals(U):
-            return _trial_residuals(obj, values_w, U, t_lo, n, w)
-
-        u = values_w[t_lo : T + 1].ravel()
-        res = residuals(u[None])[0]
-        norm = float(np.abs(res).max())
-        it = 0
-        jac = None
-        while norm > spec.tolerance:
-            if it >= spec.max_iterations:
-                converged = False
-                break
-            jac = _fd_jacobian(residuals, u, n, dim)
+    first = True
+    while len(going):
+        x = trial[going]
+        vectors = _stencils(x, member)
+        try:
+            rows, valid = _residuals(obj, out, vectors.reshape(-1, size),
+                                     np.repeat(going, vectors.shape[1]), t_lo, n)
+            rows, valid = rows.reshape(vectors.shape), valid.reshape(vectors.shape[:2])
+            alone = False
+        except ToolkitError:  # filled state by state below
+            rows, valid = np.full(vectors.shape, np.nan), np.zeros(vectors.shape[:2], dtype=bool)
+            alone = True
+        accepted, assemble, kept, fresh = [], [], [], []
+        for i, s in enumerate(going.tolist()):
             try:
-                step = np.linalg.solve(jac, -res)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"singular Jacobian in state {w}: {exc}") from exc
-            lam = 1.0
-            while True:
-                if lam < 1e-12:
-                    raise NumericalError(f"no valid Newton step found in state {w}")
-                try:
-                    trial = u + lam * step
-                    trial_res = residuals(trial[None])[0]
-                except DomainError:
-                    lam *= 0.5
+                if alone:
+                    try:
+                        rows[i, :1], valid[i, :1] = _residuals(obj, out, x[i][None], [s],
+                                                               t_lo, n)
+                    except DomainError:  # a trial the line search rejects
+                        if first:
+                            raise
+                        valid[i, 0] = False
+                trial_norm = float(np.abs(rows[i, 0]).max())
+                if first and not valid[i, 0]:
+                    raise _fault(obj, out, x[i][None], s, t_lo, n)
+                if not first:
+                    if not (valid[i, 0]
+                            and (trial_norm < norm[s] or trial_norm <= spec.tolerance)):
+                        lam[s] *= 0.5
+                        if lam[s] < 1e-12:
+                            raise NumericalError(f"no valid Newton step found in state {s}")
+                        kept.append(s)
+                        continue
+                    iterations[s] += 1
+                accepted.append(i)
+                norm[s] = trial_norm
+                iterate = norm[s] > spec.tolerance
+                if iterate and iterations[s] >= spec.max_iterations:
+                    converged = False
                     continue
-                trial_norm = float(np.abs(trial_res).max())
-                if trial_norm < norm or trial_norm <= spec.tolerance:
-                    u, res, norm = trial, trial_res, trial_norm
-                    break
-                lam *= 0.5
-            it += 1
-        out[t_lo : T + 1, w, :] = u.reshape(-1, dim)
-        iterations.append(it)
-        worst = max(worst, norm)
-        if jac is None:  # already stationary at the guess
-            jac = _fd_jacobian(residuals, u, n, dim)
-        curvature.append(_classify_curvature(jac))
+                if iterate or iterations[s] == 0:  # a next step, or curvature at the guess
+                    if alone:
+                        rows[i, 1:], valid[i, 1:] = _residuals(
+                            obj, out, vectors[i, 1:], np.full(len(vectors[i]) - 1, s), t_lo, n)
+                    if not valid[i, 1:].all():
+                        raise _fault(obj, out, vectors[i, 1:], s, t_lo, n)
+                    assemble.append(i)
+                if iterate:
+                    kept.append(s)
+                    fresh.append(s)
+            except ToolkitError as exc:
+                failure = exc
+                break
+        u[going[accepted]], res[going[accepted]] = x[accepted], rows[accepted, 0]
+        if assemble:
+            jacs[going[assemble][:, None], r, c] = _jacobians(rows[assemble], x[assemble],
+                                                              member, r, c)
+        going, first = np.array(kept, dtype=int), False
+        for s in fresh:
+            try:
+                step[s] = np.linalg.solve(jacs[s], -res[s])
+            except np.linalg.LinAlgError as exc:
+                failure = NumericalError(f"singular Jacobian in state {s}: {exc}")
+                failure.__cause__ = exc
+                going = going[going < s]
+                break
+        lam[fresh] = 1.0
+        trial[going] = u[going] + lam[going, None] * step[going]
+    if failure is not None:
+        raise failure
 
+    out[t_lo : T + 1] = u.reshape(m, -1, dim).transpose(1, 0, 2)
     path = StochasticPath(guess.domain, guess.space, out)
     report = NewtonReport(converged=converged, iterations=tuple(iterations),
-                          max_abs_residual=worst, tolerance=spec.tolerance,
-                          curvature=tuple(curvature), mode=spec.mode)
+                          max_abs_residual=max(0.0, *norm), tolerance=spec.tolerance,
+                          curvature=tuple(_classify_curvature(j) for j in jacs), mode=spec.mode)
     return path, report
 
 

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import reference
 import tvckit as tk
 from tvckit import kernel
-from tvckit.errors import InputError, ToolkitError
-from tvckit.solvers import _trial_residuals
+from tvckit.errors import DomainError, InputError, ToolkitError
+from tvckit.solvers import _residuals
 
 REL = 1e-12
 
@@ -97,6 +97,13 @@ def twins(cases, case, seed, m):
     return rng, cases[case](rng, m, tk), cases[case](np.random.default_rng(seed), m, reference)
 
 
+def _valid_rows(rows, valid):
+    """The rows of the one trial vector, or the DomainError its loop form raises."""
+    if not valid[0]:
+        raise DomainError("trial point left the objective's domain")
+    return rows[0]
+
+
 def _space(rng, m):
     p = rng.uniform(0.5, 1.5, m)
     return tk.SampleSpace(tuple(p / p.sum()))
@@ -126,9 +133,9 @@ def test_discrete_engines_match_reference(seed, case, horizon, m):
                         outcome(reference.discrete_euler_residual, ref, path, t, j_max))
     w = int(rng.integers(0, m))
     t_lo = int(rng.integers(0, last + 1))
-    values_w = path.values[:, w, :]
-    got = outcome(lambda: _trial_residuals(obj, values_w, values_w[t_lo : last + 1].reshape(1, -1),
-                                           t_lo, n, w)[0])
+    got = outcome(lambda: _valid_rows(*_residuals(obj, path.values,
+                                                  path.values[t_lo : last + 1, w].reshape(1, -1),
+                                                  [w], t_lo, n)))
     want = outcome(lambda: np.array([reference.discrete_euler_residual(ref, path, t)[w]
                                      for t in range(t_lo, last + 1)]).ravel())
     assert_same_outcome(got, want)

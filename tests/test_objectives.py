@@ -209,6 +209,23 @@ def test_gradient_check_near_the_log_wall(c, zero_head):
     assert report.max_rel_gap <= 1e-9
 
 
+@pytest.mark.parametrize("c", [1e13, 1e14, 1e15, 1e16])
+def test_no_step_below_the_rounding_of_the_values(c):
+    """f = c + y0 + y1: where f(y -+ h) differ by a few units in the last
+    place, or round to the same float, the differences agree on noise.  No
+    step is accepted, so the oracle compares nothing and is inconclusive."""
+    obj = tk.DiscreteObjective(order=1, batch_eval_fn=lambda p, t, w: c + p[:, 0, 0] + p[:, 1, 0],
+                               batch_partials_fn=lambda p, t, w: np.ones((len(p), 2, 1)))
+    _, unresolved = fd_partials(obj, np.ones((1, 2, 1)), np.zeros(1), np.zeros(1, dtype=int))
+    assert unresolved.all()
+    report = tk.gradient_check(obj, [(np.array([1.0, 1.0]), 0, 0)])
+    assert (report.verdict, report.checked, report.skipped) == ("INCONCLUSIVE", 1, 2)
+    # well above the rounding, the oracle compares and passes
+    assert tk.gradient_check(dataclasses.replace(obj, batch_eval_fn=lambda p, t, w:
+                                                 1e3 + p[:, 0, 0] + p[:, 1, 0]),
+                             [(np.array([1.0, 1.0]), 0, 0)]).verdict == "PASS"
+
+
 def test_one_form_per_objective():
     f = lambda p, t, w: 0.0  # noqa: E731
     for kwargs in ({}, {"eval_fn": f, "batch_eval_fn": f},

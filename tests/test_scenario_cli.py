@@ -67,6 +67,15 @@ class TestScenarioLoading:
         scenario = parse_scenario(data)
         assert scenario.warnings == ()
 
+    def test_dsl_gradient_check_below_rounding_is_no_failure(self):
+        """A constant of 1e13 leaves the differences of the values at rounding
+        level: the load-time check cannot compare, which is not a failure."""
+        data = minimal_scenario(
+            objective={"expr": "1e13 + (y0 - 1)^2 + y1 + y2", "constants": {}},
+            path={"constant": 1.0})
+        assert parse_scenario(data).warnings == (
+            "objective.expr: gradient check INCONCLUSIVE (max relative gap nan)",)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(tk.InputError):
             load_scenario(tmp_path / "missing.json")
@@ -385,6 +394,36 @@ class TestReports:
         report = json.loads(out1.read_text())
         assert report["euler"]["verdict"] == "STATIONARY"
         assert "tolerance" in report["euler"]
+
+    def test_parser_keeps_no_flag_between_calls(self, tmp_path, capsys):
+        """The parser is built once per process; every call in a sequence with
+        different flags prints, writes and exits as it does on a fresh parser."""
+        out = tmp_path / "report.json"
+        first = ["assume", "--scenario", str(SCENARIOS / "discrete-counterexample.json")]
+        euler = ["euler", "--scenario", str(SCENARIOS / "discrete-counterexample.json")]
+        sequence = [first, euler,
+                    first + ["--assert-uniform"],
+                    euler + ["--tolerance", "1e-30", "--quiet"],
+                    ["solve", "--scenario", str(SCENARIOS / "household.json"), "--out", str(out)],
+                    ["demo", "assumption", "--seed", "3"],
+                    euler + ["--tolerance", "1e-30"],
+                    first, euler]
+
+        def run(argv):
+            code = main(argv)
+            written = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err, written
+
+        alone = []
+        for argv in sequence:
+            tvckit.cli.build_parser.cache_clear()
+            alone.append(run(argv))
+        tvckit.cli.build_parser.cache_clear()
+        assert [run(argv) for argv in sequence] == alone
+        assert alone[0] == alone[-2] and alone[1] == alone[-1]
+        assert alone[2][0] == 1 and alone[3][:2] == (1, "") and alone[4][3] is not None
 
     def test_csv_matrix(self, tmp_path):
         data = minimal_scenario(

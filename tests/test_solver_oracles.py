@@ -2,9 +2,11 @@
 
 The Newton Jacobian groups columns whose times lie 2n+1 apart and evaluates
 every perturbed vector in one batched call; it must equal the column-by-column
-Jacobian bit for bit.  The brute-force oracle scores chunks of grid
-combinations in one batched call; it must pick the same combination as the
-per-point loop, ties and -inf combinations included, with the same sums.
+Jacobian bit for bit.  Newton advances every state in lockstep; its paths,
+reports and raised errors must equal the state-by-state loop's bit for bit.
+The brute-force oracle scores chunks of grid combinations in one batched
+call; it must pick the same combination as the per-point loop, ties and -inf
+combinations included, with the same sums.
 gradient_check and correspondence_check evaluate every sample in a few
 batched calls; their reports must equal the sample-by-sample loops' bit for
 bit.  A work-count guard pins the number of batched objective calls, so a
@@ -17,16 +19,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
 import tvckit as tk
 from tvckit import solvers
-from tvckit.errors import NumericalError, ToolkitError
-from test_kernel import _constants, _plain, _quadlin_params
+from tvckit.errors import DomainError, NumericalError, ToolkitError
+from test_kernel import _constants, _plain, _quadlin_params, _space
 
-M = 2  # states of every case
+M = 2  # states of every case, unless a test asks for another count
 
 
 def _dim2():
@@ -42,15 +44,15 @@ def _dim2():
     return tk.DiscreteObjective(order=1, eval_fn=ev, partial_fns=partials, dim=2)
 
 
-# (name -> builder(rng) returning (objective, path value range))
+# (name -> builder(rng, m) returning (objective, path value range) for m states)
 CASES = {
-    "quadlin": lambda rng: (tk.quadlin_discrete(_quadlin_params(rng, M)), -1.0, 3.0),
-    "household-live": lambda rng: (tk.household_log(0.9, 2, zero_head=False), 1.0, 1.9),
-    "dsl-order3": lambda rng: (tk.dsl_discrete_objective(
+    "quadlin": lambda rng, m=M: (tk.quadlin_discrete(_quadlin_params(rng, m)), -1.0, 3.0),
+    "household-live": lambda rng, m=M: (tk.household_log(0.9, 2, zero_head=False), 1.0, 1.9),
+    "dsl-order3": lambda rng, m=M: (tk.dsl_discrete_objective(
         "(y0 - a)^2 * (1 + y1^2) + b*y2*y0 + g*ln(y3 + 2) + d*y3", 3,
-        _constants(rng, M, "abgd")), -1.0, 3.0),
-    "dim2": lambda rng: (_dim2(), -1.0, 2.0),
-    "plain-fd": lambda rng: (_plain(2, False), -1.0, 3.0),
+        _constants(rng, m, "abgd")), -1.0, 3.0),
+    "dim2": lambda rng, m=M: (_dim2(), -1.0, 2.0),
+    "plain-fd": lambda rng, m=M: (_plain(2, False), -1.0, 3.0),
 }
 
 
@@ -80,39 +82,139 @@ def test_grouped_jacobian_equals_dense(seed, case, horizon):
     rng = np.random.default_rng(seed)
     obj, lo, hi = CASES[case](rng)
     n, dim = obj.order, obj.dim
-    values_w = rng.uniform(lo, hi, size=(horizon + n + 1, dim))
+    out = rng.uniform(lo, hi, size=(horizon + n + 1, M, dim))
     t_lo, w = int(rng.integers(0, horizon + 1)), int(rng.integers(0, M))
 
     def residuals(U):
-        return solvers._trial_residuals(obj, values_w, U, t_lo, n, w)
+        rows, valid = solvers._residuals(obj, out, U, np.full(len(U), w), t_lo, n)
+        assert valid.all()
+        return rows
 
-    u = values_w[t_lo : horizon + 1].ravel()
-    got = solvers._fd_jacobian(residuals, u, n, dim)
+    u = out[t_lo : horizon + 1, w].ravel()
+    member, r, c = solvers._stencil_layout(u.size, n, dim)
+    stencil = solvers._stencils(u[None], member)
+    got = np.zeros((u.size, u.size))
+    got[r, c] = solvers._jacobians(residuals(stencil[0])[None], u[None], member, r, c)[0]
     want = reference.fd_jacobian(lambda v: residuals(v[None])[0], u)
     np.testing.assert_array_equal(got, want)
 
 
-def _dense(monkeypatch):
-    """Route newton_euler_solve through the column-by-column Jacobian."""
-    monkeypatch.setattr(solvers, "_fd_jacobian", lambda residuals, u, n, dim:
-                        reference.fd_jacobian(lambda v: residuals(v[None])[0], u))
+def _kinked(rng, m):
+    """max(y0 - 1, 0)^2 + b y1 + y2, with finite-difference partials.  A
+    row's slot-0 term is flat for y0 <= 1, where the Jacobian has a zero
+    column: a state with a free value <= 1 has a singular Jacobian at once,
+    one with all free values above 1 takes a step first.  Near the kink the
+    partials may not resolve, and the steps may find no decrease."""
+    b = rng.uniform(0.1, 1.0, m)
+
+    def values(points, t, w):
+        return np.maximum(points[:, 0, 0] - 1.0, 0.0) ** 2 + b[w] * points[:, 1, 0] + points[:, 2, 0]
+    return tk.DiscreteObjective(order=2, batch_eval_fn=values), 0.5, 3.0
 
 
-def test_newton_iterates_equal_the_dense_jacobian_solve(monkeypatch, space):
-    live = tk.household_log(0.9, 2, zero_head=False)
-    dom = tk.TimeDomain.discrete(22)
-    gv = np.interp(np.arange(23.0), [0, 1, 21, 22], [1.0, 1.0, 0.2, 0.1])
-    guess = tk.StochasticPath(dom, space, np.repeat(gv[:, None], 2, axis=1))
-    solves = [(live, tk.SolveSpec(horizon=20, guess=guess, mode="fixed", head=np.ones((2, 2)),
-                                  tail=np.array([[0.2, 0.2], [0.1, 0.1]]))),
-              (tk.quadlin_discrete(tk.QuadLinParams((1.0, 2.0), (0.5, 0.4), (0.25, 0.2))),
-               tk.SolveSpec(horizon=20, guess=tk.StochasticPath.constant(dom, space, 0.3)))]
-    grouped = [tk.newton_euler_solve(obj, spec) for obj, spec in solves]
-    _dense(monkeypatch)
-    for (obj, spec), (path, rep) in zip(solves, grouped):
-        want_path, want_rep = tk.newton_euler_solve(obj, spec)
-        np.testing.assert_array_equal(path.values, want_path.values)
-        assert rep == want_rep
+def _sqrt_wall(rng, m):
+    """(y0 - a)^2 + b y1 + 0 sqrt(y0), whose values raise EvalError for y0 < 0.
+    A state with a small a has its solution within 1e-6 of 0, so the stencil
+    around it raises; whether the state needs that stencil depends on whether
+    it has converged.  A state with a large a stays clear of 0."""
+    a = np.where(rng.random(m) < 0.5, rng.uniform(1e-7, 9e-7, m), rng.uniform(0.3, 1.0, m))
+    b = rng.uniform(0.0, 1e-7, m)
+    return tk.dsl_discrete_objective("(y0 - a)^2 + b*y1 + 0*sqrt(y0)", 1,
+                                     {"a": tuple(a), "b": tuple(b)}), 0.5, 2.0
+
+
+def _root_wall(rng, m):
+    """(y0 - a)^2 + q (y0 - a)^4 + b y1, raising an error that names the state
+    wherever y0 < 0: NumericalError in even states, DomainError in odd ones,
+    which the line search takes for a trial outside the domain.  With q > 0 a
+    state takes several steps towards a near 0, so states raise at different
+    iterations, or converge first; with a < 0 the trials cross 0."""
+    a = rng.choice([-1.0, 1.0, 1e6], m) * rng.uniform(1e-7, 9e-7, m)
+    q = np.where(rng.random(m) < 0.5, 0.0, rng.uniform(1.0, 50.0, m))
+    b = rng.uniform(0.0, 1e-7, m)
+
+    def values(points, t, w):
+        below = points[:, 0, 0] < 0.0
+        if below.any():
+            s = w[np.argmax(below)]
+            raise (DomainError if s % 2 else NumericalError)(f"y0 < 0 in state {s}")
+        d = points[:, 0, 0] - a[w]
+        return d**2 + q[w] * d**4 + b[w] * points[:, 1, 0]
+
+    def partials(points, t, w):
+        d = points[:, 0, 0] - a[w]
+        return np.stack([2.0 * d + 4.0 * q[w] * d**3, b[w] + 0.0 * d], axis=1)[..., None]
+    return tk.DiscreteObjective(order=1, batch_eval_fn=values, batch_partials_fn=partials), 0.5, 2.0
+
+
+BUILDERS = dict(CASES, kinked=_kinked, **{"sqrt-wall": _sqrt_wall, "root-wall": _root_wall})
+
+
+def _newton_outcome(solve, obj, spec):
+    """Path bytes and the report's repr (floats bit for bit), or the raised
+    error's type and message."""
+    try:
+        path, rep = solve(obj, spec)
+    except ToolkitError as exc:
+        return "raised", type(exc), str(exc)
+    return "ok", path.values.tobytes(), repr(rep)
+
+
+@given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(sorted(BUILDERS)),
+       m=st.integers(1, 3), fixed=st.booleans(), horizon=st.integers(1, 10),
+       max_iterations=st.integers(1, 8),
+       gaps=st.lists(st.sampled_from([None, -0.5, 1e-7, 1e-5, 1e-3]), min_size=3, max_size=3))
+@settings(max_examples=200, deadline=None, derandomize=True)
+# state 1's stencil at the guess leaves the domain; state 2's guess is on the wall
+@example(seed=1332478708, case="household-live", m=3, fixed=False, horizon=7,
+         max_iterations=6, gaps=[1e-3, 1e-7, -0.5])
+# a stencil fails at an accepted trial: a partial at the kink does not resolve
+@example(seed=532909620, case="kinked", m=2, fixed=True, horizon=2, max_iterations=5,
+         gaps=[None, None, None])
+# state 1 fails at an earlier iteration than state 0, whose error wins
+@example(seed=2527073326, case="household-live", m=2, fixed=False, horizon=8,
+         max_iterations=7, gaps=[1e-5, 1e-7, 1e-5])
+@example(seed=752767290, case="kinked", m=3, fixed=True, horizon=4, max_iterations=3,
+         gaps=[None, None, None])
+# the loop converges without the stencil around its last point, which raises
+@example(seed=10, case="sqrt-wall", m=3, fixed=True, horizon=3, max_iterations=2,
+         gaps=[None, None, None])
+# state 2 raises at an earlier iteration than state 0, whose error wins
+@example(seed=204, case="root-wall", m=3, fixed=True, horizon=9, max_iterations=7,
+         gaps=[None, None, None])
+# state 1's guess raises, state 0 raises later and wins
+@example(seed=8, case="root-wall", m=3, fixed=False, horizon=3, max_iterations=8,
+         gaps=[None, -0.5, None])
+# the objective raises DomainError at a trial of state 1, which the line search
+# rejects; state 2 raises NumericalError later
+@example(seed=2, case="root-wall", m=3, fixed=False, horizon=1, max_iterations=1,
+         gaps=[None, None, None])
+def test_newton_equals_per_state_loop(seed, case, m, fixed, horizon, max_iterations, gaps):
+    """Every state has its own guess, head and tail, so states converge, stop or
+    fail at different iterations.  A household guess may have one consumption
+    per state equal to its gap: on the wall (in a state other than 0), or so
+    close to it that the stencil at the guess leaves the domain, or trials do.
+    A root-wall guess may make the objective raise in a state other than 0."""
+    rng = np.random.default_rng(seed)
+    obj, lo, hi = BUILDERS[case](rng, m)
+    n, dim = obj.order, obj.dim
+    values = rng.uniform(lo, hi, size=(horizon + n + 1, m, dim))
+    k, head, tail = 0, None, None
+    if fixed:
+        k = int(rng.integers(0, horizon + 1))
+        head, tail = values[:k].copy(), values[horizon + 1 :].copy()
+    for s, gap in enumerate(gaps[:m]):
+        if case == "household-live" and horizon >= 2 and gap is not None and (gap > 0 or s > 0):
+            # consumption y_t + y_{t+1} - y_{t+2} = gap, with y_{t+2} free
+            t = int(rng.integers(max(0, k - 2), horizon - 1))
+            values[t + 2, s] = values[t, s] + values[t + 1, s] - gap
+        if case == "root-wall" and gap == -0.5 and s > 0:  # the guess raises in state s
+            values[int(rng.integers(0, horizon + 1)), s] = -0.1
+    guess = tk.StochasticPath(tk.TimeDomain.discrete(horizon + n), _space(rng, m), values)
+    spec = tk.SolveSpec(horizon=horizon, guess=guess, mode="fixed" if fixed else "paper_literal",
+                        head=head, tail=tail, max_iterations=max_iterations)
+    assert (_newton_outcome(tk.newton_euler_solve, obj, spec)
+            == _newton_outcome(reference.newton_euler_solve, obj, spec))
 
 
 @given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(sorted(CASES)),
@@ -311,37 +413,67 @@ def test_oracles_near_the_wall(seed, case, dist):
 # Work-count guard
 
 def _counting(obj):
-    """obj with its batched forms wrapped in call counters."""
-    counts = collections.Counter()
+    """obj with its batched forms wrapped in call counters; points[name] adds up
+    the points each call evaluates."""
+    counts, points = collections.Counter(), collections.Counter()
 
     def counted(name, fn):
         def call(*args):
             counts[name] += 1
+            points[name] += len(args[0])
             return fn(*args)
         return call
 
-    return dataclasses.replace(obj, batch_eval_fn=counted("values", obj.batch_eval_fn),
-                               batch_partials_fn=counted("partials",
-                                                         obj.batch_partials_fn)), counts
+    obj = dataclasses.replace(obj, batch_eval_fn=counted("values", obj.batch_eval_fn),
+                              batch_partials_fn=counted("partials", obj.batch_partials_fn))
+    return obj, counts, points
+
+
+def _household_solve_counts(space, guess_1, tail_1):
+    """Newton on household T = 40, state 0 from the interpolated guess and
+    state 1 from guess_1 (None: the same) with tail_1; returns (iterations,
+    batched calls, points evaluated)."""
+    obj, counts, points = _counting(tk.household_log(0.9, 2, zero_head=False))
+    dom = tk.TimeDomain.discrete(42)
+    gv = np.interp(np.arange(43.0), [0, 1, 41, 42], [1.0, 1.0, 0.2, 0.1])
+    gv_1 = gv if guess_1 is None else np.full(43, guess_1)
+    guess = tk.StochasticPath(dom, space, np.stack([gv, gv_1], axis=1))
+    spec = tk.SolveSpec(horizon=40, guess=guess, mode="fixed", head=np.ones((2, 2)),
+                        tail=np.array([[0.2, tail_1[0]], [0.1, tail_1[1]]]))
+    _, rep = tk.newton_euler_solve(obj, spec)
+    assert rep.converged
+    return rep.iterations, dict(counts), dict(points)
+
+
+def _lockstep_points(iterations):
+    """Points of the batched calls: a state takes part in 1 + its iterations
+    passes, each with 1 + 2 * 5 vectors (a trial and its stencil) of 41
+    windows; the guess check has 41 windows per state."""
+    passes = 2 + sum(iterations)
+    return {"values": 41 * (2 + 11 * passes), "partials": 41 * 11 * passes}
 
 
 def test_household_solve_batched_call_count(space):
-    obj, counts = _counting(tk.household_log(0.9, 2, zero_head=False))
-    dom = tk.TimeDomain.discrete(42)
-    gv = np.interp(np.arange(43.0), [0, 1, 41, 42], [1.0, 1.0, 0.2, 0.1])
-    guess = tk.StochasticPath(dom, space, np.repeat(gv[:, None], 2, axis=1))
-    spec = tk.SolveSpec(horizon=40, guess=guess, mode="fixed", head=np.ones((2, 2)),
-                        tail=np.array([[0.2, 0.2], [0.1, 0.1]]))
-    _, rep = tk.newton_euler_solve(obj, spec)
-    assert rep.converged and rep.iterations == (24, 24)
-    # per state: one values and one partials call per residual evaluation (the
-    # start, 24 Jacobians, 24 line-search trials, each accepted at once), and
-    # one values call for the guess check
-    assert dict(counts) == {"partials": 2 * (1 + 24 + 24), "values": 2 * (1 + 24 + 24 + 1)}
+    iterations, counts, points = _household_solve_counts(space, None, (0.2, 0.1))
+    assert iterations == (24, 24)
+    # one values call for the guess check, then one values and one partials
+    # call per pass over the states: the start, and 24 trials, each accepted
+    # at once
+    assert counts == {"values": 1 + 1 + 24, "partials": 1 + 24}
+    assert points == _lockstep_points(iterations)
+
+
+def test_household_solve_lockstep_masking(space):
+    """State 1 stops 2 iterations before state 0: the last 2 passes evaluate
+    state 0's vectors only."""
+    iterations, counts, points = _household_solve_counts(space, 1.0, (0.5, 0.5))
+    assert iterations == (24, 22)
+    assert counts == {"values": 1 + 1 + 24, "partials": 1 + 24}
+    assert points == _lockstep_points(iterations)
 
 
 def test_brute_force_batched_call_count(space):
-    obj, counts = _counting(tk.household_log(0.9, 2, zero_head=False))
+    obj, counts, _ = _counting(tk.household_log(0.9, 2, zero_head=False))
     base = tk.StochasticPath.constant(tk.TimeDomain.discrete(6), space, 1.0)
     grid = np.linspace(0.1, 2.1, 21)
     tk.brute_force_solve(obj, base, [2, 3, 4], [grid] * 3)
@@ -356,7 +488,7 @@ def test_brute_force_batched_call_count(space):
     lambda: tk.dsl_discrete_objective("a * ln(y0 + y1 - y2) + b * y2 ^ 2", 2,
                                       {"a": (1.0, 0.5), "b": (0.3, 0.7)})])
 def test_oracle_batched_call_counts(make):
-    obj, counts = _counting(make())
+    obj, counts, _ = _counting(make())
     rng = np.random.default_rng(3)
     segments = [(rng.uniform(0.5, 3.0, size=5), int(rng.integers(0, 10)),
                  int(rng.integers(0, 2))) for _ in range(100)]
