@@ -2,8 +2,9 @@
 
 Exit codes: 0 all verdicts pass, 1 a model condition failed (non-stationary
 path, violated tail condition, non-uniformity when uniformity was asserted),
-2 input error, 3 numerical failure.  Reports are JSON with sorted keys, so
-identical inputs produce byte-identical output.
+2 input error, 3 numerical failure.  Reports are ASCII JSON with a 2-space
+indent and sorted keys, written in one pass by _render, so identical inputs
+produce byte-identical output.
 
 A demo preset is a fixed list of commands run on the shipped scenario files;
 each step goes through the same parser and handler as the command itself.
@@ -17,6 +18,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -50,25 +52,70 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
-def _jsonify(value):
+def _numbers(texts, values) -> list:
+    """The number texts of a flat run of values, the non-finite ones quoted."""
+    texts = list(texts)
+    if not np.isfinite(values).all():
+        for i in np.flatnonzero(~np.isfinite(values)):
+            texts[i] = f'"{texts[i]}"'  # "nan", "inf" or "-inf"
+    return texts
+
+
+def _rows(cells, shape, level) -> str:
+    """The text of an array of element texts (flat, row-major, of the given
+    shape) at depth `level`, built axis by axis from the innermost out with one
+    join per row: the separator at an axis closes and reopens every axis inside."""
+    if 0 in shape:  # the subarrays along the first zero-length axis are each "[]"
+        shape = shape[: shape.index(0)]
+        cells = ["[]"] * math.prod(shape)
+    opens = ["[\n" + "  " * (level + a + 1) for a in range(len(shape))]
+    closes = ["\n" + "  " * (level + a) + "]" for a in range(len(shape))]
+    for axis in range(len(shape) - 1, -1, -1):
+        sep = ("".join(closes[:axis:-1]) + ",\n" + "  " * (level + axis + 1)
+               + "".join(opens[axis + 1 :]))
+        cells = list(map(sep.join, zip(*[iter(cells)] * shape[axis])))
+    return "".join(opens) + cells[0] + "".join(reversed(closes))
+
+
+def _render(value, level: int) -> str:
+    """The JSON text of a report value at nesting depth `level`: 2-space
+    indent, sorted keys, ASCII; numpy scalars and arrays written as Python
+    numbers and lists, and nan, inf and -inf as the strings "nan", "inf" and
+    "-inf".  Raises TypeError on a value JSON cannot hold, np.bool_ included."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
     if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
+        if not value:
+            return "{}"
+        value = {str(k): v for k, v in value.items()}
+        pad = "\n" + "  " * (level + 1)
+        items = (f"{encode_basestring_ascii(k)}: {_render(value[k], level + 1)}"
+                 for k in sorted(value))
+        return "{" + pad + ("," + pad).join(items) + "\n" + "  " * level + "}"
     if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
+        if all(isinstance(v, float) for v in value):  # np.float64 included
+            cells = _numbers(map(float.__repr__, value), value)
+        elif all(type(v) is int for v in value):  # bool excluded
+            cells = map(int.__repr__, value)
+        else:
+            cells = [_render(v, level + 1) for v in value]
+        return _rows(cells, (len(value),), level)
     if isinstance(value, np.ndarray):
-        return _jsonify(value.tolist())
-    if isinstance(value, (np.floating, float)):
+        if value.ndim == 0 or value.dtype.char not in "efd":  # tolist gives no Python floats
+            return _render(value.tolist(), level)
+        flat = value.ravel()
+        return _rows(_numbers(map(float.__repr__, flat.tolist()), flat), value.shape, level)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, (int, np.integer)):
+        return int.__repr__(int(value))
+    if isinstance(value, (float, np.floating)):
         value = float(value)
-        if value != value:
-            return "nan"
-        if value == float("inf"):
-            return "inf"
-        if value == float("-inf"):
-            return "-inf"
-        return value
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    return value
+        text = float.__repr__(value)
+        return text if math.isfinite(value) else f'"{text}"'
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _csv(section) -> str:
@@ -80,10 +127,13 @@ def _csv(section) -> str:
 
 
 def _emit(report: dict, args) -> None:
+    """Write the report to --out, else to stdout unless --quiet."""
+    if args.quiet and not args.out:
+        return
     if getattr(args, "format", "json") == "csv":
         text = _csv(report["assume"])
     else:
-        text = json.dumps(_jsonify(report), sort_keys=True, indent=2) + "\n"
+        text = _render(report, 0) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

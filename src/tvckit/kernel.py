@@ -24,12 +24,12 @@ def window_stack(values: np.ndarray, n: int, j_lo: int, j_hi: int) -> np.ndarray
 
 
 def _flatten(stack, t_axis, states):
-    """(points, t, w) of a stack, window- or time-major.  Built by broadcasting:
-    np.tile leaves a reference cycle per call."""
+    """(points, t, w) of a stack, window- or time-major: each time repeated
+    once per state, the states repeated once per time."""
     grid = stack.shape[:2]
     points = stack.reshape((grid[0] * grid[1],) + stack.shape[2:])
-    t = np.broadcast_to(np.asarray(t_axis)[:, None], grid).reshape(-1)
-    return points, t, np.broadcast_to(np.asarray(states), grid).reshape(-1)
+    t = np.repeat(np.asarray(t_axis), grid[1])
+    return points, t, np.repeat(np.asarray(states)[None], grid[0], axis=0).reshape(-1)
 
 
 def _check_dim(obj, stack):

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (PerturbationCurve, SampleSpace, StochasticPath, TimeDomain,
-                   compact_support_curve, eventually_constant_curve,
+from .core import (GRID_BUDGET, PerturbationCurve, SampleSpace, StochasticPath,
+                   TimeDomain, compact_support_curve, eventually_constant_curve,
                    quintic_ramp_curve)
 from .errors import HorizonError, InputError
 from .expr import dsl_continuous_objective, dsl_discrete_objective
@@ -417,6 +417,10 @@ def parse_scenario(data: dict) -> Scenario:
     _reject_unknown(data, _TOP_KEYS, "$")
     time_echo, domain = _validate_time(_get(data, "time", "$"))
     omega_echo, space = _validate_omega(_get(data, "omega", "$"))
+    cells = (domain.num_points - 1) * space.m  # steps x states: 10**6 steps take 10 states
+    if cells > 10 * GRID_BUDGET:
+        raise SchemaError("omega.probs", f"{domain.num_points - 1} grid steps times "
+                          f"{space.m} states exceed the budget of {10 * GRID_BUDGET} cells")
     order = _integer(_get(data, "order", "$"), "order")
     if order < 0:
         raise SchemaError("order", "must be >= 0")

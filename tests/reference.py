@@ -11,12 +11,14 @@ batched formula and every engine was a reduction over batched calls:
 - the per-point finite differences and the sample-by-sample gradient and
   correspondence oracles;
 - the Newton solver that runs one state after another, with one residual
-  call per Jacobian and per line-search trial.
+  call per Jacobian and per line-search trial;
+- the report text the CLI wrote through json.dumps, one value at a time.
 
-The kernel, objective and solver tests hold the library to them.
+The kernel, objective, solver and CLI tests hold the library to them.
 """
 
 import itertools
+import json
 import math
 import sys
 
@@ -602,3 +604,32 @@ def brute_force_solve(obj, base, free_indices, grids):
     return BruteForceResult(path=path, value=tk.objective_value(obj, path),
                             per_state_values=tuple(per_state),
                             grid_resolution=resolution)
+
+
+# ---------------------------------------------------------------------------
+# Report text through the json module
+
+def _jsonify(value):
+    if isinstance(value, dict):
+        return {str(k): _jsonify(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonify(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return _jsonify(value.tolist())
+    if isinstance(value, (np.floating, float)):
+        value = float(value)
+        if value != value:
+            return "nan"
+        if value == float("inf"):
+            return "inf"
+        if value == float("-inf"):
+            return "-inf"
+        return value
+    if isinstance(value, (np.integer,)):
+        return int(value)
+    return value
+
+
+def reference_report_text(report) -> str:
+    """The text the CLI writes for a report: 2-space indent, sorted keys."""
+    return json.dumps(_jsonify(report), sort_keys=True, indent=2) + "\n"

@@ -1,9 +1,14 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import reference
 import tvckit as tk
 import tvckit.cli
 import tvckit.scenario
@@ -238,6 +243,28 @@ class TestCliExitCodes:
         report = json.loads(out.read_text())
         assert report["scenario"]["time"]["t_max"] == 30
 
+    def test_cells_past_the_budget_exit_2(self, tmp_path, capsys):
+        """10**6 steps take at most 10 states: an 11th is refused before any
+        path is built."""
+        data = minimal_scenario(
+            time={"kind": "discrete", "t_max": 10**6},
+            omega={"probs": [0.5] + [0.05] * 10},
+            objective={"builtin": "quadlin-discrete",
+                       "params": {"alpha": [1.0] * 11, "beta": [0.5] * 11,
+                                  "gamma": [0.25] * 11}})
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(data)
+        assert err.value.key_path == "omega.probs"
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(data))
+        assert main(["euler", "--scenario", str(f), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("input error: omega.probs: 1000000 grid "
+                                                  "steps times 11 states exceed the budget")
+
+    def test_a_million_steps_with_two_states_load(self):
+        scenario = parse_scenario(minimal_scenario(time={"kind": "discrete", "t_max": 10**6}))
+        assert scenario.path().values.shape == (10**6 + 1, 2, 1)
+
     def test_tmax_past_the_grid_budget_exit_2(self, capsys):
         code = main(["tvc", "--scenario", str(SCENARIOS / "discrete-counterexample.json"),
                      "--tmax", "100000000000", "--quiet"])
@@ -381,6 +408,80 @@ def test_household_correspond_skips_only_walled_windows(tmp_path, seed, checked)
     report = json.loads(out.read_text())["correspond"]
     assert (report["verdict"], report["checked"]) == ("PASS", checked)
     assert report["max_partial_gap"] <= 1e-9 and report["tolerance"] == 1e-8
+
+
+# every (scenario, command) pair above, the demo presets, and long horizons
+REPORT_RUNS = ([[command, "--scenario", str(SCENARIOS / f"{stem}.json")]
+                for stem, command in dict.fromkeys((s, c) for s, c, _, _ in SHIPPED_CONTRACT)]
+               + [["demo", preset, "--seed", "7"] for preset in DEMOS]
+               + [[command, "--scenario", str(SCENARIOS / "discrete-counterexample.json"),
+                   "--tmax", "5000"] for command in ("euler", "tvc")])
+
+
+class TestReportText:
+    """The one-pass writer against the json module's encoding of the same report."""
+
+    @pytest.mark.parametrize("argv", REPORT_RUNS, ids=lambda argv: " ".join(
+        Path(a).stem if a.endswith(".json") else a for a in argv))
+    def test_stdout_and_out_are_the_reference_text(self, monkeypatch, tmp_path, capsys,
+                                                   argv):
+        handler, reports = tvckit.cli._HANDLERS[argv[0]], []
+
+        def capture(args):
+            report, code = handler(args)
+            reports.append(report)
+            return report, code
+
+        monkeypatch.setitem(tvckit.cli._HANDLERS, argv[0], capture)
+        code = main(argv)
+        printed = capsys.readouterr().out
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out), "--quiet"]) == code
+        assert capsys.readouterr().out == ""
+        if code == 2:  # continuous correspond: no report
+            assert (printed, reports) == ("", []) and not out.exists()
+            return
+        assert printed == reference.reference_report_text(reports[0])
+        assert out.read_bytes() == reference.reference_report_text(reports[1]).encode("ascii")
+
+    def test_quiet_renders_nothing(self, monkeypatch, capsys):
+        def fail(value, level):
+            raise AssertionError("rendered under --quiet")
+
+        monkeypatch.setattr(tvckit.cli, "_render", fail)
+        argv = ["tvc", "--scenario", str(SCENARIOS / "discrete-counterexample.json")]
+        assert main(argv + ["--quiet"]) == 1
+        assert capsys.readouterr().out == ""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.recursive(
+        st.one_of(
+            st.none(), st.booleans(), st.text(), st.integers(-10**40, 10**40),
+            st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]),
+            st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+            st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+            st.lists(st.floats()), st.lists(st.floats().map(np.float64)),
+            st.lists(st.integers(-10**40, 10**40)),
+            st.sampled_from([(), (0,), (3, 0), (5,), (5, 1), (4, 2, 3)]).flatmap(
+                lambda shape: st.one_of(arrays(np.float64, shape),
+                                        arrays(np.float32, shape),
+                                        arrays(np.int64, shape),
+                                        arrays(np.bool_, shape)))),
+        lambda children: st.one_of(
+            st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(st.one_of(st.text(), st.integers(-3, 3)), children,
+                            max_size=4)),
+        max_leaves=12))
+    def test_render_is_the_reference_text(self, value):
+        try:
+            want = reference.reference_report_text(value)
+        except TypeError:
+            want = TypeError
+        try:
+            got = tvckit.cli._render(value, 0) + "\n"
+        except TypeError:
+            got = TypeError
+        assert got == want
 
 
 class TestReports:
