@@ -239,12 +239,10 @@ class PerturbationCurve(StochasticPath):
                 raise InputError(f"first {k} values must be exactly zero (vanishing_head={k})")
         else:
             tol = 10.0 * self.domain.h
-            deriv = self.values
-            for j in range(k):
+            for j, deriv in enumerate(derivatives(self.values, self.domain.h, k - 1)):
                 if np.abs(deriv[0]).max() > tol:
                     raise InputError(
                         f"derivative of order {j} at t=0 exceeds the grid tolerance {tol}")
-                deriv = np.gradient(deriv, self.domain.h, axis=0, edge_order=2)
 
     def _check_tail(self):
         if self.tail_kind is None:
@@ -274,22 +272,42 @@ def perturb(base: StochasticPath, curve: PerturbationCurve, eps: float) -> Stoch
     return StochasticPath(base.domain, base.space, base.values + eps * curve.values)
 
 
-def time_derivative(path: StochasticPath, k: int) -> StochasticPath:
-    """k-th time derivative on a continuous grid.
+def derivatives(values, h: float, k: int) -> list[np.ndarray]:
+    """[x, x', ..., x^(k)] of a series sampled with step h along axis 0.
 
-    Repeated central differences on the interior with second-order one-sided
-    stencils at the two edges (O(h^2) on smooth data).
+    Each derivative is one more composed pass of central differences on the
+    interior with second-order one-sided stencils at the two edges (O(h^2) on
+    smooth data).  Every time derivative in the toolkit is taken here.
     """
+    out = [values]
+    if k >= 1 and len(values) < 3:
+        raise InputError(f"a time derivative needs at least 3 grid points, got {len(values)}")
+    for _ in range(k):
+        out.append(np.gradient(out[-1], h, axis=0, edge_order=2))
+    return out
+
+
+def running_sum(domain: TimeDomain, series) -> np.ndarray:
+    """Running sums of a per-time series along axis 0: the partial sums over
+    windows on a discrete domain (from +0.0), the cumulative trapezoid rule
+    (0 at t = 0) on a continuous one.  Every sum over time in the toolkit is
+    taken here."""
+    e = np.asarray(series, dtype=float)
+    if domain.kind == "discrete":
+        return np.cumsum(e, axis=0) + 0.0
+    steps = np.cumsum((e[1:] + e[:-1]) * 0.5 * domain.h, axis=0)
+    return np.concatenate([np.zeros((1,) + e.shape[1:]), steps])
+
+
+def time_derivative(path: StochasticPath, k: int) -> StochasticPath:
+    """k-th time derivative on a continuous grid (see derivatives)."""
     if path.domain.kind != "continuous":
         raise UnsupportedError("time derivatives are defined on continuous domains only")
     if k < 1:
         raise InputError("derivative order must be >= 1")
     if path.num_points < 2 * k + 1:
         raise InputError(f"need at least {2 * k + 1} grid points for a {k}-th derivative")
-    vals = path.values
-    for _ in range(k):
-        vals = np.gradient(vals, path.domain.h, axis=0, edge_order=2)
-    return StochasticPath(path.domain, path.space, vals)
+    return StochasticPath(path.domain, path.space, derivatives(path.values, path.domain.h, k)[k])
 
 
 def integrate_time(series: StochasticPath, up_to: float) -> np.ndarray:
@@ -299,7 +317,7 @@ def integrate_time(series: StochasticPath, up_to: float) -> np.ndarray:
     if series.dim != 1:
         raise InputError("integrate_time expects a dim-1 series")
     idx = series.domain.index_of(up_to)
-    return np.trapezoid(series.values[: idx + 1, :, 0], dx=series.domain.h, axis=0)
+    return running_sum(series.domain, series.values[: idx + 1, :, 0])[-1]
 
 
 # ---------------------------------------------------------------------------

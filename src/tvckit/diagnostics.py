@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PerturbationCurve, StochasticPath, expectation, perturb)
+from .core import PerturbationCurve, StochasticPath, expectation, perturb, running_sum
 from .errors import HorizonError, InputError, NumericalError, UnsupportedError
 from .euler import max_window_start
-from .kernel import expected_cumsum, jet_values, values_at, window_values
+from .kernel import jet_values, values_at, window_values
 from .objectives import ContinuousObjective
 
 DIVERGES = "DIVERGES"
@@ -91,80 +91,63 @@ def a_grid(obj, path: StochasticPath, curve: PerturbationCurve,
            eps_grid=DEFAULT_EPS_GRID, tprime_grid=None) -> DiagnosticMatrix:
     """The A(T', eps) matrix: truncated objective difference divided by eps.
 
-    Discrete cells are exact weighted sums; continuous cells use the trapezoid
-    rule on the expected difference of the sampled objective along the jets.
+    Discrete cells are exact window sums; continuous cells integrate the
+    expected difference of the sampled objective along the jets by the
+    trapezoid rule.  A time at which the base or the perturbed value is -inf
+    in any state adds 0, and every cell from that time on is a domain error.
     """
+    n = obj.order
     if path.domain.kind == "discrete":
-        return _a_grid_discrete(obj, path, curve, eps_grid, tprime_grid)
-    return _a_grid_continuous(obj, path, curve, eps_grid, tprime_grid)
+        last = min(max_window_start(path, n), max_window_start(curve, n))
+        if tprime_grid is None:
+            tprime_grid = _default_tprime_grid_discrete(curve, last)
+        tprime_grid = [int(t) for t in tprime_grid]
+        if max(tprime_grid) > last:
+            raise HorizonError(f"T'={max(tprime_grid)} beyond the last full window {last}")
+        if min(tprime_grid) < 0:
+            raise HorizonError("T' values must be >= 0")
+        idx = np.asarray(tprime_grid)
+
+        def values_of(p):
+            return window_values(obj, p, 0, idx.max())
+    else:
+        if tprime_grid is None:
+            h = path.domain.h
+            onset = curve.tail_onset if curve.tail_onset is not None else 1.0
+            tprime_grid = sorted({round(path.domain.index_of(round(t / h) * h) * h, 12)
+                                  for t in np.geomspace(onset + 2, path.domain.t_end, 8)})
+        idx = np.asarray([path.domain.index_of(tp) for tp in tprime_grid], dtype=int)
+
+        def values_of(p):
+            return jet_values(obj, p)
+    values = np.zeros((len(idx), len(eps_grid)))
+    status = np.full(values.shape, STATUS_FINITE, dtype=object)
+    base = values_of(path)
+    base_wall = np.isneginf(base)
+    for ie, eps in enumerate(eps_grid):
+        shifted = values_of(perturb(path, curve, eps))
+        with np.errstate(invalid="ignore"):  # -inf - -inf at walled times
+            diff = shifted - base
+        wall = base_wall | np.isneginf(shifted)
+        walled = wall.any(axis=1) if wall.any() else None  # reduced per time only at a wall
+        if walled is not None:
+            diff[walled] = 0.0
+        values[:, ie] = running_sum(path.domain, expectation(path.space, diff.T))[idx] / eps
+        status[~np.isfinite(values[:, ie]), ie] = STATUS_DIVERGING
+        if walled is not None:
+            status[np.maximum.accumulate(walled)[idx], ie] = STATUS_DOMAIN_ERROR
+    if (status == STATUS_DOMAIN_ERROR).all():
+        raise NumericalError("every diagnostic cell hit the -inf domain boundary")
+    return DiagnosticMatrix(tuple(eps_grid), tuple(tprime_grid), values, status)
 
 
-def _default_tprime_grid_discrete(path, curve, n):
-    last = min(max_window_start(path, n), max_window_start(curve, n))
+def _default_tprime_grid_discrete(curve, last):
     onset = int(curve.tail_onset) if curve.tail_onset is not None else 1
     lo = min(onset + 2, last)
     # roughly geometric coverage of [lo, last]
     grid = sorted({int(round(v)) for v in np.geomspace(max(lo, 1), max(last, 1), 8)})
     grid = [g for g in grid if lo <= g <= last]
     return grid or [last]
-
-
-def _a_grid_discrete(obj, path, curve, eps_grid, tprime_grid):
-    n = obj.order
-    if tprime_grid is None:
-        tprime_grid = _default_tprime_grid_discrete(path, curve, n)
-    tprime_grid = [int(t) for t in tprime_grid]
-    last = min(max_window_start(path, n), max_window_start(curve, n))
-    if max(tprime_grid) > last:
-        raise HorizonError(f"T'={max(tprime_grid)} beyond the last full window {last}")
-    if min(tprime_grid) < 0:
-        raise HorizonError("T' values must be >= 0")
-    idx = np.asarray(tprime_grid)
-    values = np.zeros((len(idx), len(eps_grid)))
-    status = np.full(values.shape, STATUS_FINITE, dtype=object)
-    base = window_values(obj, path, 0, idx.max())
-    for ie, eps in enumerate(eps_grid):
-        shifted = window_values(obj, perturb(path, curve, eps), 0, idx.max())
-        walled = np.isneginf(base).any(axis=1) | np.isneginf(shifted).any(axis=1)
-        with np.errstate(invalid="ignore"):  # -inf - -inf on walled windows
-            diff = np.where(walled[:, None], 0.0, shifted - base)
-        values[:, ie] = expected_cumsum(path.space, diff)[idx] / eps
-        status[~np.isfinite(values[:, ie]), ie] = STATUS_DIVERGING
-        status[np.maximum.accumulate(walled)[idx], ie] = STATUS_DOMAIN_ERROR
-    if (status == STATUS_DOMAIN_ERROR).all():
-        raise NumericalError("every diagnostic cell hit the -inf domain boundary")
-    return DiagnosticMatrix(tuple(eps_grid), tuple(tprime_grid), values, status)
-
-
-def _a_grid_continuous(obj, path, curve, eps_grid, tprime_grid):
-    h = path.domain.h
-    if tprime_grid is None:
-        onset = curve.tail_onset if curve.tail_onset is not None else 1.0
-        tprime_grid = [t for t in np.geomspace(onset + 2, path.domain.t_end, 8)]
-        tprime_grid = sorted({round(path.domain.index_of(round(t / h) * h) * h, 12)
-                              for t in tprime_grid})
-    nT, nE = len(tprime_grid), len(eps_grid)
-    values = np.zeros((nT, nE))
-    status = np.full((nT, nE), STATUS_FINITE, dtype=object)
-    base_vals = jet_values(obj, path)
-    for ie, eps in enumerate(eps_grid):
-        shifted = perturb(path, curve, eps)
-        with np.errstate(invalid="ignore"):  # -inf - -inf where both hit the wall
-            diff = jet_values(obj, shifted) - base_vals
-        bad = np.isneginf(diff) | np.isnan(diff)
-        ediff = expectation(path.space, np.where(bad, 0.0, diff).T)
-        # cumulative trapezoid over the grid
-        cum = np.concatenate([[0.0], np.cumsum((ediff[1:] + ediff[:-1]) * 0.5 * h)])
-        for it, tp in enumerate(tprime_grid):
-            idx = path.domain.index_of(tp)
-            values[it, ie] = cum[idx] / eps
-            if bad[: idx + 1].any():
-                status[it, ie] = STATUS_DOMAIN_ERROR
-            elif not math.isfinite(values[it, ie]):
-                status[it, ie] = STATUS_DIVERGING
-    if (status == STATUS_DOMAIN_ERROR).all():
-        raise NumericalError("every diagnostic cell hit the -inf domain boundary")
-    return DiagnosticMatrix(tuple(eps_grid), tuple(tprime_grid), values, status)
 
 
 # ---------------------------------------------------------------------------

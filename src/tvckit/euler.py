@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StochasticPath, expectation
+from .core import StochasticPath, derivatives, expectation
 from .errors import HorizonError, InputError, NumericalError, UnsupportedError
 from .kernel import euler_rows, jet_partials, window_partials
 from .objectives import ContinuousObjective, DiscreteObjective
@@ -108,10 +108,7 @@ def continuous_euler_residual_series(obj: ContinuousObjective,
     P = jet_partials(obj, path)
     out = np.zeros(P[:, 0].shape)
     for k in range(obj.order + 1):
-        series = P[:, k]
-        for _ in range(k):
-            series = np.gradient(series, path.domain.h, axis=0, edge_order=2)
-        out += (-1) ** k * series
+        out += (-1) ** k * derivatives(P[:, k], path.domain.h, k)[k]
     if not np.isfinite(out).all():
         raise NumericalError("derivative stencil produced a non-finite residual")
     return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import SampleSpace, StochasticPath, expectation, time_derivative
+from .core import StochasticPath, derivatives
 from .errors import HorizonError, InputError, UnsupportedError
 
 
@@ -75,11 +75,11 @@ def window_partials(obj, path: StochasticPath, j_lo: int, j_hi: int) -> np.ndarr
 
 def _jets(path: StochasticPath, n: int):
     """(x, x', ..., x^(n)) at every grid time and state, stacked (num_points, m, n+1, dim)."""
-    jets = [path.values]
-    current = path
-    for _ in range(n):
-        current = time_derivative(current, 1)
-        jets.append(current.values)
+    if path.domain.kind != "continuous":
+        raise UnsupportedError("time derivatives are defined on continuous domains only")
+    jets = derivatives(path.values, path.domain.h, n)
+    if not all(np.isfinite(d).all() for d in jets[1:]):
+        raise InputError("path values must all be finite")
     return np.stack(jets, axis=2), path.domain.times(), np.arange(path.space.m)
 
 
@@ -120,9 +120,3 @@ def tail_terms(P: np.ndarray, q_values: np.ndarray, tprimes, first: int = 0) -> 
             coef += P[tp + k - s - first, s]
         total += np.sum(coef * q_values[tp + k], axis=2)
     return total
-
-
-def expected_cumsum(space: SampleSpace, per_state: np.ndarray) -> np.ndarray:
-    """Running sums over the first axis of the expectation of (K, m) values;
-    shape (K,).  The sums run in index order, starting from +0.0."""
-    return np.cumsum(expectation(space, per_state.T)) + 0.0

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StochasticPath, expectation
+from .core import StochasticPath, expectation, running_sum
 from .errors import (DomainError, InputError, NumericalError, ToolkitError, UnsupportedError)
 from .euler import BoundaryMode, max_window_start
-from .kernel import (euler_rows, expected_cumsum, jet_values, partials_at,
-                     values_at, window_stack, window_values)
+from .kernel import (euler_rows, jet_values, partials_at, values_at, window_stack,
+                     window_values)
 from .objectives import (ContinuousObjective, DiscreteObjective, fd_partials, rel_gap,
                          stack_samples)
 
@@ -31,6 +31,8 @@ MAX_GRID_COMBOS = 10_000_000
 BRUTE_FORCE_CHUNK = 1024
 
 JAC_FD_STEP = 1e-6
+# most bytes the dense per-state Newton Jacobians (m * N^2 float64) may take
+JACOBIAN_BUDGET = 2**30
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,10 @@ class SolveSpec:
             raise InputError("no free indices: head covers the whole horizon")
         if self.mode == "paper_literal" and (self.head is not None or self.tail is not None):
             raise InputError("paper_literal mode takes no fixed head/tail values")
+        unknowns = (self.horizon + 1 - self.head_len) * self.guess.dim
+        if self.guess.space.m * unknowns**2 * 8 > JACOBIAN_BUDGET:
+            raise InputError(f"the dense Newton Jacobians of {self.guess.space.m} states x "
+                             f"{unknowns} unknowns exceed the budget of {JACOBIAN_BUDGET} bytes")
 
     @property
     def head_len(self) -> int:
@@ -342,16 +348,13 @@ def objective_value(obj, path: StochasticPath) -> float:
     """Total expected objective along the path: a sum over full windows in the
     discrete case, a trapezoid integral of the expected sampled value in the
     continuous case.  -inf is an admissible result; +inf is not."""
-    space = path.space
     if isinstance(obj, DiscreteObjective):
         vals = window_values(obj, path, 0, max_window_start(path, obj.order))
-        return float(expected_cumsum(space, vals)[-1])
-    if isinstance(obj, ContinuousObjective):
-        per_time = np.atleast_1d(expectation(space, jet_values(obj, path).T))
-        if np.isneginf(per_time).any():
-            return NEG_INF
-        return float(np.trapezoid(per_time, dx=path.domain.h))
-    raise UnsupportedError(f"unsupported objective type {type(obj).__name__}")
+    elif isinstance(obj, ContinuousObjective):
+        vals = jet_values(obj, path)
+    else:
+        raise UnsupportedError(f"unsupported objective type {type(obj).__name__}")
+    return float(running_sum(path.domain, expectation(path.space, vals.T))[-1])
 
 
 @dataclass(frozen=True)

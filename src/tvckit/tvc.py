@@ -12,12 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PerturbationCurve, StochasticPath, expectation, perturb,
-                   smoothstep_quintic)
+from .core import (PerturbationCurve, StochasticPath, derivatives, expectation, perturb,
+                   running_sum, smoothstep_quintic)
 from .errors import DomainError, HorizonError, InputError, UnsupportedError
 from .euler import max_window_start
-from .kernel import (euler_rows, expected_cumsum, jet_partials, tail_terms,
-                     window_partials, window_values)
+from .kernel import euler_rows, jet_partials, tail_terms, window_partials, window_values
 from .objectives import ContinuousObjective, DiscreteObjective
 
 DEFAULT_TOL_TVC_ANALYTIC = 1e-8
@@ -120,23 +119,20 @@ def boundary_bracket_series(obj: ContinuousObjective, path: StochasticPath,
     n = obj.order
     h = path.domain.h
     vseries = jet_partials(obj, path)  # slot k holds the v_{k+1} series
+    # slot k's chain up to order k-1: the bracket differentiates v_{k+1} at most k-1 times
+    chains = [derivatives(vseries[:, k], h, k - 1) for k in range(1, n + 1)]
 
     # derivatives of p up to order n-1, with structural zeros at t=0
-    pder = [p.values]
-    for _ in range(n - 1):
-        pder.append(np.gradient(pder[-1], h, axis=0, edge_order=2))
-    pder = [d.copy() for d in pder]
-    for j in range(min(p.vanishing_head, len(pder))):
+    pder = derivatives(p.values, h, n - 1)
+    for j in range(min(p.vanishing_head, n)):
+        pder[j] = pder[j].copy()
         pder[j][0] = 0.0
 
     bracket = np.zeros(path.values.shape)
     for j in range(n):
         coef = np.zeros_like(bracket)
         for step in range(n - j):  # v slot j+1+step, differentiated step times
-            series = vseries[:, j + 1 + step]
-            for _ in range(step):
-                series = np.gradient(series, h, axis=0, edge_order=2)
-            coef += (-1) ** step * series
+            coef += (-1) ** step * chains[j + step][step]
         bracket += pder[j] * coef
     per_time = np.sum(bracket, axis=2)  # sum over state dimension i
     return np.atleast_1d(expectation(path.space, per_time.T))
@@ -183,7 +179,7 @@ def truncated_objective(obj: DiscreteObjective, path: StochasticPath,
     walled = np.isneginf(vals).any(axis=1)
     if walled.any():
         raise DomainError(f"objective is -inf inside the truncated sum at t={int(np.argmax(walled))}")
-    return float(expected_cumsum(path.space, vals)[-1]) if len(vals) else 0.0
+    return float(running_sum(path.domain, expectation(path.space, vals.T))[-1]) if len(vals) else 0.0
 
 
 def variation_decomposition_check(obj: DiscreteObjective, path: StochasticPath,
@@ -199,6 +195,6 @@ def variation_decomposition_check(obj: DiscreteObjective, path: StochasticPath,
               - truncated_objective(obj, perturb(path, q, -eps), tprime)) / (2.0 * eps)
     rows = euler_rows(window_partials(obj, path, 0, tprime))[: tprime + 1]
     weighted = np.sum(rows * q.values[: tprime + 1], axis=2)
-    rows_total = float(expected_cumsum(path.space, weighted)[-1])
+    rows_total = float(running_sum(path.domain, expectation(path.space, weighted.T))[-1])
     tail = discrete_tvc_tail(obj, path, q, tprime)
     return abs(direct - (rows_total + tail))

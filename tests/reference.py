@@ -12,6 +12,9 @@ batched formula and every engine was a reduction over batched calls:
   correspondence oracles;
 - the Newton solver that runs one state after another, with one residual
   call per Jacobian and per line-search trial;
+- the continuous engines with their own composed np.gradient chains and
+  quadratures: the residual's per-term sum, the bracket's triple loop and
+  the A(T', eps) loop over T' (wall-free inputs only);
 - the report text the CLI wrote through json.dumps, one value at a time.
 
 The kernel, objective, solver and CLI tests hold the library to them.
@@ -32,7 +35,8 @@ from tvckit.euler import max_window_start
 from tvckit.expr import Call, Const, Neg, Var, parse_source, symbolic_partial
 from tvckit.objectives import (FD_AGREEMENT, FD_STEPS, GRADIENT_REL_TOL,
                                GradientCheckReport, _as_point)
-from tvckit.kernel import euler_rows, partials_at, values_at, window_stack
+from tvckit.kernel import (euler_rows, jet_partials, jet_values, partials_at, values_at,
+                           window_stack)
 from tvckit.solvers import (JAC_FD_STEP, BruteForceResult, CorrespondenceReport,
                             NewtonReport, _classify_curvature)
 
@@ -379,6 +383,52 @@ def sampled_values(obj, jets, times, m, dim):
                 jet[order] = jets[order][it, w]
             out[it, w] = obj.value(jet, t, w)
     return out
+
+
+def _gradient(series, h, k):
+    for _ in range(k):
+        series = np.gradient(series, h, axis=0, edge_order=2)
+    return series
+
+
+def continuous_euler_residual_series(obj, path):
+    """v_1 - (v_2)' + ... + (-1)^n (v_{n+1})^(n), one term at a time."""
+    P = jet_partials(obj, path)
+    out = np.zeros(P[:, 0].shape)
+    for k in range(obj.order + 1):
+        out += (-1) ** k * _gradient(P[:, k], path.domain.h, k)
+    return out
+
+
+def boundary_bracket_series(obj, path, p):
+    """The bracket re-differentiating each slot inside its j/step loops."""
+    n, h = obj.order, path.domain.h
+    vseries = jet_partials(obj, path)
+    pder = [np.array(_gradient(p.values, h, j)) for j in range(n)]
+    for j in range(min(p.vanishing_head, n)):
+        pder[j][0] = 0.0
+    bracket = np.zeros(path.values.shape)
+    for j in range(n):
+        coef = np.zeros_like(bracket)
+        for step in range(n - j):
+            coef += (-1) ** step * _gradient(vseries[:, j + 1 + step], h, step)
+        bracket += pder[j] * coef
+    return np.atleast_1d(tk.expectation(path.space, np.sum(bracket, axis=2).T))
+
+
+def a_grid_continuous(obj, path, curve, eps_grid, tprime_grid):
+    """Continuous A(T', eps) cells: the cumulative trapezoid of the expected
+    jet-value difference, one T' at a time.  Wall-free inputs only."""
+    h = path.domain.h
+    values = np.zeros((len(tprime_grid), len(eps_grid)))
+    base_vals = jet_values(obj, path)
+    for ie, eps in enumerate(eps_grid):
+        diff = jet_values(obj, tk.perturb(path, curve, eps)) - base_vals
+        ediff = tk.expectation(path.space, diff.T)
+        cum = np.concatenate([[0.0], np.cumsum((ediff[1:] + ediff[:-1]) * 0.5 * h)])
+        for it, tp in enumerate(tprime_grid):
+            values[it, ie] = cum[path.domain.index_of(tp)] / eps
+    return values
 
 
 def domination_check(obj, path, curve, eps_bar, sample_times):

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tvckit as tk
-from tvckit.core import GRID_BUDGET
+from tvckit.core import GRID_BUDGET, derivatives, running_sum
 from tvckit.errors import HorizonError, InputError, UnsupportedError
 
 
@@ -172,6 +174,49 @@ class TestDerivativesAndIntegrals:
         path = tk.StochasticPath.from_function(dom, space, lambda t, w: t)
         out = tk.integrate_time(path, 1.0)
         assert np.allclose(out, 0.5, atol=1e-6)
+
+
+class TestTimeAxis:
+    """The two time-axis routines every engine goes through."""
+
+    def test_derivatives_are_composed_passes(self):
+        x = np.sin(np.linspace(0.0, 2.0, 41))[:, None]
+        chain = derivatives(x, 0.05, 3)
+        assert len(chain) == 4 and chain[0] is x
+        for lower, upper in zip(chain, chain[1:]):
+            assert np.array_equal(upper, np.gradient(lower, 0.05, axis=0, edge_order=2))
+
+    def test_derivatives_need_three_points(self):
+        assert len(derivatives(np.ones(2), 0.5, 0)) == 1
+        with pytest.raises(InputError, match="at least 3 grid points, got 2"):
+            derivatives(np.ones(2), 0.5, 1)
+
+    def test_running_sum_discrete(self):
+        dom = tk.TimeDomain.discrete(3)
+        out = running_sum(dom, [-0.0, 1.0, 2.0, -np.inf])
+        assert out.tolist() == [0.0, 1.0, 3.0, -np.inf]
+        assert math.copysign(1.0, out[0]) == 1.0  # from +0.0
+
+    def test_running_sum_continuous(self):
+        dom = tk.TimeDomain.continuous(1.5, 0.5)
+        e = np.array([[1.0, 0.0], [3.0, 1.0], [5.0, 2.0], [7.0, 3.0]])
+        assert running_sum(dom, e).tolist() == [[0.0, 0.0], [1.0, 0.25], [3.0, 1.0],
+                                                 [6.0, 2.25]]
+        assert running_sum(dom, [1.0, -np.inf, 2.0, 3.0])[1:].tolist() == [-np.inf] * 3
+
+
+def test_one_time_axis():
+    """np.gradient, np.cumsum and np.trapezoid are called only inside core's
+    derivatives and running_sum: every time derivative and every sum over
+    time in the library goes through those two."""
+    calls = set()
+    for path in sorted(Path(tk.__file__).resolve().parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:  # a function, a class or a statement
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("gradient", "cumsum", "trapezoid", "trapz")):
+                    calls.add((path.stem, getattr(top, "name", None), node.func.attr))
+    assert calls == {("core", "derivatives", "gradient"), ("core", "running_sum", "cumsum")}
 
 
 class TestPerturbationCurve:

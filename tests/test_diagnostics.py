@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import tvckit as tk
-from tvckit.diagnostics import (DIVERGES, DiagnosticMatrix, deviation_profile,
-                                growth_slope)
-from tvckit.errors import InputError, UnsupportedError
+from tvckit.diagnostics import (DIVERGES, STATUS_DOMAIN_ERROR, STATUS_FINITE,
+                                DiagnosticMatrix, deviation_profile, growth_slope)
+from tvckit.errors import InputError, NumericalError, UnsupportedError
 
 TPRIMES = [12, 15, 20, 25, 30, 35, 40, 45]
 
@@ -140,3 +140,23 @@ class TestContinuousGrid:
                       tprime_grid=[3.0, 5.0, 7.0, 9.0, 11.0])
         assert m.all_finite
         assert m.values.shape == (5, 4)
+
+    @staticmethod
+    def _ln_wall(space, start, slope):
+        obj = tk.dsl_continuous_objective("ln(x0) + x1 + x2", 2)
+        dom = tk.TimeDomain.continuous(10.0, 0.01)
+        path = tk.StochasticPath.from_function(dom, space, lambda t, w: start + slope * t)
+        return obj, path, tk.quintic_ramp_curve(dom, space, target=5.0)
+
+    def test_base_wall_is_a_domain_error(self, space):
+        """The base path is -inf from t = 10/3 on while the perturbed paths are
+        finite there: that time adds 0, and every cell from it on is walled."""
+        m = tk.a_grid(*self._ln_wall(space, 1.0, -0.3))
+        assert m.tprime_grid[0] == 3.0
+        assert (m.status[0] == STATUS_FINITE).all() and np.isfinite(m.values).all()
+        assert (m.status[1:] == STATUS_DOMAIN_ERROR).all()
+        assert tk.uniformity_verdict(m).verdict == "INCONCLUSIVE"
+
+    def test_every_cell_walled(self, space):
+        with pytest.raises(NumericalError, match="every diagnostic cell hit"):
+            tk.a_grid(*self._ln_wall(space, -1.0, 1.0))

@@ -208,6 +208,48 @@ def test_jet_sampling_matches_reference(seed, case, h, m):
     assert_close(tk.objective_value(obj, path), np.trapezoid(per_time, dx=h))
 
 
+def _smooth_continuous_case(seed, n, m, h, ramp):
+    """A wall-free DSL objective of order n that reads every slot, a smooth
+    random path and a smooth curve (a quintic ramp, or a cosine with no
+    vanishing head) on [0, 4]."""
+    rng = np.random.default_rng(seed)
+    space = tk.SampleSpace(tuple(np.full(m, 1.0 / m)))
+    names = ["a"] + [f"c{k}" for k in range(1, n + 1)]
+    source = " + ".join(["a * x0^2", "exp(0.2 * x0)", f"0.1 * x{n}^2"]
+                        + [f"c{k} * x{k - 1} * x{k}" for k in range(1, n + 1)])
+    obj = tk.dsl_continuous_objective(source, n, _constants(rng, m, names))
+    dom = tk.TimeDomain.continuous(4.0, h)
+    times = dom.times()[:, None]
+    level, amp, freq, phase = (rng.uniform(lo, hi, size=m) for lo, hi in
+                               ((0.5, 1.5), (-0.5, 0.5), (0.3, 1.5), (0.0, 3.0)))
+    path = tk.StochasticPath(dom, space, level + amp * np.sin(freq * times + phase))
+    if ramp:
+        curve = tk.quintic_ramp_curve(dom, space, target=rng.uniform(-1.0, 1.0, m))
+    else:
+        curve = tk.PerturbationCurve(dom, space, amp * np.cos(freq * times))
+    return obj, path, curve
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), m=st.integers(1, 3),
+       h=st.sampled_from([0.01, 0.02, 0.05]), ramp=st.booleans())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_continuous_engines_match_their_loops(seed, n, m, h, ramp):
+    """The one derivative operator and the one running sum give the engines'
+    former composed np.gradient chains and trapezoid loop bit for bit."""
+    obj, path, curve = _smooth_continuous_case(seed, n, m, h, ramp)
+    for k in range(1, n + 1):
+        assert np.array_equal(tk.time_derivative(path, k).values,
+                              reference._gradient(path.values, h, k))
+    assert np.array_equal(tk.continuous_euler_residual_series(obj, path),
+                          reference.continuous_euler_residual_series(obj, path))
+    assert np.array_equal(tk.boundary_bracket_series(obj, path, curve),
+                          reference.boundary_bracket_series(obj, path, curve))
+    matrix = tk.a_grid(obj, path, curve)
+    assert matrix.all_finite
+    assert np.array_equal(matrix.values, reference.a_grid_continuous(
+        obj, path, curve, matrix.eps_grid, matrix.tprime_grid))
+
+
 DOMINATION_CASES = {
     "quadlin": DISCRETE_CASES["quadlin"],
     "household": DISCRETE_CASES["household"],

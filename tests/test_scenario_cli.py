@@ -157,6 +157,35 @@ class TestSchemaAtLoad:
             assert main([command, "--scenario", str(f), "--quiet"]) == 2, command
             assert capsys.readouterr().err.startswith(f"input error: {key_path}: "), command
 
+    def test_two_point_continuous_grid(self, tmp_path, capsys):
+        # the ramp's head check needs three grid points for a first derivative
+        data = _mutated("continuous-counterexample", ("time",),
+                        {"kind": "continuous", "t_end": 0.5, "h": 0.5})
+        data["perturbation"]["ramp_end"] = 0.5
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(data))
+        with pytest.raises(SchemaError) as err:
+            load_scenario(f)
+        assert err.value.key_path == "perturbation.ramp_end"
+        for command in ("euler", "tvc", "assume"):
+            assert main([command, "--scenario", str(f), "--quiet"]) == 2, command
+            assert capsys.readouterr().err.startswith(
+                "input error: perturbation.ramp_end: a time derivative needs at least 3 grid "
+                "points"), command
+
+    def test_dense_jacobians_past_the_budget(self, tmp_path, capsys):
+        # 2 states x 99999 unknowns would take 149 GiB of Jacobians
+        data = _mutated("household", ("time", "t_max"), 100002)
+        data["path"]["solve"]["horizon"] = 100000
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(data))
+        with pytest.raises(SchemaError) as err:
+            load_scenario(f)
+        assert err.value.key_path == "path.solve"
+        assert main(["solve", "--scenario", str(f), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("input error: path.solve: the dense Newton "
+                                                  "Jacobians of 2 states x 99999 unknowns")
+
     def test_dsl_objective_built_once(self, monkeypatch):
         calls = []
         build = tvckit.scenario.dsl_discrete_objective
@@ -233,6 +262,28 @@ class TestCliExitCodes:
         assert main(["assume", "--scenario", str(f), "--quiet"]) == 0
         assert main(["assume", "--scenario", str(f), "--assert-uniform",
                      "--quiet"]) == 1
+
+    @pytest.mark.parametrize("start, slope, code, verdict", [
+        (1.0, -0.3, 0, "INCONCLUSIVE"),  # the base path reaches the ln wall at t = 10/3
+        (-1.0, 1.0, 3, None),            # the base path starts behind the wall
+    ])
+    def test_assume_continuous_wall(self, tmp_path, capsys, start, slope, code, verdict):
+        """A -inf base value at a time where the perturbed value is finite is a
+        domain event, as on discrete windows, not an input error."""
+        t = np.arange(1001) * 0.01
+        data = minimal_scenario(
+            time={"kind": "continuous", "t_end": 10.0, "h": 0.01},
+            objective={"expr": "ln(x0) + x1 + x2"},
+            path={"values": [[v, v] for v in (start + slope * t).tolist()]},
+            perturbation={"kind": "ramp", "target": 5.0})
+        f, out = tmp_path / "s.json", tmp_path / "r.json"
+        f.write_text(json.dumps(data))
+        assert main(["assume", "--scenario", str(f), "--out", str(out)]) == code
+        if verdict is None:
+            assert capsys.readouterr().err == ("numerical failure: every diagnostic cell hit "
+                                               "the -inf domain boundary\n")
+        else:
+            assert json.loads(out.read_text())["assume"]["verdict"] == verdict
 
     def test_tmax_override(self, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -40,6 +40,16 @@ class TestSolveSpec:
             tk.SolveSpec(horizon=4, guess=guess, mode="fixed", head=np.ones((5, 2)),
                          tail=np.zeros((2, 2)))
 
+    def test_dense_jacobians_past_the_budget(self, space):
+        # two states of N unknowns take 2 * N^2 * 8 bytes: N = 8192 fills 2^30
+        for horizon, fits in ((8191, True), (8192, False)):
+            guess = tk.StochasticPath.constant(tk.TimeDomain.discrete(horizon + 2), space, 1.0)
+            if fits:
+                tk.SolveSpec(horizon=horizon, guess=guess)
+            else:
+                with pytest.raises(InputError, match="exceed the budget of 1073741824 bytes"):
+                    tk.SolveSpec(horizon=horizon, guess=guess)
+
     def test_nonfinite_fixed_values(self, space):
         dom = tk.TimeDomain.discrete(6)
         guess = tk.StochasticPath.constant(dom, space, 1.0)
@@ -123,6 +133,13 @@ class TestObjectiveValue:
         vals[4] = 5.0
         path = tk.StochasticPath(dom, space, vals)
         assert tk.objective_value(household, path) == float("-inf")
+
+    def test_continuous_neg_inf(self, space):
+        # -inf at one grid time carries through the running trapezoid sum
+        obj = tk.dsl_continuous_objective("ln(x0)", 0)
+        dom = tk.TimeDomain.continuous(1.0, 0.1)
+        path = tk.StochasticPath.from_function(dom, space, lambda t, w: abs(t - 0.5))
+        assert tk.objective_value(obj, path) == float("-inf")
 
     def test_continuous_integral(self, space):
         obj = tk.dsl_continuous_objective("x0", 0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import tvckit as tk
+from tvckit.core import running_sum
 from tvckit.errors import DomainError, HorizonError, InputError
 from conftest import random_path
 
@@ -151,3 +152,46 @@ class TestDecomposition:
         path = tk.StochasticPath(dom, space, vals)
         with pytest.raises(DomainError):
             tk.truncated_objective(household, path, 5)
+
+
+def continuous_decomposition_gap(obj, path, p, eps=1e-2):
+    """Continuous twin of variation_decomposition_check: the gap between the
+    direct eps-derivative of the integrated objective and
+    int_0^T E[R . p] dt + bracket(T) - bracket(0).  The objectives below are
+    quadratic in the jets, so the central difference is exact for any eps and
+    a large eps keeps rounding out of the gap."""
+    direct = (tk.objective_value(obj, tk.perturb(path, p, +eps))
+              - tk.objective_value(obj, tk.perturb(path, p, -eps))) / (2.0 * eps)
+    weighted = np.sum(tk.continuous_euler_residual_series(obj, path) * p.values, axis=2)
+    rows = running_sum(path.domain, tk.expectation(path.space, weighted.T))[-1]
+    bracket = tk.boundary_bracket_series(obj, path, p)
+    return abs(direct - (rows + bracket[-1] - bracket[0]))
+
+
+class TestContinuousDecomposition:
+    """The identity the continuous Euler equation and bracket rest on, on a
+    smooth path with p = 0.3 cos(1.3 t) (no vanishing head) over [0, 5].
+
+    With the composed second-order stencils the k-th derivative is accurate
+    to O(h^(3-k)) at the two edge points.  Where the top-slot partial
+    v_{n+1} reads no x_n and n <= 2, the gap is O(h^2); at order 3 the edge
+    values of p'' and v_4'' enter the bracket and the gap is O(h); at order
+    4 it grows as h shrinks.  Higher-order edge stencils would lift orders
+    3 and 4."""
+
+    @pytest.mark.parametrize("order, source, ratio", [
+        (1, "x0^2 + x0 * x1 + x1^2", 3.0),
+        (2, "x0 * x1 + x0 * x2 + x1^2", 3.0),
+        (3, "x0 * x1 + x1^2 + x0 * x3", 1.8),
+    ])
+    def test_gap_shrinks_with_h(self, space, order, source, ratio):
+        obj = tk.dsl_continuous_objective(source, order)
+        gaps = []
+        for h in (0.01, 0.005, 0.0025):
+            dom = tk.TimeDomain.continuous(5.0, h)
+            t = dom.times()[:, None]
+            path = tk.StochasticPath(dom, space, 1.0 + 0.5 * np.sin(np.array([0.7, 1.1]) * t + 0.2))
+            p = tk.PerturbationCurve(dom, space, np.repeat(0.3 * np.cos(1.3 * t), 2, axis=1))
+            gaps.append(continuous_decomposition_gap(obj, path, p))
+        assert gaps[0] < 1e-3
+        assert gaps[0] >= ratio * gaps[1] and gaps[1] >= ratio * gaps[2], gaps
