@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PerturbationCurve, StochasticPath, expectation, perturb, running_sum
+from .core import PerturbationCurve, StochasticPath, _check_same_shape, perturb
 from .errors import HorizonError, InputError, NumericalError, UnsupportedError
-from .euler import max_window_start
-from .kernel import jet_values, values_at, window_values
+from .kernel import expected_running_sum, max_window_start, objective_values, values_at
 from .objectives import ContinuousObjective
 
 DIVERGES = "DIVERGES"
@@ -96,9 +95,9 @@ def a_grid(obj, path: StochasticPath, curve: PerturbationCurve,
     trapezoid rule.  A time at which the base or the perturbed value is -inf
     in any state adds 0, and every cell from that time on is a domain error.
     """
-    n = obj.order
+    _check_same_shape(path, curve)
     if path.domain.kind == "discrete":
-        last = min(max_window_start(path, n), max_window_start(curve, n))
+        last = max_window_start(path, obj.order)
         if tprime_grid is None:
             tprime_grid = _default_tprime_grid_discrete(curve, last)
         tprime_grid = [int(t) for t in tprime_grid]
@@ -107,9 +106,6 @@ def a_grid(obj, path: StochasticPath, curve: PerturbationCurve,
         if min(tprime_grid) < 0:
             raise HorizonError("T' values must be >= 0")
         idx = np.asarray(tprime_grid)
-
-        def values_of(p):
-            return window_values(obj, p, 0, idx.max())
     else:
         if tprime_grid is None:
             h = path.domain.h
@@ -117,22 +113,20 @@ def a_grid(obj, path: StochasticPath, curve: PerturbationCurve,
             tprime_grid = sorted({round(path.domain.index_of(round(t / h) * h) * h, 12)
                                   for t in np.geomspace(onset + 2, path.domain.t_end, 8)})
         idx = np.asarray([path.domain.index_of(tp) for tp in tprime_grid], dtype=int)
-
-        def values_of(p):
-            return jet_values(obj, p)
+    t_last = int(idx.max())
     values = np.zeros((len(idx), len(eps_grid)))
     status = np.full(values.shape, STATUS_FINITE, dtype=object)
-    base = values_of(path)
+    base = objective_values(obj, path, t_last)
     base_wall = np.isneginf(base)
     for ie, eps in enumerate(eps_grid):
-        shifted = values_of(perturb(path, curve, eps))
+        shifted = objective_values(obj, perturb(path, curve, eps), t_last)
         with np.errstate(invalid="ignore"):  # -inf - -inf at walled times
             diff = shifted - base
         wall = base_wall | np.isneginf(shifted)
         walled = wall.any(axis=1) if wall.any() else None  # reduced per time only at a wall
         if walled is not None:
             diff[walled] = 0.0
-        values[:, ie] = running_sum(path.domain, expectation(path.space, diff.T))[idx] / eps
+        values[:, ie] = expected_running_sum(path, diff)[idx] / eps
         status[~np.isfinite(values[:, ie]), ie] = STATUS_DIVERGING
         if walled is not None:
             status[np.maximum.accumulate(walled)[idx], ie] = STATUS_DOMAIN_ERROR

@@ -3,9 +3,9 @@ alternating-derivative form.
 
 The discrete residual at index t is the derivative of the truncated objective
 sum with respect to y(t): contributions from every window that contains t,
-clipped at both ends of the grid.  The continuous residual is
-v_1 - (v_2)' + ... + (-1)^n (v_{n+1})^(n), with total time derivatives taken
-of the sampled partial series along the path.
+clipped at both ends of the grid.  The continuous residual is the momentum
+p_0 = v_1 - (v_2)' + ... of the sampled partial series along the path
+(kernel.momenta), with total time derivatives taken on the grid.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StochasticPath, derivatives, expectation
+from .core import StochasticPath, expectation
 from .errors import HorizonError, InputError, NumericalError, UnsupportedError
-from .kernel import euler_rows, jet_partials, window_partials
+from .kernel import euler_rows, jet_partials, max_window_start, momenta, window_partials
 from .objectives import ContinuousObjective, DiscreteObjective
 
 DEFAULT_TOL_ANALYTIC = 1e-8
@@ -64,14 +64,6 @@ class EulerReport:
         return self.verdict == "STATIONARY"
 
 
-def max_window_start(path: StochasticPath, n: int) -> int:
-    """Largest j such that the window (y_j, ..., y_{j+n}) fits on the grid."""
-    last = path.num_points - 1 - n
-    if last < 0:
-        raise HorizonError(f"horizon {path.num_points - 1} shorter than objective order {n}")
-    return last
-
-
 def discrete_euler_residual(obj: DiscreteObjective, path: StochasticPath, t: int,
                             j_max: int | None = None) -> np.ndarray:
     """Row t of the stationarity system, per state; shape (m, dim).
@@ -105,10 +97,7 @@ def continuous_euler_residual_series(obj: ContinuousObjective,
     """Residual sampled on the whole grid; shape (num_points, m, dim)."""
     if path.domain.kind != "continuous":
         raise UnsupportedError("continuous residuals need a continuous domain")
-    P = jet_partials(obj, path)
-    out = np.zeros(P[:, 0].shape)
-    for k in range(obj.order + 1):
-        out += (-1) ** k * derivatives(P[:, k], path.domain.h, k)[k]
+    out = momenta(jet_partials(obj, path), path.domain.h)[0]
     if not np.isfinite(out).all():
         raise NumericalError("derivative stencil produced a non-finite residual")
     return out

@@ -3,17 +3,27 @@ reductions the engines build from it.
 
 One batched call of the objective covers every (window, state) pair of a
 discrete path or every (time, state) pair of a continuous one.  Slot-partials
-come back as one tensor P[j, k, w, :] (window or time j, slot k, state w):
-an Euler row is a clipped diagonal sum of P and a tail coefficient an
-anti-diagonal block of it.
+come back as one tensor P[j, k, w, :] (window or time j, slot k, state w).
+Discrete: an Euler row is a clipped diagonal sum of P, and the tail at a
+truncation T' is the rows past T' of the windows up to T'.  Continuous: the
+Euler residual and the boundary coefficients are the momenta of P.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import StochasticPath, derivatives
+from .core import StochasticPath, derivatives, expectation, running_sum
 from .errors import HorizonError, InputError, UnsupportedError
+from .objectives import ContinuousObjective, DiscreteObjective
+
+
+def max_window_start(path: StochasticPath, n: int) -> int:
+    """Largest j such that the window (y_j, ..., y_{j+n}) fits on the grid."""
+    last = path.num_points - 1 - n
+    if last < 0:
+        raise HorizonError(f"horizon {path.num_points - 1} shorter than objective order {n}")
+    return last
 
 
 def window_stack(values: np.ndarray, n: int, j_lo: int, j_hi: int) -> np.ndarray:
@@ -93,6 +103,48 @@ def jet_partials(obj, path: StochasticPath) -> np.ndarray:
     return partials_at(obj, *_jets(path, obj.order))
 
 
+def objective_values(obj, path: StochasticPath, last: int | None = None) -> np.ndarray:
+    """Per-time values at times 0..last, by the objective's type: V at the
+    windows of a discrete objective (through the last full window by
+    default), v along the jets of a continuous one (every grid time by
+    default); shape (last+1, m)."""
+    if isinstance(obj, DiscreteObjective):
+        return window_values(obj, path, 0, max_window_start(path, obj.order)
+                             if last is None else last)
+    if isinstance(obj, ContinuousObjective):
+        return jet_values(obj, path)[: None if last is None else last + 1]
+    raise UnsupportedError(f"unsupported objective type {type(obj).__name__}")
+
+
+def expected_running_sum(path: StochasticPath, values: np.ndarray) -> np.ndarray:
+    """Running sum over time (core.running_sum) of the expectation of
+    per-time values (J, m); shape (J,)."""
+    return running_sum(path.domain, expectation(path.space, values.T))
+
+
+def momenta(P: np.ndarray, h: float) -> list[np.ndarray]:
+    """Ostrogradsky momenta [p_0, ..., p_n] of a time-major jet-partial
+    series P (slot k holds v_{k+1}), each shaped like P[:, 0]:
+
+        p_k = v_{k+1} - (v_{k+2})' + ... + (-1)^(n-k) (v_{n+1})^(n-k).
+
+    p_0 is the Euler residual and p_1..p_n are the boundary coefficients of
+    the first variation.  Overflow and invalid values pass without a
+    warning: callers test finiteness.
+    """
+    n = P.shape[1] - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        # slot k is differentiated at most k times, in p_0
+        chains = [derivatives(P[:, k], h, k) for k in range(n + 1)]
+        out = []
+        for k in range(n + 1):
+            p = np.zeros(P[:, 0].shape)
+            for s in range(n - k + 1):
+                p += (-1) ** s * chains[k + s][s]
+            out.append(p)
+    return out
+
+
 def euler_rows(P: np.ndarray) -> np.ndarray:
     """Row r sums the slot-k partials of windows r-k (k = 0..n) present in P,
     in increasing window order; shape (J+n, m, dim).
@@ -109,14 +161,13 @@ def euler_rows(P: np.ndarray) -> np.ndarray:
 
 def tail_terms(P: np.ndarray, q_values: np.ndarray, tprimes, first: int = 0) -> np.ndarray:
     """Per-state tail term at each truncation T' before the expectation:
-    sum_k sum_i q_i(T'+k) * sum_{j=T'-n+k}^{T'} P[j, T'+k-j]_i over k = 1..n,
-    where P[0] is window `first`; shape (len(tprimes), m)."""
+    sum_{k=1}^{n} sum_i q_i(T'+k) * row_i(T'+k), where row(T'+k) is the
+    Euler row at T'+k of the windows up to T' alone, that is the Euler row
+    at T' of the slots k..n (euler_rows of P[:, k:]).  P[0] is window
+    `first`; shape (len(tprimes), m)."""
     n = P.shape[1] - 1
     tp = np.asarray(tprimes, dtype=int)
     total = np.zeros((len(tp), P.shape[2]))
     for k in range(1, n + 1):
-        coef = np.zeros((len(tp),) + P.shape[2:])
-        for s in range(n, k - 1, -1):  # increasing window j = T'+k-s
-            coef += P[tp + k - s - first, s]
-        total += np.sum(coef * q_values[tp + k], axis=2)
+        total += np.sum(euler_rows(P[:, k:])[tp - first] * q_values[tp + k], axis=-1)
     return total

@@ -205,6 +205,8 @@ def _validate_objective(node, order, space, domain, warnings):
                               f"unknown builtin {name!r}; expected one of {BUILTIN_OBJECTIVES}")
         params = _require_mapping(node.get("params", {}), "objective.params")
         if name == "household-log":
+            if domain.kind != "discrete":
+                raise SchemaError("objective.builtin", f"{name} needs a discrete time domain")
             _reject_unknown(params, {"discount", "n", "zero_head"}, "objective.params")
             discount = _number(_get(params, "discount", "objective.params"),
                                "objective.params.discount")

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StochasticPath, expectation, running_sum
+from .core import StochasticPath
 from .errors import (DomainError, InputError, NumericalError, ToolkitError, UnsupportedError)
-from .euler import BoundaryMode, max_window_start
-from .kernel import (euler_rows, jet_values, partials_at, values_at, window_stack,
-                     window_values)
+from .euler import BoundaryMode
+from .kernel import (euler_rows, expected_running_sum, max_window_start, objective_values,
+                     partials_at, values_at, window_stack)
 from .objectives import (ContinuousObjective, DiscreteObjective, fd_partials, rel_gap,
                          stack_samples)
 
@@ -348,13 +348,7 @@ def objective_value(obj, path: StochasticPath) -> float:
     """Total expected objective along the path: a sum over full windows in the
     discrete case, a trapezoid integral of the expected sampled value in the
     continuous case.  -inf is an admissible result; +inf is not."""
-    if isinstance(obj, DiscreteObjective):
-        vals = window_values(obj, path, 0, max_window_start(path, obj.order))
-    elif isinstance(obj, ContinuousObjective):
-        vals = jet_values(obj, path)
-    else:
-        raise UnsupportedError(f"unsupported objective type {type(obj).__name__}")
-    return float(running_sum(path.domain, expectation(path.space, vals.T))[-1])
+    return float(expected_running_sum(path, objective_values(obj, path))[-1])
 
 
 @dataclass(frozen=True)

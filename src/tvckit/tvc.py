@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PerturbationCurve, StochasticPath, derivatives, expectation, perturb,
-                   running_sum, smoothstep_quintic)
-from .errors import DomainError, HorizonError, InputError, UnsupportedError
-from .euler import max_window_start
-from .kernel import euler_rows, jet_partials, tail_terms, window_partials, window_values
+from .core import (PerturbationCurve, StochasticPath, _check_same_shape, derivatives,
+                   expectation, perturb, smoothstep_quintic)
+from .errors import DomainError, HorizonError, InputError, NumericalError, UnsupportedError
+from .kernel import (euler_rows, expected_running_sum, jet_partials, max_window_start, momenta,
+                     objective_values, tail_terms, window_partials)
 from .objectives import ContinuousObjective, DiscreteObjective
 
 DEFAULT_TOL_TVC_ANALYTIC = 1e-8
@@ -53,14 +53,19 @@ def discrete_tvc_tail(obj: DiscreteObjective, path: StochasticPath,
 
     E[ sum_i sum_{k=1}^{n} d(V(T'-n+k) + ... + V(T')) / dy_i(T'+k) * q_i(T'+k) ].
     """
+    _check_same_shape(path, q)
     n = obj.order
-    if tprime < n - 1:
-        raise HorizonError(f"T'={tprime} below the first admissible truncation {n - 1}")
-    if tprime + n > path.domain.t_max or tprime + n > q.domain.t_max:
+    _check_truncation(tprime, n)
+    if tprime + n > path.domain.t_max:
         raise HorizonError(f"T'={tprime} needs values through index {tprime + n}")
     first = max(0, tprime - n + 1)  # slot 0 of a window never reaches past T'
     P = window_partials(obj, path, first, tprime)
     return float(expectation(path.space, tail_terms(P, q.values, [tprime], first)[0]))
+
+
+def _check_truncation(tprime: int, n: int):
+    if tprime < n - 1:
+        raise HorizonError(f"T'={tprime} below the first admissible truncation {n - 1}")
 
 
 def _suffix_extrema(values: np.ndarray):
@@ -88,8 +93,9 @@ def _liminf_report(truncations, values, tol, kind) -> TvcReport:
 def tvc_liminf_discrete(obj: DiscreteObjective, path: StochasticPath,
                         q: PerturbationCurve, tolerance: float | None = None) -> TvcReport:
     """Tail values for every admissible T', running infima, liminf estimate."""
+    _check_same_shape(path, q)
     n = obj.order
-    last = min(max_window_start(path, n), max_window_start(q, n))
+    last = max_window_start(path, n)
     tprimes = range(max(n - 1, 0), last + 1)
     tol = tolerance
     if tol is None:
@@ -105,22 +111,19 @@ def boundary_bracket_series(obj: ContinuousObjective, path: StochasticPath,
                             p: PerturbationCurve) -> np.ndarray:
     """Expected bracket value at every grid time; shape (num_points,).
 
-    bracket(t) = E sum_i sum_{j=0}^{n-1} p_i^(j)(t) *
-                 [ v_{j+2} - (v_{j+3})' + ... + (-1)^{n-1-j} (v_{n+1})^(n-1-j) ]_i(t)
+    bracket(t) = E sum_i sum_{j=0}^{n-1} p_i^(j)(t) * p_{j+1,i}(t)
 
-    Inner total time derivatives act on the sampled partial series along the
-    path.  Derivatives of p below the curve's validated head order are pinned
-    to exactly zero at t=0, so head-vanishing is honored structurally.
+    with p_{j+1} = v_{j+2} - (v_{j+3})' + ... the momenta of the sampled
+    partial series along the path (kernel.momenta).  Derivatives of p below
+    the curve's validated head order are pinned to exactly zero at t=0, so
+    head-vanishing is honored structurally.  A non-finite bracket raises.
     """
     if path.domain.kind != "continuous":
         raise UnsupportedError("the boundary bracket needs a continuous domain")
-    if path.domain != p.domain or path.space != p.space:
-        raise InputError("path and perturbation must share domain and sample space")
+    _check_same_shape(path, p)
     n = obj.order
     h = path.domain.h
-    vseries = jet_partials(obj, path)  # slot k holds the v_{k+1} series
-    # slot k's chain up to order k-1: the bracket differentiates v_{k+1} at most k-1 times
-    chains = [derivatives(vseries[:, k], h, k - 1) for k in range(1, n + 1)]
+    coefs = momenta(jet_partials(obj, path), h)
 
     # derivatives of p up to order n-1, with structural zeros at t=0
     pder = derivatives(p.values, h, n - 1)
@@ -128,13 +131,13 @@ def boundary_bracket_series(obj: ContinuousObjective, path: StochasticPath,
         pder[j] = pder[j].copy()
         pder[j][0] = 0.0
 
-    bracket = np.zeros(path.values.shape)
-    for j in range(n):
-        coef = np.zeros_like(bracket)
-        for step in range(n - j):  # v slot j+1+step, differentiated step times
-            coef += (-1) ** step * chains[j + step][step]
-        bracket += pder[j] * coef
-    per_time = np.sum(bracket, axis=2)  # sum over state dimension i
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite bracket raises below
+        bracket = np.zeros(path.values.shape)
+        for j in range(n):
+            bracket += pder[j] * coefs[j + 1]
+        per_time = np.sum(bracket, axis=2)  # sum over state dimension i
+    if not np.isfinite(per_time).all():
+        raise NumericalError("derivative stencil produced a non-finite bracket")
     return np.atleast_1d(expectation(path.space, per_time.T))
 
 
@@ -174,12 +177,13 @@ def scaled_path_curve(path: StochasticPath, abar: float) -> PerturbationCurve:
 
 def truncated_objective(obj: DiscreteObjective, path: StochasticPath,
                         tprime: int) -> float:
-    """sum_{t=0}^{T'} E V(window(path, t)); -inf windows raise a domain error."""
-    vals = window_values(obj, path, 0, tprime)
-    walled = np.isneginf(vals).any(axis=1)
+    """sum_{t=0}^{T'} E V(window(path, t)); an expected sum of -inf raises a
+    domain error naming the first such t."""
+    sums = expected_running_sum(path, objective_values(obj, path, tprime))
+    walled = np.isneginf(sums)
     if walled.any():
         raise DomainError(f"objective is -inf inside the truncated sum at t={int(np.argmax(walled))}")
-    return float(running_sum(path.domain, expectation(path.space, vals.T))[-1]) if len(vals) else 0.0
+    return float(sums[-1]) if len(sums) else 0.0
 
 
 def variation_decomposition_check(obj: DiscreteObjective, path: StochasticPath,
@@ -189,12 +193,13 @@ def variation_decomposition_check(obj: DiscreteObjective, path: StochasticPath,
     expected objective and its Euler-rows + tail decomposition."""
     n = obj.order
     if tprime is None:
-        tprime = min(max_window_start(path, n), max_window_start(q, n))
+        tprime = max_window_start(path, n)
     eps = DECOMPOSITION_EPS
     direct = (truncated_objective(obj, perturb(path, q, +eps), tprime)
               - truncated_objective(obj, perturb(path, q, -eps), tprime)) / (2.0 * eps)
-    rows = euler_rows(window_partials(obj, path, 0, tprime))[: tprime + 1]
-    weighted = np.sum(rows * q.values[: tprime + 1], axis=2)
-    rows_total = float(running_sum(path.domain, expectation(path.space, weighted.T))[-1])
-    tail = discrete_tvc_tail(obj, path, q, tprime)
+    P = window_partials(obj, path, 0, tprime)
+    weighted = np.sum(euler_rows(P)[: tprime + 1] * q.values[: tprime + 1], axis=2)
+    rows_total = float(expected_running_sum(path, weighted)[-1])
+    _check_truncation(tprime, n)
+    tail = float(expectation(path.space, tail_terms(P, q.values, [tprime])[0]))
     return abs(direct - (rows_total + tail))

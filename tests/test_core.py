@@ -219,6 +219,20 @@ def test_one_time_axis():
     assert calls == {("core", "derivatives", "gradient"), ("core", "running_sum", "cumsum")}
 
 
+def test_one_alternating_sum():
+    """(-1) ** appears only inside kernel.momenta: the continuous Euler
+    residual and the boundary bracket read their alternating derivative sums
+    from it."""
+    sites = set()
+    for path in sorted(Path(tk.__file__).resolve().parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:  # a function, a class or a statement
+            for node in ast.walk(top):
+                if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                        and ast.unparse(node.left) == "-1"):
+                    sites.add((path.stem, getattr(top, "name", None)))
+    assert sites == {("kernel", "momenta")}
+
+
 class TestPerturbationCurve:
     def test_head_validation_discrete(self, space):
         dom = tk.TimeDomain.discrete(10)

@@ -157,6 +157,20 @@ class TestSchemaAtLoad:
             assert main([command, "--scenario", str(f), "--quiet"]) == 2, command
             assert capsys.readouterr().err.startswith(f"input error: {key_path}: "), command
 
+    def test_household_log_needs_a_discrete_domain(self, tmp_path, capsys):
+        # the discrete objective would be evaluated on jets
+        data = _mutated("continuous-counterexample", ("objective",),
+                        {"builtin": "household-log", "params": {"discount": 0.9}})
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(data))
+        with pytest.raises(SchemaError) as err:
+            load_scenario(f)
+        assert err.value.key_path == "objective.builtin"
+        for command in COMMANDS:
+            assert main([command, "--scenario", str(f), "--quiet"]) == 2, command
+            assert capsys.readouterr().err == ("input error: objective.builtin: household-log "
+                                               "needs a discrete time domain\n"), command
+
     def test_two_point_continuous_grid(self, tmp_path, capsys):
         # the ramp's head check needs three grid points for a first derivative
         data = _mutated("continuous-counterexample", ("time",),
@@ -373,6 +387,23 @@ class TestCliExitCodes:
             objective={"expr": expr, "constants": {}}, path={"constant": level})))
         assert main(["euler", "--scenario", str(f), "--quiet"]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expr, order, path", [
+        ("1e307 * x0 * x1 + 1e307 * x0 * x2", 2, {"constant": 100.0}),
+        ("1e307 * x0 * x1", 1,
+         {"values": [[v, v] for v in (50.0 * (2.0 + np.sin(0.01 * np.arange(1001)))).tolist()]}),
+    ])
+    def test_non_finite_bracket_exit_3(self, tmp_path, capsys, expr, order, path):
+        # the residual and the bracket overflow: numerical failures, not verdicts
+        data = _mutated("continuous-counterexample", ("objective",), {"expr": expr})
+        data.update(order=order, path=path)
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(data))
+        assert main(["euler", "--scenario", str(f), "--quiet"]) == 3
+        assert capsys.readouterr().err.endswith("non-finite residual\n")
+        assert main(["tvc", "--scenario", str(f), "--quiet"]) == 3
+        assert capsys.readouterr().err.endswith(
+            "numerical failure: derivative stencil produced a non-finite bracket\n")
 
     @pytest.mark.parametrize("argv", [
         ["euler", "--scenario", "discrete-counterexample", "--tolerance", "nan"],

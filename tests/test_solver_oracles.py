@@ -179,11 +179,19 @@ def _newton_outcome(solve, obj, spec):
 # the loop converges without the stencil around its last point, which raises
 @example(seed=10, case="sqrt-wall", m=3, fixed=True, horizon=3, max_iterations=2,
          gaps=[None, None, None])
-# state 2 raises at an earlier iteration than state 0, whose error wins
+# the stencil around state 1's first step leaves the domain; states 0 and 2
+# raise nothing, so state 1's DomainError is raised
 @example(seed=204, case="root-wall", m=3, fixed=True, horizon=9, max_iterations=7,
          gaps=[None, None, None])
-# state 1's guess raises, state 0 raises later and wins
+# state 2 raises at an earlier iteration than state 0, whose error wins
+@example(seed=27, case="root-wall", m=3, fixed=True, horizon=9, max_iterations=7,
+         gaps=[None, None, None])
+# state 1's guess raises; state 0 converges and state 2, which would raise at
+# its first step, never iterates, so state 1's DomainError is raised
 @example(seed=8, case="root-wall", m=3, fixed=False, horizon=3, max_iterations=8,
+         gaps=[None, -0.5, None])
+# state 1's guess raises, state 0 raises later and wins
+@example(seed=1, case="root-wall", m=2, fixed=False, horizon=3, max_iterations=8,
          gaps=[None, -0.5, None])
 # the objective raises DomainError at a trial of state 1, which the line search
 # rejects; state 2 raises NumericalError later
@@ -215,6 +223,42 @@ def test_newton_equals_per_state_loop(seed, case, m, fixed, horizon, max_iterati
                         head=head, tail=tail, max_iterations=max_iterations)
     assert (_newton_outcome(tk.newton_euler_solve, obj, spec)
             == _newton_outcome(reference.newton_euler_solve, obj, spec))
+
+
+def _fd_log():
+    """ln(y0) - y1^2 with finite-difference partials: next to ln's wall no
+    step resolves the slot-0 partial."""
+    return tk.DiscreteObjective(
+        order=1, batch_eval_fn=tk.dsl_discrete_objective("ln(y0) - y1^2", 1).batch_eval_fn)
+
+
+def _fd_raising_wall():
+    """(y0 - 1)^2 + y1 with finite-difference partials, raising DomainError
+    wherever y0 < 0: the difference steps around a value in (0, 2^-10) raise."""
+    def values(points, t, w):
+        if (points[:, 0, 0] < 0.0).any():
+            raise DomainError("y0 < 0")
+        return (points[:, 0, 0] - 1.0) ** 2 + points[:, 1, 0]
+    return tk.DiscreteObjective(order=1, batch_eval_fn=values)
+
+
+@pytest.mark.parametrize("make, error", [
+    # the batched call returns; state 1's trial at the guess is invalid
+    (_fd_log, "no finite-difference step resolves slot 0 (t=2, state 1)"),
+    # the batched call raises; state 1's redo alone raises at the guess
+    (_fd_raising_wall, "y0 < 0"),
+])
+def test_newton_raises_at_an_invalid_guess(make, error):
+    """A state whose partials fail at the guess raises that failure, after
+    state 0 has been solved, as the state-by-state loop does."""
+    obj = make()
+    values = np.ones((5, 2, 1))
+    values[2, 1] = 1e-13
+    guess = tk.StochasticPath(tk.TimeDomain.discrete(4), tk.SampleSpace((0.5, 0.5)), values)
+    spec = tk.SolveSpec(horizon=3, guess=guess)
+    got = _newton_outcome(tk.newton_euler_solve, obj, spec)
+    assert got == ("raised", DomainError, error)
+    assert got == _newton_outcome(reference.newton_euler_solve, obj, spec)
 
 
 @given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(sorted(CASES)),

@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import tvckit as tk
 from tvckit.core import running_sum
-from tvckit.errors import DomainError, HorizonError, InputError
+from tvckit.errors import DomainError, HorizonError, InputError, NumericalError
 from conftest import random_path
 
 NEG_INF = float("-inf")
@@ -126,6 +128,53 @@ class TestContinuousBracket:
             tk.scaled_path_curve(path, abar=1.5)
 
 
+    @pytest.mark.parametrize("expr, order, wave", [
+        # a constant path: v_2 = v_3 = inf, so p_1 and p_2 are nan
+        ("1e307 * x0 * x1 + 1e307 * x0 * x2", 2, False),
+        # p' * v_2 overflows to +inf past the ramp
+        ("1e307 * x0 * x1", 1, True),
+    ])
+    def test_non_finite_bracket_raises(self, space, expr, order, wave):
+        dom = tk.TimeDomain.continuous(10.0, 0.01)
+        level = 50.0 * (2.0 + np.sin(dom.times())) if wave else np.full(dom.num_points, 100.0)
+        path = tk.StochasticPath(dom, space, np.repeat(level[:, None], 2, axis=1))
+        p = tk.quintic_ramp_curve(dom, space, target=1.0)
+        obj = tk.dsl_continuous_objective(expr, order)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the momenta overflow without a warning
+            with pytest.raises(NumericalError, match="non-finite bracket"):
+                tk.boundary_bracket_series(obj, path, p)
+            with pytest.raises(NumericalError, match="non-finite residual"):
+                tk.continuous_euler_residual_series(obj, path)
+
+
+class TestPerturbationShape:
+    """The tail engines and the bracket take perturb's rule: the perturbation
+    shares the path's domain, sample space and dimension."""
+
+    def test_discrete_engines(self, quadlin_d, space, params):
+        dom = tk.TimeDomain.discrete(12)
+        path = tk.quadlin_euler_path(dom, space, params)
+        on_three = tk.eventually_constant_curve(dom, tk.SampleSpace((0.2, 0.3, 0.5)), 1, 1.0)
+        longer = tk.eventually_constant_curve(tk.TimeDomain.discrete(14), space, 1, 1.0)
+        for q in (on_three, longer):
+            with pytest.raises(InputError, match="must share"):
+                tk.tvc_liminf_discrete(quadlin_d, path, q)
+            with pytest.raises(InputError, match="must share"):
+                tk.discrete_tvc_tail(quadlin_d, path, q, 5)
+            with pytest.raises(InputError, match="must share"):
+                tk.variation_decomposition_check(quadlin_d, path, q)
+            with pytest.raises(InputError, match="must share"):
+                tk.a_grid(quadlin_d, path, q)
+
+    def test_bracket(self, quadlin_c, space, params):
+        dom = tk.TimeDomain.continuous(4.0, 0.01)
+        path = tk.constant_alpha_path(dom, space, params)
+        p = tk.quintic_ramp_curve(dom, space, target=np.ones((2, 2)))
+        with pytest.raises(InputError, match="must share"):
+            tk.boundary_bracket_series(quadlin_c, path, p)
+
+
 class TestDecomposition:
     def test_quadlin_random(self, quadlin_d, space):
         rng = np.random.default_rng(41)
@@ -152,6 +201,20 @@ class TestDecomposition:
         path = tk.StochasticPath(dom, space, vals)
         with pytest.raises(DomainError):
             tk.truncated_objective(household, path, 5)
+
+
+    def test_truncated_objective_wall_by_mass(self, household):
+        # c_2 = 1 + 1 - 3 < 0 in state 1 only: window 2 is -inf there
+        dom = tk.TimeDomain.discrete(8)
+        vals = np.full((9, 2), 1.0)
+        vals[4, 1] = 3.0
+        with pytest.raises(DomainError, match="at t=2"):
+            tk.truncated_objective(household, tk.StochasticPath(dom, tk.SampleSpace((0.5, 0.5)),
+                                                                vals), 6)
+        # a state of mass 0 is ignored, as objective_value ignores it
+        path = tk.StochasticPath(dom, tk.SampleSpace((1.0, 0.0)), vals)
+        total = tk.truncated_objective(household, path, 6)
+        assert np.isfinite(total) and total == tk.objective_value(household, path)
 
 
 def continuous_decomposition_gap(obj, path, p, eps=1e-2):
