@@ -180,7 +180,9 @@ def fd_partials(obj: _Objective, points: np.ndarray, t: np.ndarray, w: np.ndarra
         h = np.ldexp(step, np.frexp(np.maximum(1.0, np.abs(flat[rows, cols])))[1] - 1)
         fm2, fm1, fp1, fp2 = shifted_values(obj, points, t, w, rows, cols,
                                             np.array([[-2.0], [-1.0], [1.0], [2.0]]) * h)
-        with np.errstate(invalid="ignore"):  # -inf - -inf where a point meets the wall
+        # -inf - -inf where a point meets the wall, inf near the float maximum:
+        # either leaves the entry open
+        with np.errstate(over="ignore", invalid="ignore"):
             five = (fm2 - 8.0 * fm1 + 8.0 * fp1 - fp2) / (12.0 * h)
             margin = FD_AGREEMENT * np.maximum(1.0, np.abs(five))
             rounding = np.finfo(float).eps * np.max(np.abs([fm2, fm1, fp1, fp2]), axis=0) / h

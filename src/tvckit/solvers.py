@@ -27,8 +27,8 @@ NEG_INF = float("-inf")
 
 MAX_FREE_VARS = 6
 MAX_GRID_COMBOS = 10_000_000
-# grid combinations per batched objective call in brute_force_solve
-BRUTE_FORCE_CHUNK = 1024
+# grid combinations per slab, one batched objective call each, in brute_force_solve
+BRUTE_FORCE_CHUNK = 2**14
 
 JAC_FD_STEP = 1e-6
 # most bytes the dense per-state Newton Jacobians (m * N^2 float64) may take
@@ -359,15 +359,30 @@ class BruteForceResult:
     grid_resolution: float               # largest grid spacing over all free variables
 
 
+def _footprint_windows(window, foot, axes):
+    """A window's values at every combination of the free values it reads;
+    foot maps grid axis -> slot.  Axis a of the result spans axes[a] where
+    the window reads it and has length 1 elsewhere; shape (..., n+1)."""
+    table = np.empty(tuple(len(g) if a in foot else 1 for a, g in enumerate(axes)) + window.shape)
+    table[...] = window
+    for a, k in foot.items():
+        table[..., k] = axes[a].reshape((-1,) + (1,) * (len(axes) - 1 - a))
+    return table
+
+
 def brute_force_solve(obj: DiscreteObjective, base: StochasticPath,
                       free_indices, grids) -> BruteForceResult:
     """Exhaustive search maximizing the expected objective sum over the free
     time indices, one value grid per index; everything else is pinned to the
     base path.  States are searched independently (no cross-state coupling).
 
-    Combinations run in itertools.product order, BRUTE_FORCE_CHUNK of them per
-    batched objective call over the windows that touch a free index; the
-    first strict maximum wins."""
+    Combinations run in itertools.product order, in slabs of at most
+    BRUTE_FORCE_CHUNK: a slab fixes the leading free values and spans the
+    trailing grids.  A window touching a free index depends only on the free
+    values inside it (its footprint), so one batched objective call per slab
+    scores each window once per combination of its footprint, and a slab's
+    totals are the broadcast sum of those tables, the base windows first and
+    then by increasing window index.  The first strict maximum wins."""
     free_indices = [int(t) for t in free_indices]
     if base.dim != 1:
         raise UnsupportedError("brute_force_solve handles scalar states only")
@@ -375,22 +390,29 @@ def brute_force_solve(obj: DiscreteObjective, base: StochasticPath,
         raise InputError(f"at most {MAX_FREE_VARS} free variables, got {len(free_indices)}")
     if not free_indices or not all(0 <= t <= base.domain.t_max for t in free_indices):
         raise InputError(f"need free indices in 0..{base.domain.t_max}, got {free_indices}")
+    if len(set(free_indices)) != len(free_indices):
+        raise InputError(f"free indices must be distinct, got {free_indices}")
     grids = [np.asarray(g, dtype=float) for g in grids]
     if len(grids) != len(free_indices):
         raise InputError("need one grid per free index")
-    combos = math.prod(len(g) for g in grids)
+    shape = tuple(len(g) for g in grids)
+    combos = math.prod(shape)
     if combos > MAX_GRID_COMBOS:
         raise InputError(f"grid has {combos} combinations, budget is {MAX_GRID_COMBOS}")
     n = obj.order
     last = max_window_start(base, n)
-    # only windows touching a free index change between candidates
+    # only windows touching a free index change between candidates; each
+    # reads the (grid axis, slot) pairs of the free indices inside it
     touched = sorted({j for t in free_indices
                      for j in range(max(0, t - n), min(t, last) + 1)})
     fixed = [j for j in range(last + 1) if j not in touched]
-    # candidates cover only the times of the touched windows, from lo on
-    lo = touched[0]
-    slots = np.asarray(touched)[:, None] - lo + np.arange(n + 1)
-    shape = tuple(len(g) for g in grids)
+    footprints = [{a: t - j for a, t in enumerate(free_indices) if j <= t <= j + n}
+                  for j in touched]
+    # slabs: the grids after axis s whole, axis s in runs of `run` values,
+    # the grids before it fixed
+    s = next(a for a in range(len(shape)) if math.prod(shape[a + 1:]) <= BRUTE_FORCE_CHUNK)
+    inner = math.prod(shape[s + 1:])
+    run = min(shape[s], BRUTE_FORCE_CHUNK // inner)
 
     out = np.array(base.values)
     per_state = []
@@ -400,21 +422,25 @@ def brute_force_solve(obj: DiscreteObjective, base: StochasticPath,
         if fixed:
             fixed_windows = values_w[np.asarray(fixed)[:, None] + np.arange(n + 1)]
             base_part = sum(values_at(obj, fixed_windows[:, None, :, None], fixed, [w])[:, 0])
-        best_val, best_at = NEG_INF, None
-        for start in range(0, combos, BRUTE_FORCE_CHUNK):
-            picks = np.unravel_index(np.arange(start, min(start + BRUTE_FORCE_CHUNK, combos)),
-                                     shape)
-            cand = np.repeat(values_w[None, lo : touched[-1] + n + 1], len(picks[0]), axis=0)
-            for t, g, p in zip(free_indices, grids, picks):
-                cand[:, t - lo] = g[p]
-            vals = values_at(obj, cand[:, slots].transpose(1, 0, 2)[..., None], touched,
-                             np.full(len(cand), w))
-            total = base_part
-            for row in vals:  # by increasing window index, the order of a per-point sum
-                total = total + row
-            i = int(np.argmax(total))  # the chunk's first maximum
-            if total[i] > best_val:
-                best_val, best_at = float(total[i]), start + i
+        best_val, best_at, start = NEG_INF, None, 0
+        for lead in np.ndindex(shape[:s]):
+            for a0 in range(0, shape[s], run):
+                axes = ([g[i : i + 1] for g, i in zip(grids, lead)] + [grids[s][a0 : a0 + run]]
+                        + grids[s + 1:])
+                tables = [_footprint_windows(values_w[j : j + n + 1], foot, axes)
+                          for j, foot in zip(touched, footprints)]
+                sizes = [table[..., 0].size for table in tables]
+                points = np.concatenate([table.reshape(-1, 1, n + 1, 1) for table in tables])
+                vals = values_at(obj, points, np.repeat(touched, sizes), [w])[:, 0]
+                total, at = base_part, 0
+                for table, size in zip(tables, sizes):  # by increasing window index
+                    total = total + vals[at : at + size].reshape(table.shape[:-1])
+                    at += size
+                total = total.reshape(-1)
+                i = int(np.argmax(total))  # the slab's first maximum
+                if total[i] > best_val:
+                    best_val, best_at = float(total[i]), start + i
+                start += total.size
         if best_at is None:
             raise NumericalError(f"every grid point is infeasible in state {w}")
         for t, g, p in zip(free_indices, grids, np.unravel_index(best_at, shape)):

@@ -123,7 +123,7 @@ def boundary_bracket_series(obj: ContinuousObjective, path: StochasticPath,
     _check_same_shape(path, p)
     n = obj.order
     h = path.domain.h
-    coefs = momenta(jet_partials(obj, path), h)
+    coefs = momenta(jet_partials(obj, path)[:, 1:], h)  # p_1..p_n
 
     # derivatives of p up to order n-1, with structural zeros at t=0
     pder = derivatives(p.values, h, n - 1)
@@ -134,7 +134,7 @@ def boundary_bracket_series(obj: ContinuousObjective, path: StochasticPath,
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite bracket raises below
         bracket = np.zeros(path.values.shape)
         for j in range(n):
-            bracket += pder[j] * coefs[j + 1]
+            bracket += pder[j] * coefs[j]
         per_time = np.sum(bracket, axis=2)  # sum over state dimension i
     if not np.isfinite(per_time).all():
         raise NumericalError("derivative stencil produced a non-finite bracket")

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -404,6 +405,25 @@ class TestCliExitCodes:
         assert main(["tvc", "--scenario", str(f), "--quiet"]) == 3
         assert capsys.readouterr().err.endswith(
             "numerical failure: derivative stencil produced a non-finite bracket\n")
+
+    @pytest.mark.parametrize("command, line", [
+        ("euler", "numerical failure: derivative stencil produced a non-finite residual\n"),
+        ("tvc", "numerical failure: derivative stencil produced a non-finite bracket\n"),
+        ("assume", "numerical failure: expression evaluated to NaN\n")],
+        ids=("euler", "tvc", "assume"))
+    def test_overflow_stderr_is_the_error_line(self, tmp_path, capsys, command, line):
+        # the load-time gradient check's stencil overflows: no RuntimeWarning
+        # goes to stderr before the error line
+        data = _mutated("continuous-counterexample", ("objective",),
+                        {"expr": "1e307 * x0 * x1 + 1e307 * x0 * x2"})
+        data.update(order=2, path={"constant": 100.0})
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(data))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--scenario", str(f), "--quiet"]) == 3
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == line
 
     @pytest.mark.parametrize("argv", [
         ["euler", "--scenario", "discrete-counterexample", "--tolerance", "nan"],

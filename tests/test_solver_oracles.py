@@ -4,8 +4,9 @@ The Newton Jacobian groups columns whose times lie 2n+1 apart and evaluates
 every perturbed vector in one batched call; it must equal the column-by-column
 Jacobian bit for bit.  Newton advances every state in lockstep; its paths,
 reports and raised errors must equal the state-by-state loop's bit for bit.
-The brute-force oracle scores chunks of grid combinations in one batched
-call; it must pick the same combination as the per-point loop, ties and -inf
+The brute-force oracle scores slabs of grid combinations in one batched
+call, each window once per combination of the free values inside it; it
+must pick the same combination as the per-point loop, ties and -inf
 combinations included, with the same sums.
 gradient_check and correspondence_check evaluate every sample in a few
 batched calls; their reports must equal the sample-by-sample loops' bit for
@@ -16,6 +17,7 @@ return to per-column or per-point evaluation fails here.
 import collections
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -280,22 +282,58 @@ def test_brute_force_equals_loop(seed, case, free, points):
                                  free_indices, grids))
 
 
+# (name -> builder(rng) returning (objective, path value range)), orders 1 to 3
+SLAB_CASES = {
+    "plain-order1": lambda rng: (_plain(1, False), -1.0, 3.0),
+    "household-live": CASES["household-live"],
+    "dsl-order3": CASES["dsl-order3"],
+    "plateau": lambda rng: (_plateau(), -1.0, 1.0),
+}
+
+
+@given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(sorted(SLAB_CASES)),
+       free=st.integers(4, 6), chunk=st.integers(1, 40))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_brute_force_slabs_equal_loop(seed, case, free, chunk):
+    """4 to 6 free indices, some adjacent (sharing windows) and some spread
+    apart, in shuffled grid order, searched in slabs of at most `chunk`
+    combinations."""
+    rng = np.random.default_rng(seed)
+    obj, lo, hi = SLAB_CASES[case](rng)
+    n = obj.order
+    gaps = rng.choice([1, 1, 2, n + 2], size=free - 1)
+    free_indices = rng.permutation(int(rng.integers(0, 3)) + np.concatenate([[0],
+                                                                             np.cumsum(gaps)]))
+    domain = tk.TimeDomain.discrete(int(free_indices.max()) + int(rng.integers(0, n + 2)))
+    space = tk.SampleSpace((0.4, 0.6))
+    base = tk.StochasticPath(domain, space,
+                             rng.uniform(lo, hi, size=(domain.num_points, M, obj.dim)))
+    grids = [np.round(rng.uniform(lo - 0.5, hi + 0.5, size=int(rng.integers(2, 4))), 1)
+             for _ in range(free)]
+    with mock.patch.object(solvers, "BRUTE_FORCE_CHUNK", chunk):
+        got = _outcome(tk.brute_force_solve, obj, base, free_indices, grids)
+    _assert_same_result(got, _outcome(reference.brute_force_solve, obj, base,
+                                      free_indices, grids))
+
+
 def _plateau():
     """Integer-valued, with its maximum 0 wherever the middle free value is
-    near 0: most grid combinations tie with another, in every chunk."""
+    near 0: most grid combinations tie with another, in every slab."""
     return tk.DiscreteObjective(order=1, eval_fn=lambda p, t, w:
                                 -float(round(abs(p[0, 0] * p[1, 0]))))
 
 
 @pytest.mark.parametrize("make, values, grid, infeasible", [
-    # ties inside and across chunks of BRUTE_FORCE_CHUNK combinations: the first wins
+    # ties inside and across slabs of BRUTE_FORCE_CHUNK combinations: the first wins
     (_plateau, 0.0, np.linspace(-1.0, 1.0, 11), False),
     # household: -inf combinations where consumption is not positive
     (lambda: tk.household_log(0.9, 2, zero_head=False), 1.0, np.linspace(0.1, 2.1, 11), False),
     # every combination is -inf
     (lambda: tk.household_log(0.9, 2, zero_head=False), 0.1, np.linspace(3.0, 4.0, 11), True),
 ])
-def test_brute_force_ties_and_walls(space, make, values, grid, infeasible):
+def test_brute_force_ties_and_walls(monkeypatch, space, make, values, grid, infeasible):
+    # 11^3 combinations in slabs of 9 x 11 and 2 x 11
+    monkeypatch.setattr(solvers, "BRUTE_FORCE_CHUNK", 100)
     obj = make()
     base = tk.StochasticPath.constant(tk.TimeDomain.discrete(6), space, values)
     assert len(grid) ** 3 > solvers.BRUTE_FORCE_CHUNK
@@ -517,14 +555,38 @@ def test_household_solve_lockstep_masking(space):
 
 
 def test_brute_force_batched_call_count(space):
-    obj, counts, _ = _counting(tk.household_log(0.9, 2, zero_head=False))
+    obj, counts, points = _counting(tk.household_log(0.9, 2, zero_head=False))
     base = tk.StochasticPath.constant(tk.TimeDomain.discrete(6), space, 1.0)
     grid = np.linspace(0.1, 2.1, 21)
     tk.brute_force_solve(obj, base, [2, 3, 4], [grid] * 3)
-    # 21^3 combinations in chunks of 1024 per state, then objective_value;
-    # every window touches a free index, so no base-part call
-    assert solvers.BRUTE_FORCE_CHUNK == 1024
-    assert dict(counts) == {"values": 2 * 10 + 1}
+    # 21^3 combinations in one slab per state, then objective_value; every
+    # window touches a free index, so no base-part call
+    assert solvers.BRUTE_FORCE_CHUNK == 2**14
+    assert dict(counts) == {"values": 2 * 1 + 1}
+    # windows 0..4 read the free values {2}, {2, 3}, {2, 3, 4}, {3, 4}, {4};
+    # objective_value reads the 5 windows of both states
+    assert dict(points) == {"values": 2 * (21 + 21**2 + 21**3 + 21**2 + 21) + 2 * 5}
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 100, 2**14])
+@pytest.mark.parametrize("free", [[2, 3, 4], [4, 1, 6], [0, 7]])
+def test_brute_force_calls_within_chunk(monkeypatch, space, chunk, free):
+    """No batched call of a search evaluates more points than BRUTE_FORCE_CHUNK
+    per touched window: a slab never holds more combinations than the chunk."""
+    monkeypatch.setattr(solvers, "BRUTE_FORCE_CHUNK", chunk)
+    obj, sizes = tk.household_log(0.9, 2, zero_head=False), []
+
+    def values(points, t, w, batch=obj.batch_eval_fn):
+        sizes.append(len(points))
+        return batch(points, t, w)
+
+    obj = dataclasses.replace(obj, batch_eval_fn=values)
+    base = tk.StochasticPath.constant(tk.TimeDomain.discrete(9), space, 1.0)
+    grids = [np.linspace(0.1, 2.1, 9), np.linspace(0.5, 1.5, 6), np.linspace(0.2, 1.8, 11)]
+    tk.brute_force_solve(obj, base, free, grids[: len(free)])
+    touched = {j for t in free for j in range(max(0, t - 2), min(t, 7) + 1)}
+    # the last call is objective_value's, over the whole path
+    assert len(sizes) > 1 and max(sizes[:-1]) <= chunk * len(touched)
 
 
 @pytest.mark.parametrize("make", [

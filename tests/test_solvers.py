@@ -181,6 +181,12 @@ class TestBruteForce:
         with pytest.raises(InputError, match="free indices"):
             tk.brute_force_solve(quadlin_d, base, free, [np.arange(3.0)] * len(free))
 
+    def test_free_indices_distinct(self, quadlin_d, space):
+        # a repeated index would overwrite its first grid yet count in grid_resolution
+        base = tk.StochasticPath.constant(tk.TimeDomain.discrete(10), space, 0.0)
+        with pytest.raises(InputError, match="free indices must be distinct"):
+            tk.brute_force_solve(quadlin_d, base, [3, 3], [np.arange(3.0), np.arange(30.0)])
+
     def test_household_oracle_agreement(self, space):
         live = tk.household_log(DISCOUNT, 2, zero_head=False)
         dom = tk.TimeDomain.discrete(6)
