@@ -30,7 +30,10 @@ def window_stack(values: np.ndarray, n: int, j_lo: int, j_hi: int) -> np.ndarray
     """Windows j_lo..j_hi of a (time, state, dim) array; shape (J, m, n+1, dim)."""
     if j_lo < 0 or j_hi + n > len(values) - 1:
         raise HorizonError(f"windows [{j_lo}, {j_hi + n}] fall off the grid 0..{len(values) - 1}")
-    return np.stack([values[j_lo + k : j_hi + k + 1] for k in range(n + 1)], axis=2)
+    out = np.empty((j_hi - j_lo + 1, values.shape[1], n + 1) + values.shape[2:], values.dtype)
+    for k in range(n + 1):
+        out[:, :, k] = values[j_lo + k : j_hi + k + 1]
+    return out
 
 
 def _flatten(stack, t_axis, states):
@@ -60,9 +63,16 @@ def partials_at(obj, stack, t_axis, states, partials_fn=None) -> np.ndarray:
     """Slot-partials at every point of a stack as P[j, k, w, :]; shape (J, n+1, m, dim).
     partials_fn(points, t, w), if given, stands in for obj.partials_batch."""
     _check_dim(obj, stack)
-    count, m, slots = stack.shape[:3]
-    out = (partials_fn or obj.partials_batch)(*_flatten(stack, t_axis, states))
-    out = np.broadcast_to(out.reshape(count, m, slots, out.shape[-1]), stack.shape)
+    return slot_major((partials_fn or obj.partials_batch)(*_flatten(stack, t_axis, states)),
+                      stack.shape)
+
+
+def slot_major(partials: np.ndarray, shape) -> np.ndarray:
+    """Slot-partials (J*m, n+1, dim) at the flattened points of a stack of the
+    given shape (J, m, n+1, dim) as P[j, k, w, :]; shape (J, n+1, m, dim)."""
+    out = partials.reshape(shape[:3] + partials.shape[-1:])
+    if out.shape != shape:  # one component standing for every dimension
+        out = np.broadcast_to(out, shape)
     return out.transpose(0, 2, 1, 3)
 
 

@@ -92,9 +92,9 @@ class _Objective:
         else:
             out = np.array([float(self.eval_fn(p, ti, wi))
                             for p, ti, wi in zip(points, t.tolist(), w.tolist())], dtype=float)
-        bad = np.isnan(out) | (out == math.inf)
-        if bad.any():
-            i = int(np.argmax(bad))
+        allowed = out < math.inf  # False at nan and +inf
+        if not allowed.all():
+            i = int(np.argmin(allowed))
             raise NumericalError(f"objective {self.name or '<anonymous>'} returned {out[i]}"
                                  f" at t={t[i]}, state {w[i]}")
         return out
@@ -316,6 +316,15 @@ def quadlin_discrete(params: QuadLinParams) -> DiscreteObjective:
     return _quadlin(params, DiscreteObjective, "quadlin-discrete")
 
 
+def _lagged_consumption(points: np.ndarray, n: int) -> np.ndarray:
+    """c_t = y_t + ... + y_{t+n-1} - y_{t+n} at each window (N, n+1, 1), the
+    slots added left to right: np.sum's order, bit for bit, for n <= 7."""
+    c = points[:, 0, 0]
+    for k in range(1, n):
+        c = c + points[:, k, 0]
+    return c - points[:, n, 0]
+
+
 def household_log(discount: float, n: int, zero_head: bool = True) -> DiscreteObjective:
     """Discounted log utility of lagged consumption.
 
@@ -331,30 +340,32 @@ def household_log(discount: float, n: int, zero_head: bool = True) -> DiscreteOb
     if n < 1:
         raise InputError("lag order n must be >= 1")
 
-    def batch_parts(points, t):
-        """(consumption, mask of points outside the pinned head)."""
-        c = np.sum(points[:, :n, 0], axis=1) - points[:, n, 0]
-        live = np.ones(len(points), dtype=bool) if not zero_head else t > n - 1
-        return c, live
-
     def ev_batch(points, t, w):
-        c, live = batch_parts(points, t)
-        logs = np.log(c, out=np.full(c.shape, NEG_INF), where=c > 0.0)
-        with np.errstate(invalid="ignore"):  # discount^t may underflow to 0 at the wall
-            vals = np.where(c > 0.0, discount**t * logs, NEG_INF)
-        return np.where(live, vals, 0.0)
+        c = _lagged_consumption(points, n)
+        positive = c > 0.0
+        vals = np.log(c, out=np.full(c.shape, NEG_INF), where=positive)
+        # discount^t may underflow to 0, so the wall keeps its -inf untouched
+        np.multiply(discount**t, vals, out=vals, where=positive)
+        return np.where(t > n - 1, vals, 0.0) if zero_head else vals
 
     def partials_batch(points, t, w):
-        c, live = batch_parts(points, t)
-        wall = live & (c <= 0.0)
+        c = _lagged_consumption(points, n)
+        wall = c <= 0.0
+        if zero_head:
+            live = t > n - 1
+            wall &= live
         if wall.any():
             i = int(np.argmax(wall))
-            raise DomainError(f"consumption {c[i]} <= 0 at t={t[i]}, state {w[i]}")
+            # + 0.0: a sum of -0.0 slots is -0.0 here, +0.0 in np.sum
+            raise DomainError(f"consumption {c[i] + 0.0} <= 0 at t={t[i]}, state {w[i]}")
         with np.errstate(divide="ignore"):  # pinned rows may have c == 0
             scale = discount**t / c
+        last = -scale
+        if zero_head:
+            scale, last = np.where(live, scale, 0.0), np.where(live, last, 0.0)
         out = np.empty((len(points), n + 1, 1))
-        out[:, :n, 0] = np.where(live, scale, 0.0)[:, None]
-        out[:, n, 0] = np.where(live, -scale, 0.0)
+        out[:, :n, 0] = scale[:, None]
+        out[:, n, 0] = last
         return out
 
     return DiscreteObjective(order=n,

@@ -19,7 +19,7 @@ from .core import StochasticPath
 from .errors import (DomainError, InputError, NumericalError, ToolkitError, UnsupportedError)
 from .euler import BoundaryMode
 from .kernel import (euler_rows, expected_running_sum, max_window_start, objective_values,
-                     partials_at, values_at, window_stack)
+                     slot_major, values_at, window_stack)
 from .objectives import (ContinuousObjective, DiscreteObjective, fd_partials, rel_gap,
                          stack_samples)
 
@@ -104,52 +104,65 @@ class NewtonReport:
     mode: str
 
 
-def _trial_stack(out, U, states, t_lo, n):
-    """Windows j_lo..T of K trial trajectories: vector i holds the entries
-    t_lo..T (flattened) of state states[i], the rest comes from out (T+n+1, m,
-    dim).  Returns (stack (J, K, n+1, dim), times, states)."""
-    count, T = len(U), len(out) - 1 - n
+def _trial_layout(out, states, t_lo, n):
+    """What evaluating K trial vectors of the given states needs besides the
+    vectors: their trajectories out[:, states] (T+n+1, K, dim), whose entries
+    t_lo..T each evaluation overwrites, and the time and state of each of
+    their windows j_lo..T, flattened window-major as kernel.values_at does."""
     states = np.asarray(states)
-    traj = out[:, states]
-    traj[t_lo : T + 1] = U.reshape(count, T + 1 - t_lo, -1).transpose(1, 0, 2)
-    j_lo = max(0, t_lo - n)
-    return window_stack(traj, n, j_lo, T), np.arange(j_lo, T + 1), states
+    times = np.arange(max(0, t_lo - n), len(out) - n)
+    return out[:, states], np.repeat(times, len(states)), np.tile(states, len(times))
 
 
-def _residuals(obj, out, U, states, t_lo, n):
-    """Rows t_lo..T of the stationarity system at K trial vectors (see
-    _trial_stack), in one values_at and one partials call.
+def _trial_points(traj, U, t_lo, n):
+    """The windows j_lo..T of the trial vectors U (K, N), written into traj
+    at t_lo..T; flattened window-major, shape (J*K, n+1, dim)."""
+    T = len(traj) - 1 - n
+    traj[t_lo : T + 1] = U.reshape(len(U), T + 1 - t_lo, -1).transpose(1, 0, 2)
+    stack = window_stack(traj, n, max(0, t_lo - n), T)
+    return stack.reshape((-1,) + stack.shape[2:])
+
+
+def _residuals(obj, out, U, states, t_lo, n, layout=None):
+    """Rows t_lo..T of the stationarity system at K trial vectors U (K, N):
+    vector i holds the entries t_lo..T (flattened) of state states[i], the
+    rest comes from out (T+n+1, m, dim).  One values call and one partials
+    call on the same flattened windows; a caller evaluating the same states
+    again passes their _trial_layout as layout.
 
     Returns (rows, valid): rows (K, N), and valid (K,) marks the vectors whose
     windows are all finite and whose partials resolve.  Only vectors with
     finite windows reach the partials call; the rows of invalid vectors are nan.
     """
-    stack, times, states = _trial_stack(out, U, states, t_lo, n)
-    valid = ~np.isneginf(values_at(obj, stack, times, states)).any(axis=0)
-    rows = np.full((len(U), len(out) - n - t_lo, out.shape[2]), np.nan)
-    if valid.any():
-        live = stack if valid.all() else stack[:, valid]
-        unresolved = []
-
-        def partials(points, t, w):
-            P, bad = _partials_unresolved(obj, points, t, w)
-            unresolved.append(bad)
-            return P
-
-        P = partials_at(obj, live, times, states[valid], partials)
-        rows[valid] = euler_rows(P)[t_lo - times[0] : len(times)].transpose(1, 0, 2)
-        valid[valid] = ~unresolved[0].reshape(live.shape[:3]).any(axis=(0, 2))
-        rows[~valid] = np.nan
-    return rows.reshape(len(U), -1), valid
+    traj, t, w = layout or _trial_layout(out, states, t_lo, n)
+    points = _trial_points(traj, U, t_lo, n)
+    count, dim = len(U), out.shape[2]
+    windows = len(points) // count
+    rows = np.full((count, len(out) - n - t_lo, dim), np.nan)
+    valid = np.ones(count, dtype=bool)
+    walled = np.isneginf(obj.values_batch(points, t, w))
+    if walled.any():
+        valid = ~walled.reshape(windows, count).any(axis=0)
+        keep = np.tile(valid, windows)
+        points, t, w = points[keep], t[keep], w[keep]
+    if len(points):
+        P, unresolved = _partials_unresolved(obj, points, t, w)
+        P = slot_major(P, (windows, len(points) // windows, n + 1, dim))
+        rows[valid] = euler_rows(P)[min(t_lo, n) : windows].transpose(1, 0, 2)
+        if unresolved.any():
+            valid[valid] = ~unresolved.reshape(windows, -1, n + 1).any(axis=(0, 2))
+            rows[~valid] = np.nan
+    return rows.reshape(count, -1), valid
 
 
 def _fault(obj, out, U, state, t_lo, n) -> DomainError:
     """The DomainError that evaluating the vectors U of one state together
     raises: a -inf window, else the first unresolved finite-difference partial."""
-    stack, times, states = _trial_stack(out, U, np.full(len(U), state), t_lo, n)
-    if not np.isneginf(values_at(obj, stack, times, states)).any():
+    traj, t, w = _trial_layout(out, np.full(len(U), state), t_lo, n)
+    points = _trial_points(traj, U, t_lo, n)
+    if not np.isneginf(obj.values_batch(points, t, w)).any():
         try:
-            partials_at(obj, stack, times, states)
+            obj.partials_batch(points, t, w)
         except DomainError as exc:
             return exc
     return DomainError("trial point left the objective's domain")
@@ -171,8 +184,9 @@ def _stencil_layout(size: int, n: int, dim: int):
 
     Row time r depends only on times r-n..r+n, so columns whose times lie
     2n+1 apart share no row and are perturbed together.  Returns (member, r,
-    c): member (G, size) marks each group's columns, and (r, c) are the
-    entries of the band.
+    c, pick): member (G, size) marks each group's columns, (r, c) are the
+    entries of the band, and pick[e] is where entry e's difference lies in
+    the flattened (group, row) differences of _jacobians.
     """
     groups = min(size, (2 * n + 1) * dim)
     cols = np.arange(size)
@@ -181,7 +195,8 @@ def _stencil_layout(size: int, n: int, dim: int):
     offsets = (np.arange(-n, n + 1)[:, None] * dim + np.arange(dim)).ravel()
     rows = (cols - cols % dim) + offsets[:, None]
     inside = (rows >= 0) & (rows < size)
-    return member, rows[inside], np.broadcast_to(cols, rows.shape)[inside]
+    r, c = rows[inside], np.broadcast_to(cols, rows.shape)[inside]
+    return member, r, c, c % groups * size + r
 
 
 def _fd_step(u: np.ndarray) -> np.ndarray:
@@ -197,13 +212,14 @@ def _stencils(x: np.ndarray, member: np.ndarray) -> np.ndarray:
                            np.where(member, (x - h)[:, None], x[:, None])], axis=1)
 
 
-def _jacobians(rows: np.ndarray, x: np.ndarray, member: np.ndarray, r, c) -> np.ndarray:
+def _jacobians(rows: np.ndarray, x: np.ndarray, pick, c) -> np.ndarray:
     """The band of the central-difference Jacobian at each row of x, from the
-    rows (S, 1 + 2G, N) of _stencils(x): entry [s, e] lies at (r[e], c[e]).
-    Each equals the column-by-column difference bit for bit."""
-    groups = len(member)
-    g = 1 + c % groups
-    return (rows[:, g, r] - rows[:, groups + g, r]) / (2.0 * _fd_step(x)[:, c])
+    rows (S, 1 + 2G, N) of _stencils(x): entry [s, e] lies at (r[e], c[e]) of
+    _stencil_layout, which gives pick.  Each equals the column-by-column
+    difference bit for bit."""
+    groups = len(rows[0]) // 2
+    diffs = rows[:, 1 : groups + 1] - rows[:, groups + 1 :]
+    return diffs.reshape(len(rows), -1)[:, pick] / (2.0 * _fd_step(x)[:, c])
 
 
 def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
@@ -214,14 +230,15 @@ def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
     in lockstep: one batched call per iteration for all states evaluates each
     iterating state's line-search trial together with the grouped
     central-difference stencil around it, which is the state's next Jacobian
-    if the trial is accepted.  The line search halves a state's step while its
-    trial point is domain-invalid or its residual norm fails to decrease.
-    Curvature is read from the Jacobian of each state's last step (at the
-    guess if it took none).  Paths, reports and errors are those of solving
-    the states one after another: the error raised is the lowest-numbered
-    failing state's, and when the objective raises a ToolkitError inside a
-    batched call, that iteration is redone state by state, evaluating only
-    what solving the state alone would.
+    if the trial is accepted, and one batched np.linalg.solve gives every
+    iterating state its next step.  The line search halves a state's step
+    while its trial point is domain-invalid or its residual norm fails to
+    decrease.  Curvature is read from the Jacobian of each state's last step
+    (at the guess if it took none).  Paths, reports and errors are those of
+    solving the states one after another: the error raised is the
+    lowest-numbered failing state's, and when the objective raises a
+    ToolkitError inside a batched call, that iteration is redone state by
+    state, evaluating only what solving the state alone would.
     """
     n = obj.order
     T = spec.horizon
@@ -255,41 +272,47 @@ def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
             break
     u = out[t_lo : T + 1].transpose(1, 0, 2).reshape(m, -1)
     size = u.shape[1]
-    member, r, c = _stencil_layout(size, n, dim)
+    member, r, c, pick = _stencil_layout(size, n, dim)
     trial, res, step = u.copy(), np.empty_like(u), np.empty_like(u)
     norm, iterations, lam = [0.0] * m, [0] * m, np.ones(m)
     # per state, the Jacobian of its last step; only the band is ever written
     jacs = np.zeros((m, size, size))
     converged = True
     first = True
+    layout, layout_of = None, None  # the batched call's _trial_layout, and its states
     while len(going):
         x = trial[going]
         vectors = _stencils(x, member)
+        states = going.tolist()
+        if states != layout_of:
+            layout = _trial_layout(out, np.repeat(going, vectors.shape[1]), t_lo, n)
+            layout_of = states
         try:
-            rows, valid = _residuals(obj, out, vectors.reshape(-1, size),
-                                     np.repeat(going, vectors.shape[1]), t_lo, n)
+            rows, valid = _residuals(obj, out, vectors.reshape(-1, size), None, t_lo, n, layout)
             rows, valid = rows.reshape(vectors.shape), valid.reshape(vectors.shape[:2])
+            # per state: its trial's residual norm, whether the trial is valid,
+            # and whether the stencil around it is
+            norms = np.abs(rows[:, 0]).max(axis=1).tolist()
+            trial_ok, stencil_ok = valid[:, 0].tolist(), valid[:, 1:].all(axis=1).tolist()
             alone = False
         except ToolkitError:  # filled state by state below
-            rows, valid = np.full(vectors.shape, np.nan), np.zeros(vectors.shape[:2], dtype=bool)
+            rows = np.full(vectors.shape, np.nan)
+            norms, trial_ok, stencil_ok = ([np.nan] * len(states), [False] * len(states),
+                                           [False] * len(states))
             alone = True
         accepted, assemble, kept, fresh = [], [], [], []
-        for i, s in enumerate(going.tolist()):
+        for i, s in enumerate(states):
             try:
                 if alone:
                     try:
-                        rows[i, :1], valid[i, :1] = _residuals(obj, out, x[i][None], [s],
-                                                               t_lo, n)
+                        rows[i, :1], ok = _residuals(obj, out, x[i][None], [s], t_lo, n)
+                        norms[i], trial_ok[i] = float(np.abs(rows[i, 0]).max()), bool(ok[0])
                     except DomainError:  # a trial the line search rejects
-                        if first:
-                            raise
-                        valid[i, 0] = False
-                trial_norm = float(np.abs(rows[i, 0]).max())
-                if first and not valid[i, 0]:
+                        pass
+                if first and not trial_ok[i]:
                     raise _fault(obj, out, x[i][None], s, t_lo, n)
                 if not first:
-                    if not (valid[i, 0]
-                            and (trial_norm < norm[s] or trial_norm <= spec.tolerance)):
+                    if not (trial_ok[i] and (norms[i] < norm[s] or norms[i] <= spec.tolerance)):
                         lam[s] *= 0.5
                         if lam[s] < 1e-12:
                             raise NumericalError(f"no valid Newton step found in state {s}")
@@ -297,16 +320,17 @@ def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
                         continue
                     iterations[s] += 1
                 accepted.append(i)
-                norm[s] = trial_norm
+                norm[s] = norms[i]
                 iterate = norm[s] > spec.tolerance
                 if iterate and iterations[s] >= spec.max_iterations:
                     converged = False
                     continue
                 if iterate or iterations[s] == 0:  # a next step, or curvature at the guess
                     if alone:
-                        rows[i, 1:], valid[i, 1:] = _residuals(
-                            obj, out, vectors[i, 1:], np.full(len(vectors[i]) - 1, s), t_lo, n)
-                    if not valid[i, 1:].all():
+                        rows[i, 1:], ok = _residuals(obj, out, vectors[i, 1:],
+                                                     np.full(len(vectors[i]) - 1, s), t_lo, n)
+                        stencil_ok[i] = ok.all()
+                    if not stencil_ok[i]:
                         raise _fault(obj, out, vectors[i, 1:], s, t_lo, n)
                     assemble.append(i)
                 if iterate:
@@ -318,16 +342,20 @@ def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
         u[going[accepted]], res[going[accepted]] = x[accepted], rows[accepted, 0]
         if assemble:
             jacs[going[assemble][:, None], r, c] = _jacobians(rows[assemble], x[assemble],
-                                                              member, r, c)
+                                                              pick, c)
         going, first = np.array(kept, dtype=int), False
-        for s in fresh:
-            try:
-                step[s] = np.linalg.solve(jacs[s], -res[s])
-            except np.linalg.LinAlgError as exc:
-                failure = NumericalError(f"singular Jacobian in state {s}: {exc}")
-                failure.__cause__ = exc
-                going = going[going < s]
-                break
+        if fresh:
+            try:  # numpy >= 2 reads a 2-D right-hand side as one matrix
+                step[fresh] = np.linalg.solve(jacs[fresh], -res[fresh][..., None])[..., 0]
+            except np.linalg.LinAlgError:  # the lowest singular state fails, those below step
+                for s in fresh:
+                    try:
+                        step[s] = np.linalg.solve(jacs[s], -res[s])
+                    except np.linalg.LinAlgError as exc:
+                        failure = NumericalError(f"singular Jacobian in state {s}: {exc}")
+                        failure.__cause__ = exc
+                        going = going[going < s]
+                        break
         lam[fresh] = 1.0
         trial[going] = u[going] + lam[going, None] * step[going]
     if failure is not None:
@@ -383,18 +411,24 @@ def brute_force_solve(obj: DiscreteObjective, base: StochasticPath,
     scores each window once per combination of its footprint, and a slab's
     totals are the broadcast sum of those tables, the base windows first and
     then by increasing window index.  The first strict maximum wins."""
-    free_indices = [int(t) for t in free_indices]
+    free_indices = list(free_indices)
     if base.dim != 1:
         raise UnsupportedError("brute_force_solve handles scalar states only")
     if len(free_indices) > MAX_FREE_VARS:
         raise InputError(f"at most {MAX_FREE_VARS} free variables, got {len(free_indices)}")
-    if not free_indices or not all(0 <= t <= base.domain.t_max for t in free_indices):
+    if not free_indices or not all(0 <= t <= base.domain.t_max and int(t) == t
+                                   for t in free_indices):
         raise InputError(f"need free indices in 0..{base.domain.t_max}, got {free_indices}")
+    free_indices = [int(t) for t in free_indices]
     if len(set(free_indices)) != len(free_indices):
         raise InputError(f"free indices must be distinct, got {free_indices}")
     grids = [np.asarray(g, dtype=float) for g in grids]
     if len(grids) != len(free_indices):
         raise InputError("need one grid per free index")
+    if not all(g.ndim == 1 and len(g) for g in grids):
+        raise InputError("each grid must be a non-empty list of values")
+    if not all(np.isfinite(g).all() for g in grids):
+        raise InputError("grid values must be finite")
     shape = tuple(len(g) for g in grids)
     combos = math.prod(shape)
     if combos > MAX_GRID_COMBOS:

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 import reference
 import tvckit as tk
 from tvckit.errors import DomainError, InputError, NumericalError
-from tvckit.objectives import fd_partial_slot, fd_partials, rel_gap
+from tvckit.objectives import _lagged_consumption, fd_partial_slot, fd_partials, rel_gap
 
 NEG_INF = float("-inf")
 
@@ -79,6 +81,53 @@ class TestHousehold:
             tk.household_log(1.0, 2)
         with pytest.raises(InputError):
             tk.household_log(0.9, 0)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_slot_sum_is_np_sum(self, n):
+        """Consumption adds the n slots left to right, which is np.sum's order
+        bit for bit up to n = 7; from 8 slots on numpy sums pairwise blocks."""
+        rng = np.random.default_rng(n)
+        points = (rng.uniform(-3.0, 3.0, size=(20_000, n + 1, 1))
+                  * 10.0 ** rng.uniform(-8.0, 8.0, size=(20_000, n + 1, 1)))
+        want = np.sum(points[:, :n, 0], axis=1) - points[:, n, 0]
+        assert _lagged_consumption(points, n).tobytes() == want.tobytes()
+
+    def test_wall_message_at_negative_zeros(self):
+        # -0.0 slots add up to -0.0 left to right, to 0.0 in np.sum and the message
+        point, live = np.array([-0.0, -0.0, 0.0]), tk.household_log(0.9, 2, zero_head=False)
+        message = r"^consumption 0\.0 <= 0 at t=3, state 1$"
+        for obj in (live, reference.household_log(0.9, 2, zero_head=False)):
+            with pytest.raises(DomainError, match=message):
+                tk.partial_slot(obj, 0, point, 3, 1)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("zero_head", [True, False])
+    def test_batch_matches_per_point(self, n, zero_head):
+        """values_batch and partials_batch against the per-point formula of
+        tests/reference.py: the same -inf points and the same DomainError
+        messages; values and partials within REL, as pow and log round apart."""
+        obj = tk.household_log(0.9, n, zero_head)
+        twin = reference.household_log(0.9, n, zero_head)
+        rng = np.random.default_rng(10 * n + zero_head)
+        points = rng.uniform(0.1, 1.5, size=(300, n + 1, 1))
+        # a third of the windows on, next to or past the wall
+        near = rng.random(300) < 1 / 3
+        points[near, n, 0] = (points[near, :n, 0].sum(axis=1)
+                              - rng.choice([-1e-9, 0.0, 1e-12, 1e-3], near.sum()))
+        t, w = rng.integers(0, 2 * n + 2, size=300), rng.integers(0, 2, size=300)
+        values = obj.values_batch(points, t, w)
+        for p, ti, wi, value in zip(points, t.tolist(), w.tolist(), values):
+            want = twin.value(p, ti, wi)
+            assert value == want or abs(value - want) <= REL * max(1.0, abs(want))
+            try:
+                want = np.array([fn(p, ti, wi) for fn in twin.partial_fns])
+            except DomainError as exc:
+                with pytest.raises(DomainError) as got:
+                    obj.partials_batch(p[None], [ti], [wi])
+                assert str(got.value) == str(exc)
+                continue
+            got = obj.partials_batch(p[None], [ti], [wi])[0, :, 0]
+            assert (np.abs(got - want) <= REL * np.maximum(1.0, np.abs(want))).all()
 
 
 class TestPartialSlot:
@@ -224,6 +273,22 @@ def test_no_step_below_the_rounding_of_the_values(c):
     assert tk.gradient_check(dataclasses.replace(obj, batch_eval_fn=lambda p, t, w:
                                                  1e3 + p[:, 0, 0] + p[:, 1, 0]),
                              [(np.array([1.0, 1.0]), 0, 0)]).verdict == "PASS"
+
+
+def test_builtin_formulas_reduce_along_no_axis():
+    """The built-in formulas make no numpy reduction along an axis: summing a
+    window's few slots as columns is 10-25x cheaper than reducing an axis of
+    length 2 or 3, and their batches reach thousands of points per call."""
+    builtins = {"_quadlin", "household_log", "_lagged_consumption"}
+    tree = ast.parse(Path(tk.objectives.__file__).read_text())
+    found, sites = set(), set()
+    for top in tree.body:
+        if getattr(top, "name", None) in builtins:
+            found.add(top.name)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and any(kw.arg == "axis" for kw in node.keywords):
+                    sites.add((top.name, ast.unparse(node.func)))
+    assert found == builtins and sites == set()
 
 
 def test_one_form_per_objective():

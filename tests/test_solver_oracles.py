@@ -93,10 +93,10 @@ def test_grouped_jacobian_equals_dense(seed, case, horizon):
         return rows
 
     u = out[t_lo : horizon + 1, w].ravel()
-    member, r, c = solvers._stencil_layout(u.size, n, dim)
+    member, r, c, pick = solvers._stencil_layout(u.size, n, dim)
     stencil = solvers._stencils(u[None], member)
     got = np.zeros((u.size, u.size))
-    got[r, c] = solvers._jacobians(residuals(stencil[0])[None], u[None], member, r, c)[0]
+    got[r, c] = solvers._jacobians(residuals(stencil[0])[None], u[None], pick, c)[0]
     want = reference.fd_jacobian(lambda v: residuals(v[None])[0], u)
     np.testing.assert_array_equal(got, want)
 
@@ -260,6 +260,50 @@ def test_newton_raises_at_an_invalid_guess(make, error):
     spec = tk.SolveSpec(horizon=3, guess=guess)
     got = _newton_outcome(tk.newton_euler_solve, obj, spec)
     assert got == ("raised", DomainError, error)
+    assert got == _newton_outcome(reference.newton_euler_solve, obj, spec)
+
+
+def test_newton_guess_wall_below_a_raising_guess():
+    """The batched guess check raises in state 1; state 0's guess has a -inf
+    window, and that is the error raised, as checking state by state gives:
+    taking every state as unwalled would raise the first pass's generic
+    trial-point error instead."""
+    def values(points, t, w):
+        if ((points[:, 0, 0] < 0.0) & (w == 1)).any():
+            raise NumericalError("y0 < 0 in state 1")
+        return np.where(points[:, 0, 0] > 100.0, -np.inf,
+                        (points[:, 0, 0] - 1.0) ** 2 + points[:, 1, 0])
+
+    obj = tk.DiscreteObjective(order=1, batch_eval_fn=values)
+    values_ = np.ones((5, 2, 1))
+    values_[2, 0], values_[1, 1] = 200.0, -0.1
+    guess = tk.StochasticPath(tk.TimeDomain.discrete(4), tk.SampleSpace((0.5, 0.5)), values_)
+    spec = tk.SolveSpec(horizon=3, guess=guess)
+    got = _newton_outcome(tk.newton_euler_solve, obj, spec)
+    assert got == ("raised", DomainError, "guess violates domain validity in state 0")
+    assert got == _newton_outcome(reference.newton_euler_solve, obj, spec)
+
+
+@pytest.mark.parametrize("a, state", [((1.0, 0.0), 1), ((0.0, 1.0), 0), ((0.0, 0.0), 0)])
+def test_newton_singular_state_after_a_batched_solve(monkeypatch, a, state):
+    """a = 0 leaves a state's Jacobian singular: the batched solve raises, and
+    solving the states one by one names the lowest singular state, as the
+    state-by-state loop does."""
+    solves = []
+
+    def solve(jac, rhs, solve=np.linalg.solve):
+        solves.append(jac.shape)
+        return solve(jac, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    obj = tk.dsl_discrete_objective("a*y0^2 + y1", 1, {"a": a})
+    guess = tk.StochasticPath.constant(tk.TimeDomain.discrete(6), tk.SampleSpace((0.5, 0.5)), 1.0)
+    spec = tk.SolveSpec(horizon=5, guess=guess)
+    got = _newton_outcome(tk.newton_euler_solve, obj, spec)
+    assert got == ("raised", NumericalError, f"singular Jacobian in state {state}: Singular matrix")
+    # the batched solve of both states, then state by state up to the singular one
+    assert solves == [(2, 6, 6)] + [(6, 6)] * (state + 1)
+    monkeypatch.undo()
     assert got == _newton_outcome(reference.newton_euler_solve, obj, spec)
 
 
@@ -535,7 +579,14 @@ def _lockstep_points(iterations):
     return {"values": 41 * (2 + 11 * passes), "partials": 41 * 11 * passes}
 
 
-def test_household_solve_batched_call_count(space):
+def test_household_solve_batched_call_count(monkeypatch, space):
+    solves = []
+
+    def solve(jac, rhs, solve=np.linalg.solve):
+        solves.append(jac.shape)
+        return solve(jac, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
     iterations, counts, points = _household_solve_counts(space, None, (0.2, 0.1))
     assert iterations == (24, 24)
     # one values call for the guess check, then one values and one partials
@@ -543,6 +594,8 @@ def test_household_solve_batched_call_count(space):
     # at once
     assert counts == {"values": 1 + 1 + 24, "partials": 1 + 24}
     assert points == _lockstep_points(iterations)
+    # one batched solve per pass that leaves a state iterating: all but the last
+    assert solves == [(2, 39, 39)] * 24
 
 
 def test_household_solve_lockstep_masking(space):

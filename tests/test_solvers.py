@@ -187,6 +187,24 @@ class TestBruteForce:
         with pytest.raises(InputError, match="free indices must be distinct"):
             tk.brute_force_solve(quadlin_d, base, [3, 3], [np.arange(3.0), np.arange(30.0)])
 
+    @pytest.mark.parametrize("free", [[2.7], [np.inf], [np.nan]])
+    def test_free_indices_integral(self, quadlin_d, space, free):
+        # a fractional index used to be truncated: [2.7] searched index 2
+        base = tk.StochasticPath.constant(tk.TimeDomain.discrete(10), space, 0.0)
+        with pytest.raises(InputError, match="free indices"):
+            tk.brute_force_solve(quadlin_d, base, free, [np.arange(3.0)])
+
+    @pytest.mark.parametrize("grid, error", [
+        ([], "non-empty"),                # used to raise ValueError from range()
+        (np.ones((2, 2)), "non-empty"),
+        ([1.0, np.inf], "finite"),        # used to reach the objective
+        ([1.0, np.nan], "finite"),
+    ])
+    def test_grids_checked(self, quadlin_d, space, grid, error):
+        base = tk.StochasticPath.constant(tk.TimeDomain.discrete(10), space, 0.0)
+        with pytest.raises(InputError, match=error):
+            tk.brute_force_solve(quadlin_d, base, [2, 3], [np.arange(3.0), grid])
+
     def test_household_oracle_agreement(self, space):
         live = tk.household_log(DISCOUNT, 2, zero_head=False)
         dom = tk.TimeDomain.discrete(6)
