@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -520,11 +521,33 @@ REPORT_RUNS = ([[command, "--scenario", str(SCENARIOS / f"{stem}.json")]
                    "--tmax", "5000"] for command in ("euler", "tvc")])
 
 
+def _run_id(argv):
+    return " ".join(Path(a).stem if a.endswith(".json") else a for a in argv)
+
+
+# exit code and SHA-256 of stdout of each report run, keyed by _run_id
+REPORT_DIGESTS = json.loads((Path(__file__).parent / "report_digests.json").read_text())
+
+
+def test_report_digests_cover_the_runs():
+    assert sorted(REPORT_DIGESTS) == sorted(map(_run_id, REPORT_RUNS))
+
+
+@pytest.mark.parametrize("argv", REPORT_RUNS, ids=_run_id)
+def test_report_run_digest(capsys, argv):
+    """Every report run prints the bytes it printed when the digests were
+    recorded: a speedup must leave the reports as they are.  A change that
+    means to alter a report records the new entry in report_digests.json."""
+    code = main(argv)
+    got = {"exit": code, "stdout_sha256": hashlib.sha256(
+        capsys.readouterr().out.encode()).hexdigest()}
+    assert got == REPORT_DIGESTS[_run_id(argv)]
+
+
 class TestReportText:
     """The one-pass writer against the json module's encoding of the same report."""
 
-    @pytest.mark.parametrize("argv", REPORT_RUNS, ids=lambda argv: " ".join(
-        Path(a).stem if a.endswith(".json") else a for a in argv))
+    @pytest.mark.parametrize("argv", REPORT_RUNS, ids=_run_id)
     def test_stdout_and_out_are_the_reference_text(self, monkeypatch, tmp_path, capsys,
                                                    argv):
         handler, reports = tvckit.cli._HANDLERS[argv[0]], []
