@@ -216,14 +216,21 @@ def rel_gap(approx: np.ndarray, reference: np.ndarray) -> float:
 
 def stack_samples(obj: _Objective, samples: Sequence, slots: int):
     """(points, t, w) arrays of a sequence of (point, t, w) samples.  Each point
-    must have shape (slots, obj.dim); a vector is one component per slot."""
+    must have shape (slots, obj.dim); a vector is one component per slot.
+    Points of one shape convert in one call; the others are taken one by one,
+    and the first of a wrong shape is named."""
     samples = list(samples)
-    points = [_as_point(p) for p, _, _ in samples]
-    for p in points:
-        if p.shape != (slots, obj.dim):
-            raise InputError(f"sample of shape {p.shape}, objective "
-                             f"{obj.name or '<anonymous>'} needs ({slots}, {obj.dim})")
-    return (np.array(points, dtype=float).reshape(len(points), slots, obj.dim),
+    try:
+        points = np.asarray([p for p, _, _ in samples], dtype=float)
+    except (TypeError, ValueError):  # ragged, or not numbers: see below
+        points = None
+    if points is None or points.shape[1:] not in [(slots, obj.dim)] + [(slots,)] * (obj.dim == 1):
+        points = [_as_point(p) for p, _, _ in samples]
+        for p in points:
+            if p.shape != (slots, obj.dim):
+                raise InputError(f"sample of shape {p.shape}, objective "
+                                 f"{obj.name or '<anonymous>'} needs ({slots}, {obj.dim})")
+    return (np.asarray(points, dtype=float).reshape(len(points), slots, obj.dim),
             np.array([t for _, t, _ in samples]), np.array([w for _, _, w in samples], dtype=int))
 
 

@@ -18,8 +18,8 @@ import numpy as np
 from .core import StochasticPath
 from .errors import (DomainError, InputError, NumericalError, ToolkitError, UnsupportedError)
 from .euler import BoundaryMode
-from .kernel import (euler_rows, expected_running_sum, max_window_start, objective_values,
-                     slot_major, values_at, window_stack)
+from .kernel import (expected_running_sum, max_window_start, objective_values, values_at,
+                     window_stack)
 from .objectives import (ContinuousObjective, DiscreteObjective, fd_partials, rel_gap,
                          stack_samples)
 
@@ -104,62 +104,80 @@ class NewtonReport:
     mode: str
 
 
-def _trial_layout(out, states, t_lo, n):
-    """What evaluating K trial vectors of the given states needs besides the
-    vectors: their trajectories out[:, states] (T+n+1, K, dim), whose entries
-    t_lo..T each evaluation overwrites, and the time and state of each of
-    their windows j_lo..T, flattened window-major as kernel.values_at does."""
-    states = np.asarray(states)
-    times = np.arange(max(0, t_lo - n), len(out) - n)
-    return out[:, states], np.repeat(times, len(states)), np.tile(states, len(times))
+def _layout(out, states, t_lo, n, member=None, trial=True):
+    """Gather tables for evaluating, per given state, its trial (if trial)
+    and, if member (G, N) is given, each group's columns moved by +h, then
+    by -h.  Returns (out.ravel(), points, t, w, terms, shape): the source
+    index (see _points) of every entry of the windows j_lo..T of every
+    vector, with their times and states, flattened window-major as
+    kernel.values_at does; per vector, where each term of its rows t_lo..T
+    lies in the flat partials at those points; and (K, V, N)."""
+    T, dim = len(out) - 1 - n, out.shape[2]
+    size = (T + 1 - t_lo) * dim
+    # per state, where each entry t_lo..T of a vector is read: 0 the trial, 1 +h, 2 -h
+    block = np.concatenate([np.zeros((int(trial), size), dtype=int)]
+                           + ([] if member is None else [member, 2 * member]))
+    shape = (len(states),) + block.shape
+    count, owners = shape[0] * shape[1], np.repeat(states, shape[1])  # vectors, their states
+    traj = np.arange(out.size).reshape(out.shape)[:, owners]  # each vector's source indices
+    traj[t_lo : T + 1] = (out.size + np.arange(size) + size * (block * shape[0] + np.arange(
+        shape[0])[:, None, None])).reshape(count, -1, dim).transpose(1, 0, 2)
+    points = window_stack(traj, n, max(0, t_lo - n), T)
+    # term k of a vector's row t_lo + r: slot k of its window t_lo + r - k, 0.0 before 0
+    window = (np.arange(T + 1 - t_lo) + min(t_lo, n) - np.arange(n + 1)[:, None])[:, None, :, None]
+    point = window * count + np.arange(count)[:, None, None]  # (n+1, vectors, rows, 1)
+    slot = np.arange(n + 1)[:, None, None, None]
+    terms = np.where(window < 0, points.size, (point * (n + 1) + slot) * dim + np.arange(dim))
+    times = np.arange(max(0, t_lo - n), T + 1)
+    return (out.ravel(), points.reshape(-1, n + 1, dim), np.repeat(times, count),
+            np.tile(owners, len(times)), terms, shape)
 
 
-def _trial_points(traj, U, t_lo, n):
-    """The windows j_lo..T of the trial vectors U (K, N), written into traj
-    at t_lo..T; flattened window-major, shape (J*K, n+1, dim)."""
-    T = len(traj) - 1 - n
-    traj[t_lo : T + 1] = U.reshape(len(U), T + 1 - t_lo, -1).transpose(1, 0, 2)
-    stack = window_stack(traj, n, max(0, t_lo - n), T)
-    return stack.reshape((-1,) + stack.shape[2:])
+def _points(layout, x, h=None):
+    """Every point of a _layout, read from out, the trials x (K, N), x + h and x - h."""
+    return np.concatenate((layout[0], x) if h is None else (layout[0], x, x + h, x - h),
+                          axis=None).take(layout[1])
 
 
-def _residuals(obj, out, U, states, t_lo, n, layout=None):
-    """Rows t_lo..T of the stationarity system at K trial vectors U (K, N):
-    vector i holds the entries t_lo..T (flattened) of state states[i], the
-    rest comes from out (T+n+1, m, dim).  One values call and one partials
-    call on the same flattened windows; a caller evaluating the same states
-    again passes their _trial_layout as layout.
-
-    Returns (rows, valid): rows (K, N), and valid (K,) marks the vectors whose
-    windows are all finite and whose partials resolve.  Only vectors with
-    finite windows reach the partials call; the rows of invalid vectors are nan.
-    """
-    traj, t, w = layout or _trial_layout(out, states, t_lo, n)
-    points = _trial_points(traj, U, t_lo, n)
-    count, dim = len(U), out.shape[2]
+def _residuals(obj, layout, x, h=None):
+    """Rows t_lo..T of the stationarity system at the vectors of a _layout
+    around the trials x (K, N) with steps h: one values call, then one
+    partials call on the vectors with finite windows.  Returns rows (K, V,
+    N), nan where invalid, and valid (K, V): the windows are finite and the
+    partials resolve."""
+    points, (t, w, terms, shape) = _points(layout, x, h), layout[2:]
+    count, slots, dim = shape[0] * shape[1], points.shape[1], points.shape[2]
     windows = len(points) // count
-    rows = np.full((count, len(out) - n - t_lo, dim), np.nan)
-    valid = np.ones(count, dtype=bool)
-    walled = np.isneginf(obj.values_batch(points, t, w))
+    valid, walled = np.ones(count, dtype=bool), obj.values_batch(points, t, w) == NEG_INF
     if walled.any():
         valid = ~walled.reshape(windows, count).any(axis=0)
         keep = np.tile(valid, windows)
         points, t, w = points[keep], t[keep], w[keep]
-    if len(points):
-        P, unresolved = _partials_unresolved(obj, points, t, w)
-        P = slot_major(P, (windows, len(points) // windows, n + 1, dim))
-        rows[valid] = euler_rows(P)[min(t_lo, n) : windows].transpose(1, 0, 2)
-        if unresolved.any():
-            valid[valid] = ~unresolved.reshape(windows, -1, n + 1).any(axis=(0, 2))
-            rows[~valid] = np.nan
-    return rows.reshape(count, -1), valid
+        if not len(points):
+            return np.full(shape, np.nan), valid.reshape(shape[:2])
+    P, unresolved = _partials_unresolved(obj, points, t, w)
+    if len(points) < len(walled):  # zeros at the windows of walled vectors
+        P, kept = np.zeros((len(walled),) + P.shape[1:]), P
+        P[keep] = kept
+    if P.shape[2] != dim:  # one component standing for every dimension
+        P = np.broadcast_to(P, P.shape[:2] + (dim,))
+    # summed in kernel.euler_rows' slot order, from 0.0; adding the trailing
+    # 0.0 for a window before 0 leaves a sum's bits as they are
+    terms = np.concatenate((P, [0.0]), axis=None).take(terms)
+    rows = terms[-1] + 0.0
+    for term in terms[-2::-1]:
+        rows += term
+    if unresolved.any():
+        valid[valid] = ~unresolved.reshape(windows, -1, slots).any(axis=(0, 2))
+    if not valid.all():
+        rows[~valid] = np.nan
+    return rows.reshape(shape), valid.reshape(shape[:2])
 
 
-def _fault(obj, out, U, state, t_lo, n) -> DomainError:
-    """The DomainError that evaluating the vectors U of one state together
-    raises: a -inf window, else the first unresolved finite-difference partial."""
-    traj, t, w = _trial_layout(out, np.full(len(U), state), t_lo, n)
-    points = _trial_points(traj, U, t_lo, n)
+def _fault(obj, layout, x, h=None) -> DomainError:
+    """The DomainError of evaluating the vectors of a one-state _layout: a
+    -inf window, else the first unresolved finite-difference partial."""
+    points, (t, w) = _points(layout, x, h), layout[2:4]
     if not np.isneginf(obj.values_batch(points, t, w)).any():
         try:
             obj.partials_batch(points, t, w)
@@ -168,25 +186,24 @@ def _fault(obj, out, U, state, t_lo, n) -> DomainError:
     return DomainError("trial point left the objective's domain")
 
 
-def _classify_curvature(jac: np.ndarray) -> str:
-    sym = 0.5 * (jac + jac.T)
-    eig = np.linalg.eigvalsh(sym)
-    scale = max(1.0, float(np.abs(eig).max()))
-    if (eig <= 1e-10 * scale).all():
-        return "concave"
-    if (eig >= -1e-10 * scale).all():
-        return "convex"
-    return "indefinite"
+def _classify_curvature(jacs: np.ndarray) -> tuple[str, ...]:
+    """Per matrix of a stack: concave if its symmetric part's eigenvalues are
+    all <= 1e-10 * max(1, largest |eigenvalue|), convex if all >= minus that."""
+    eig = np.linalg.eigvalsh(0.5 * (jacs + jacs.transpose(0, 2, 1)))
+    slack = 1e-10 * np.maximum(1.0, np.abs(eig).max(axis=1))[:, None]
+    return tuple("concave" if concave else "convex" if convex else "indefinite"
+                 for concave, convex in zip((eig <= slack).all(axis=1).tolist(),
+                                            (eig >= -slack).all(axis=1).tolist()))
 
 
 def _stencil_layout(size: int, n: int, dim: int):
     """Curtis-Powell-Reid grouping of the columns of the stationarity system.
 
     Row time r depends only on times r-n..r+n, so columns whose times lie
-    2n+1 apart share no row and are perturbed together.  Returns (member, r,
-    c, pick): member (G, size) marks each group's columns, (r, c) are the
-    entries of the band, and pick[e] is where entry e's difference lies in
-    the flattened (group, row) differences of _jacobians.
+    2n+1 apart share no row and are perturbed together.  Returns (member,
+    band, pick): member (G, size) marks each group's columns, band the flat
+    indices r * size + c of the band's entries, and pick (3, E) where row r
+    at +h and at -h lies in one state's flat (1 + 2G, size) rows, and c.
     """
     groups = min(size, (2 * n + 1) * dim)
     cols = np.arange(size)
@@ -195,31 +212,16 @@ def _stencil_layout(size: int, n: int, dim: int):
     offsets = (np.arange(-n, n + 1)[:, None] * dim + np.arange(dim)).ravel()
     rows = (cols - cols % dim) + offsets[:, None]
     inside = (rows >= 0) & (rows < size)
-    r, c = rows[inside], np.broadcast_to(cols, rows.shape)[inside]
-    return member, r, c, c % groups * size + r
+    r, c = rows[inside], inside.nonzero()[1]
+    plus = (1 + c % groups) * size + r
+    return member, r * size + c, np.array([plus, plus + groups * size, c])
 
 
-def _fd_step(u: np.ndarray) -> np.ndarray:
-    return JAC_FD_STEP * np.maximum(1.0, np.abs(u))
-
-
-def _stencils(x: np.ndarray, member: np.ndarray) -> np.ndarray:
-    """Each row of x (S, N), then the 2G central-difference vectors around it:
-    each group's columns moved by +h, then each group's by -h; shape (S,
-    1 + 2G, N)."""
-    h = _fd_step(x)
-    return np.concatenate([x[:, None], np.where(member, (x + h)[:, None], x[:, None]),
-                           np.where(member, (x - h)[:, None], x[:, None])], axis=1)
-
-
-def _jacobians(rows: np.ndarray, x: np.ndarray, pick, c) -> np.ndarray:
-    """The band of the central-difference Jacobian at each row of x, from the
-    rows (S, 1 + 2G, N) of _stencils(x): entry [s, e] lies at (r[e], c[e]) of
-    _stencil_layout, which gives pick.  Each equals the column-by-column
-    difference bit for bit."""
-    groups = len(rows[0]) // 2
-    diffs = rows[:, 1 : groups + 1] - rows[:, groups + 1 :]
-    return diffs.reshape(len(rows), -1)[:, pick] / (2.0 * _fd_step(x)[:, c])
+def _jacobians(rows: np.ndarray, h: np.ndarray, pick: np.ndarray) -> np.ndarray:
+    """The band of the central-difference Jacobian around S trials: pick (3,
+    S, E) indexes each entry's rows at +h and -h in rows and its step in h.
+    Each equals the column-by-column difference bit for bit."""
+    return (rows.take(pick[0]) - rows.take(pick[1])) / (2.0 * h.take(pick[2]))
 
 
 def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
@@ -227,29 +229,23 @@ def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
 
     States decouple (no cross-state coupling in any supported objective), so
     each state's banded system is solved on its own, but every state advances
-    in lockstep: one batched call per iteration for all states evaluates each
-    iterating state's line-search trial together with the grouped
-    central-difference stencil around it, which is the state's next Jacobian
-    if the trial is accepted, and one batched np.linalg.solve gives every
-    iterating state its next step.  The line search halves a state's step
-    while its trial point is domain-invalid or its residual norm fails to
-    decrease.  Curvature is read from the Jacobian of each state's last step
-    (at the guess if it took none).  Paths, reports and errors are those of
-    solving the states one after another: the error raised is the
-    lowest-numbered failing state's, and when the objective raises a
-    ToolkitError inside a batched call, that iteration is redone state by
-    state, evaluating only what solving the state alone would.
+    in lockstep.  One pass gathers, through a _layout built once per set of
+    iterating states, every window of each state's line-search trial and of
+    the grouped central-difference stencil around it (the state's next
+    Jacobian if the trial is accepted) for one values and one partials call,
+    and one batched np.linalg.solve gives every iterating state its next
+    step.  The line search halves a state's step while its trial is
+    domain-invalid or its residual norm fails to decrease.  Curvature is read
+    from the Jacobian of each state's last step (at the guess if it took
+    none).  Paths, reports and errors are those of solving the states one
+    after another: the lowest-numbered failing state's error is raised, and
+    a pass whose batched call raises a ToolkitError is redone state by state,
+    evaluating only what solving the state alone would.
     """
-    n = obj.order
-    T = spec.horizon
-    guess = spec.guess
-    t_total = guess.domain.t_max
-    if guess.domain.kind != "discrete" or t_total != T + n:
+    n, T, guess = obj.order, spec.horizon, spec.guess
+    if guess.domain.kind != "discrete" or guess.domain.t_max != T + n:
         raise InputError(f"guess must live on the discrete grid 0..{T + n}")
-    k = spec.head_len
-    t_lo = spec.boundary.first_index()
-    dim = guess.dim
-    m = guess.space.m
+    k, t_lo, dim, m = spec.head_len, spec.boundary.first_index(), guess.dim, guess.space.m
     out = np.array(guess.values)
     if spec.mode == "fixed":
         if spec.head is not None:
@@ -272,45 +268,43 @@ def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
             break
     u = out[t_lo : T + 1].transpose(1, 0, 2).reshape(m, -1)
     size = u.shape[1]
-    member, r, c, pick = _stencil_layout(size, n, dim)
+    member, band, pick = _stencil_layout(size, n, dim)
     trial, res, step = u.copy(), np.empty_like(u), np.empty_like(u)
     norm, iterations, lam = [0.0] * m, [0] * m, np.ones(m)
     # per state, the Jacobian of its last step; only the band is ever written
     jacs = np.zeros((m, size, size))
-    converged = True
-    first = True
-    layout, layout_of = None, None  # the batched call's _trial_layout, and its states
+    # layout_of: the states of the batched call's _layout, bands and picks
+    converged, first, layout_of = True, True, None
     while len(going):
-        x = trial[going]
-        vectors = _stencils(x, member)
-        states = going.tolist()
+        every = slice(None) if len(going) == m else going  # the iterating states
+        x, states = trial[every], going.tolist()
+        h = JAC_FD_STEP * np.maximum(1.0, np.abs(x))
         if states != layout_of:
-            layout = _trial_layout(out, np.repeat(going, vectors.shape[1]), t_lo, n)
-            layout_of = states
+            layout, layout_of = _layout(out, going, t_lo, n, member), states
+            # per state, its band in jacs, and pick in the pass's rows and h
+            bands = going[:, None] * size**2 + band
+            picks = pick[:, None] + np.arange(len(states))[:, None] * np.reshape(
+                [(1 + 2 * len(member)) * size] * 2 + [size], (3, 1, 1))
         try:
-            rows, valid = _residuals(obj, out, vectors.reshape(-1, size), None, t_lo, n, layout)
-            rows, valid = rows.reshape(vectors.shape), valid.reshape(vectors.shape[:2])
-            # per state: its trial's residual norm, whether the trial is valid,
-            # and whether the stencil around it is
+            rows, valid = _residuals(obj, layout, x, h)
+            # per state: its trial's residual norm and validity, and its stencil's
             norms = np.abs(rows[:, 0]).max(axis=1).tolist()
             trial_ok, stencil_ok = valid[:, 0].tolist(), valid[:, 1:].all(axis=1).tolist()
             alone = False
         except ToolkitError:  # filled state by state below
-            rows = np.full(vectors.shape, np.nan)
-            norms, trial_ok, stencil_ok = ([np.nan] * len(states), [False] * len(states),
-                                           [False] * len(states))
-            alone = True
+            rows, norms, alone = np.full(layout[5], np.nan), [np.nan] * len(states), True
+            trial_ok, stencil_ok = [False] * len(states), [False] * len(states)
         accepted, assemble, kept, fresh = [], [], [], []
         for i, s in enumerate(states):
             try:
                 if alone:
                     try:
-                        rows[i, :1], ok = _residuals(obj, out, x[i][None], [s], t_lo, n)
-                        norms[i], trial_ok[i] = float(np.abs(rows[i, 0]).max()), bool(ok[0])
+                        rows[i, :1], ok = _residuals(obj, _layout(out, [s], t_lo, n), x[i : i + 1])
+                        norms[i], trial_ok[i] = float(np.abs(rows[i, 0]).max()), bool(ok[0, 0])
                     except DomainError:  # a trial the line search rejects
                         pass
                 if first and not trial_ok[i]:
-                    raise _fault(obj, out, x[i][None], s, t_lo, n)
+                    raise _fault(obj, _layout(out, [s], t_lo, n), x[i : i + 1])
                 if not first:
                     if not (trial_ok[i] and (norms[i] < norm[s] or norms[i] <= spec.tolerance)):
                         lam[s] *= 0.5
@@ -327,11 +321,12 @@ def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
                     continue
                 if iterate or iterations[s] == 0:  # a next step, or curvature at the guess
                     if alone:
-                        rows[i, 1:], ok = _residuals(obj, out, vectors[i, 1:],
-                                                     np.full(len(vectors[i]) - 1, s), t_lo, n)
+                        stencil = _layout(out, [s], t_lo, n, member, False)
+                        rows[i, 1:], ok = _residuals(obj, stencil, x[i : i + 1], h[i : i + 1])
                         stencil_ok[i] = ok.all()
                     if not stencil_ok[i]:
-                        raise _fault(obj, out, vectors[i, 1:], s, t_lo, n)
+                        raise _fault(obj, _layout(out, [s], t_lo, n, member, False),
+                                     x[i : i + 1], h[i : i + 1])
                     assemble.append(i)
                 if iterate:
                     kept.append(s)
@@ -339,14 +334,18 @@ def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
             except ToolkitError as exc:
                 failure = exc
                 break
-        u[going[accepted]], res[going[accepted]] = x[accepted], rows[accepted, 0]
+        # each state accepted and stepping on, as in most passes: no gathers
+        whole = len(fresh) == len(states)
+        mine, at = (slice(None), every) if whole else (accepted, going[accepted])
+        u[at], res[at] = x[mine], rows[mine, 0]
         if assemble:
-            jacs[going[assemble][:, None], r, c] = _jacobians(rows[assemble], x[assemble],
-                                                              pick, c)
-        going, first = np.array(kept, dtype=int), False
+            mine = mine if whole else assemble
+            jacs.reshape(-1)[bands[mine]] = _jacobians(rows, h, picks[:, mine])
+        going, first = going if whole else np.array(kept, dtype=int), False
         if fresh:
+            at = every if whole else fresh
             try:  # numpy >= 2 reads a 2-D right-hand side as one matrix
-                step[fresh] = np.linalg.solve(jacs[fresh], -res[fresh][..., None])[..., 0]
+                step[at] = np.linalg.solve(jacs[at], -res[at][..., None])[..., 0]
             except np.linalg.LinAlgError:  # the lowest singular state fails, those below step
                 for s in fresh:
                     try:
@@ -354,10 +353,11 @@ def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
                     except np.linalg.LinAlgError as exc:
                         failure = NumericalError(f"singular Jacobian in state {s}: {exc}")
                         failure.__cause__ = exc
-                        going = going[going < s]
+                        going, whole = going[going < s], False
                         break
-        lam[fresh] = 1.0
-        trial[going] = u[going] + lam[going, None] * step[going]
+            lam[at] = 1.0
+        at = every if whole else going
+        trial[at] = u[at] + lam[at, None] * step[at]
     if failure is not None:
         raise failure
 
@@ -365,7 +365,7 @@ def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
     path = StochasticPath(guess.domain, guess.space, out)
     report = NewtonReport(converged=converged, iterations=tuple(iterations),
                           max_abs_residual=max(0.0, *norm), tolerance=spec.tolerance,
-                          curvature=tuple(_classify_curvature(j) for j in jacs), mode=spec.mode)
+                          curvature=_classify_curvature(jacs), mode=spec.mode)
     return path, report
 
 

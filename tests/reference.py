@@ -37,8 +37,7 @@ from tvckit.objectives import (FD_AGREEMENT, FD_STEPS, GRADIENT_REL_TOL,
                                GradientCheckReport, _as_point)
 from tvckit.kernel import (euler_rows, jet_partials, jet_values, partials_at, values_at,
                            window_stack)
-from tvckit.solvers import (JAC_FD_STEP, BruteForceResult, CorrespondenceReport,
-                            NewtonReport, _classify_curvature)
+from tvckit.solvers import JAC_FD_STEP, BruteForceResult, CorrespondenceReport, NewtonReport
 
 NEG_INF = float("-inf")
 
@@ -232,6 +231,18 @@ def partial_slot(obj, k, point, t, w):
     if obj.has_analytic_partials:
         return tk.partial_slot(obj, k, point, t, w)
     return fd_partial_slot(obj, k, point, t, w)
+
+
+def stack_samples(obj, samples, slots):
+    """Sample by sample: each point as an array, the first of a wrong shape named."""
+    samples = list(samples)
+    points = [_as_point(p) for p, _, _ in samples]
+    for p in points:
+        if p.shape != (slots, obj.dim):
+            raise InputError(f"sample of shape {p.shape}, objective "
+                             f"{obj.name or '<anonymous>'} needs ({slots}, {obj.dim})")
+    return (np.array(points, dtype=float).reshape(len(points), slots, obj.dim),
+            np.array([t for _, t, _ in samples]), np.array([w for _, _, w in samples], dtype=int))
 
 
 def gradient_check(obj, points):
@@ -534,6 +545,18 @@ def grouped_fd_jacobian(residuals, u, n, dim):
     return jac
 
 
+def classify_curvature(jac):
+    """The curvature of one Jacobian: the eigenvalues of its symmetric part
+    all <= 1e-10 * scale, all >= -1e-10 * scale, or neither."""
+    eig = np.linalg.eigvalsh(0.5 * (jac + jac.T))
+    scale = max(1.0, float(np.abs(eig).max()))
+    if (eig <= 1e-10 * scale).all():
+        return "concave"
+    if (eig >= -1e-10 * scale).all():
+        return "convex"
+    return "indefinite"
+
+
 def newton_euler_solve(obj, spec):
     """Damped Newton one state after another: per iteration one grouped
     Jacobian (one residual call) and one residual call per line-search trial.
@@ -603,7 +626,7 @@ def newton_euler_solve(obj, spec):
         worst = max(worst, norm)
         if jac is None:  # already stationary at the guess
             jac = grouped_fd_jacobian(residuals, u, n, dim)
-        curvature.append(_classify_curvature(jac))
+        curvature.append(classify_curvature(jac))
 
     path = tk.StochasticPath(guess.domain, guess.space, out)
     report = NewtonReport(converged=converged, iterations=tuple(iterations),

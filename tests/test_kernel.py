@@ -18,7 +18,7 @@ import reference
 import tvckit as tk
 from tvckit import kernel
 from tvckit.errors import DomainError, InputError, ToolkitError
-from tvckit.solvers import _residuals
+from tvckit.solvers import _layout, _residuals
 
 REL = 1e-12
 
@@ -99,9 +99,9 @@ def twins(cases, case, seed, m):
 
 def _valid_rows(rows, valid):
     """The rows of the one trial vector, or the DomainError its loop form raises."""
-    if not valid[0]:
+    if not valid[0, 0]:
         raise DomainError("trial point left the objective's domain")
-    return rows[0]
+    return rows[0, 0]
 
 
 def _space(rng, m):
@@ -133,9 +133,8 @@ def test_discrete_engines_match_reference(seed, case, horizon, m):
                         outcome(reference.discrete_euler_residual, ref, path, t, j_max))
     w = int(rng.integers(0, m))
     t_lo = int(rng.integers(0, last + 1))
-    got = outcome(lambda: _valid_rows(*_residuals(obj, path.values,
-                                                  path.values[t_lo : last + 1, w].reshape(1, -1),
-                                                  [w], t_lo, n)))
+    got = outcome(lambda: _valid_rows(*_residuals(obj, _layout(path.values, [w], t_lo, n),
+                                                  path.values[t_lo : last + 1, w].reshape(1, -1))))
     want = outcome(lambda: np.array([reference.discrete_euler_residual(ref, path, t)[w]
                                      for t in range(t_lo, last + 1)]).ravel())
     assert_same_outcome(got, want)

@@ -210,6 +210,45 @@ class TestGradientCheck:
                 tk.gradient_check(quadlin_d, [(np.ones(3), 0, 0), (point, 1, 0)])
 
 
+def _sample_point(draw, slots, dim, form):
+    """A point in one of the forms a caller may pass: an array of shape
+    (slots, dim), a vector of one component per slot, nested lists, or a
+    shape stack_samples refuses."""
+    values = st.floats(allow_nan=True, allow_infinity=True, width=64)
+    shape = {"array": (slots, dim), "vector": (slots,), "lists": (slots, dim),
+             "long": (slots + 1,), "wide": (slots, dim + 1), "deep": (slots, dim, 1),
+             "scalar": ()}[form]
+    point = np.array(draw(st.lists(values, min_size=math.prod(shape),
+                                   max_size=math.prod(shape)))).reshape(shape)
+    return point.tolist() if form == "lists" else point
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_stack_samples_equals_the_loop(data):
+    """Samples of one shape convert in one call, mixed ones one by one: the
+    same bytes as converting each sample, and the same InputError naming the
+    first sample of a wrong shape, wherever it lies."""
+    slots, dim = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 2))
+    obj = tk.DiscreteObjective(order=slots - 1, batch_eval_fn=lambda p, t, w: p[:, 0, 0],
+                               dim=dim, name=data.draw(st.sampled_from(["", "obj"])))
+    good = ["array", "lists"] + ["vector"] * (dim == 1)
+    forms = data.draw(st.lists(st.sampled_from(good), max_size=6))
+    if data.draw(st.booleans()):  # one sample of a wrong shape, anywhere
+        bad = ["long", "wide", "deep", "scalar"] + ["vector"] * (dim > 1)
+        forms.insert(data.draw(st.integers(0, len(forms))), data.draw(st.sampled_from(bad)))
+    samples = [(_sample_point(data.draw, slots, dim, form), data.draw(st.integers(0, 50)),
+                data.draw(st.integers(0, 3))) for form in forms]
+
+    def outcome(fn):
+        try:
+            return [(a.dtype, a.shape, a.tobytes()) for a in fn(obj, samples, slots)]
+        except InputError as exc:
+            return str(exc)
+
+    assert outcome(tk.objectives.stack_samples) == outcome(reference.stack_samples)
+
+
 # ---------------------------------------------------------------------------
 # The five-point stencil
 

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 import reference
 import tvckit as tk
-from tvckit import solvers
+from tvckit import kernel, solvers
 from tvckit.errors import DomainError, NumericalError, ToolkitError
 from test_kernel import _constants, _plain, _quadlin_params, _space
 
@@ -88,17 +88,87 @@ def test_grouped_jacobian_equals_dense(seed, case, horizon):
     t_lo, w = int(rng.integers(0, horizon + 1)), int(rng.integers(0, M))
 
     def residuals(U):
-        rows, valid = solvers._residuals(obj, out, U, np.full(len(U), w), t_lo, n)
+        rows, valid = solvers._residuals(obj, solvers._layout(out, np.full(len(U), w), t_lo, n), U)
         assert valid.all()
-        return rows
+        return rows[:, 0]
 
     u = out[t_lo : horizon + 1, w].ravel()
-    member, r, c, pick = solvers._stencil_layout(u.size, n, dim)
-    stencil = solvers._stencils(u[None], member)
+    member, band, pick = solvers._stencil_layout(u.size, n, dim)
+    h = solvers.JAC_FD_STEP * np.maximum(1.0, np.abs(u[None]))
+    rows, valid = solvers._residuals(obj, solvers._layout(out, [w], t_lo, n, member), u[None], h)
+    assert valid.all()
     got = np.zeros((u.size, u.size))
-    got[r, c] = solvers._jacobians(residuals(stencil[0])[None], u[None], pick, c)[0]
+    got.reshape(-1)[band] = solvers._jacobians(rows, h, pick[:, None])[0]
     want = reference.fd_jacobian(lambda v: residuals(v[None])[0], u)
+    np.testing.assert_array_equal(rows[0, 0], residuals(u[None])[0])
     np.testing.assert_array_equal(got, want)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_layout_gathers_the_window_stack(data):
+    """The gather table of _layout against kernel.window_stack and
+    kernel._flatten of the trajectories holding each vector: the same
+    points, times and states, byte for byte, for any order, dimension, state
+    count, t_lo and set of iterating states, with the trial, the stencil or
+    both."""
+    n, dim, m, T = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2)),
+                    data.draw(st.integers(1, 3)), data.draw(st.integers(0, 6)))
+    t_lo = data.draw(st.integers(0, T))
+    states = sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1)))
+    trial, stencil = data.draw(st.sampled_from([(True, True), (True, False), (False, True)]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    out = rng.normal(size=(T + n + 1, m, dim))
+    size = (T + 1 - t_lo) * dim
+    x, member, h = rng.normal(size=(len(states), size)), None, None
+    if stencil:
+        member = solvers._stencil_layout(size, n, dim)[0]
+        h = solvers.JAC_FD_STEP * np.maximum(1.0, np.abs(x))
+    layout = solvers._layout(out, states, t_lo, n, member, trial)
+    # each state's trial, then each group's columns moved by +h, then by -h
+    vectors = [x[:, None]] * trial
+    if stencil:
+        vectors += [np.where(member, (x + h)[:, None], x[:, None]),
+                    np.where(member, (x - h)[:, None], x[:, None])]
+    vectors = np.concatenate(vectors, axis=1)
+    owners = np.repeat(states, vectors.shape[1])
+    traj = out[:, owners]
+    traj[t_lo : T + 1] = vectors.reshape(len(owners), -1, dim).transpose(1, 0, 2)
+    j_lo = max(0, t_lo - n)
+    want = kernel._flatten(kernel.window_stack(traj, n, j_lo, T), np.arange(j_lo, T + 1), owners)
+    got = (solvers._points(layout, x, h),) + layout[2:4]
+    assert [(a.dtype, a.shape, a.tobytes()) for a in got] == [
+        (a.dtype, a.shape, a.tobytes()) for a in want]
+    assert layout[5] == (len(states), vectors.shape[1], size)
+
+
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 6), rotate=st.booleans(),
+       kinds=st.lists(st.sampled_from(["concave", "convex", "indefinite", "edge", "zero"]),
+                      min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_stacked_curvature_equals_per_state(seed, size, rotate, kinds):
+    """One eigvalsh call over every state's Jacobian labels each state as
+    classifying it alone does: definite and indefinite matrices, a zero
+    eigenvalue, and one at the slack's edge, +-1e-10 * scale (exactly on a
+    diagonal, within rounding after a rotation), each with or without a
+    non-symmetric part."""
+    rng = np.random.default_rng(seed)
+    jacs = []
+    for kind in kinds:
+        eig = rng.uniform(0.5, 3.0, size) * rng.choice([1.0, 40.0])
+        eig *= 1.0 if kind == "convex" else -1.0
+        if kind == "indefinite":
+            eig[0] = -eig[0]
+        if kind in ("edge", "zero"):
+            edge = 1e-10 * max(1.0, float(np.abs(eig).max()))  # on, below or above the slack
+            edge *= rng.choice([-1.0, 1.0, 1.0 - 1e-6, 1.0 + 1e-6])
+            eig[-1] = 0.0 if kind == "zero" else edge
+        q = np.linalg.qr(rng.normal(size=(size, size)))[0] if rotate else np.eye(size)
+        skew = rng.normal(size=(size, size)) * rng.choice([0.0, 1.0])
+        jacs.append((q * eig) @ q.T + skew - skew.T)
+    jacs = np.array(jacs)
+    assert (solvers._classify_curvature(jacs)
+            == tuple(reference.classify_curvature(jac) for jac in jacs))
 
 
 def _kinked(rng, m):
@@ -596,6 +666,41 @@ def test_household_solve_batched_call_count(monkeypatch, space):
     assert points == _lockstep_points(iterations)
     # one batched solve per pass that leaves a state iterating: all but the last
     assert solves == [(2, 39, 39)] * 24
+
+
+def test_household_solve_rejected_step_call_count():
+    """State 0 spends far more at t = 0 than later (c_0 = 1, c_t = 0.2 *
+    0.99^t), so its first full Newton step takes c_0 below 0.  That pass
+    still makes one values call over both states' trials and stencils, in
+    which every vector of state 0 has a -inf window, and one partials call
+    over state 1's vectors only; state 0's step is halved.  Order 1, T = 10:
+    11 windows per vector, 1 + 2 * 3 vectors per state."""
+    obj, calls = tk.household_log(0.99, 1, zero_head=False), []
+
+    def recorded(name, fn):
+        def call(points, t, w):
+            out = fn(points, t, w)
+            walled = np.isneginf(out) if name == "values" else np.zeros(len(points), bool)
+            calls.append((name, len(points), sorted(set(w.tolist())),
+                          sorted(set(w[walled].tolist()))))
+            return out
+        return call
+
+    obj = dataclasses.replace(obj, batch_eval_fn=recorded("values", obj.batch_eval_fn),
+                              batch_partials_fn=recorded("partials", obj.batch_partials_fn))
+    spend = np.stack([np.r_[1.0, 0.2 * 0.99 ** np.arange(1, 11)], np.full(11, 0.5)], axis=1)
+    y = 10.0 - np.concatenate([np.zeros((1, 2)), np.cumsum(spend, axis=0)])
+    guess = tk.StochasticPath(tk.TimeDomain.discrete(11), tk.SampleSpace((0.5, 0.5)), y)
+    spec = tk.SolveSpec(horizon=10, guess=guess, mode="fixed", head=y[:1], tail=y[11:])
+    _, rep = tk.newton_euler_solve(obj, spec)
+    assert rep.converged and rep.iterations == (7, 3)
+    both, one = [("values", 154, [0, 1], []), ("partials", 154, [0, 1], [])], [
+        ("values", 77, [0], []), ("partials", 77, [0], [])]
+    # the guess check, the start, the rejected pass, two passes of both
+    # states, then state 0's last five
+    assert calls == ([("values", 22, [0, 1], [])] + both
+                     + [("values", 154, [0, 1], [0]), ("partials", 77, [1], [])]
+                     + both * 2 + one * 5)
 
 
 def test_household_solve_lockstep_masking(space):
