@@ -201,9 +201,18 @@ def _fd_or_raise(obj, points, t, w) -> np.ndarray:
         raise DomainError(f"objective is -inf at the evaluation point (t={t[i]}, state {w[i]})")
     out, unresolved = fd_partials(obj, points, t, w)
     if unresolved.any():
-        i, k = np.argwhere(unresolved)[0]
-        raise DomainError(f"no finite-difference step resolves slot {k} (t={t[i]}, state {w[i]})")
+        raise unresolved_fault(unresolved, t, w)
     return out
+
+
+def unresolved_fault(unresolved: np.ndarray, t, w) -> DomainError | None:
+    """The DomainError for the first slot in (point, slot) order that
+    fd_partials left unresolved at the points with times t and states w;
+    None if every slot resolved."""
+    if not unresolved.any():
+        return None
+    i, k = np.argwhere(unresolved)[0]
+    return DomainError(f"no finite-difference step resolves slot {k} (t={t[i]}, state {w[i]})")
 
 
 def rel_gap(approx: np.ndarray, reference: np.ndarray) -> float:

@@ -21,7 +21,7 @@ from .euler import BoundaryMode
 from .kernel import (expected_running_sum, max_window_start, objective_values, values_at,
                      window_stack)
 from .objectives import (ContinuousObjective, DiscreteObjective, fd_partials, rel_gap,
-                         stack_samples)
+                         stack_samples, unresolved_fault)
 
 NEG_INF = float("-inf")
 
@@ -106,12 +106,13 @@ class NewtonReport:
 
 def _layout(out, states, t_lo, n, member=None, trial=True):
     """Gather tables for evaluating, per given state, its trial (if trial)
-    and, if member (G, N) is given, each group's columns moved by +h, then
-    by -h.  Returns (out.ravel(), points, t, w, terms, shape): the source
-    index (see _points) of every entry of the windows j_lo..T of every
-    vector, with their times and states, flattened window-major as
-    kernel.values_at does; per vector, where each term of its rows t_lo..T
-    lies in the flat partials at those points; and (K, V, N)."""
+    and, if member (G, N) is given, its stencil: each group's columns moved
+    by +h, then by -h.  Returns (out.ravel(), points, t, w, terms, shape,
+    blocks): the source index (see _points) of every entry of the windows
+    j_lo..T of every vector, with their times and states, flattened
+    window-major as kernel.values_at does; per vector, where each term of
+    its rows t_lo..T lies in the flat partials at those points; (K, V, N);
+    and the slices of V holding each block, the trial then the stencil."""
     T, dim = len(out) - 1 - n, out.shape[2]
     size = (T + 1 - t_lo) * dim
     # per state, where each entry t_lo..T of a vector is read: 0 the trial, 1 +h, 2 -h
@@ -129,8 +130,9 @@ def _layout(out, states, t_lo, n, member=None, trial=True):
     slot = np.arange(n + 1)[:, None, None, None]
     terms = np.where(window < 0, points.size, (point * (n + 1) + slot) * dim + np.arange(dim))
     times = np.arange(max(0, t_lo - n), T + 1)
+    blocks = [slice(1)] * trial + ([] if member is None else [slice(int(trial), None)])
     return (out.ravel(), points.reshape(-1, n + 1, dim), np.repeat(times, count),
-            np.tile(owners, len(times)), terms, shape)
+            np.tile(owners, len(times)), terms, shape, blocks)
 
 
 def _points(layout, x, h=None):
@@ -143,47 +145,48 @@ def _residuals(obj, layout, x, h=None):
     """Rows t_lo..T of the stationarity system at the vectors of a _layout
     around the trials x (K, N) with steps h: one values call, then one
     partials call on the vectors with finite windows.  Returns rows (K, V,
-    N), nan where invalid, and valid (K, V): the windows are finite and the
-    partials resolve."""
-    points, (t, w, terms, shape) = _points(layout, x, h), layout[2:]
-    count, slots, dim = shape[0] * shape[1], points.shape[1], points.shape[2]
-    windows = len(points) // count
-    valid, walled = np.ones(count, dtype=bool), obj.values_batch(points, t, w) == NEG_INF
-    if walled.any():
-        valid = ~walled.reshape(windows, count).any(axis=0)
-        keep = np.tile(valid, windows)
-        points, t, w = points[keep], t[keep], w[keep]
-        if not len(points):
-            return np.full(shape, np.nan), valid.reshape(shape[:2])
-    P, unresolved = _partials_unresolved(obj, points, t, w)
-    if len(points) < len(walled):  # zeros at the windows of walled vectors
-        P, kept = np.zeros((len(walled),) + P.shape[1:]), P
-        P[keep] = kept
-    if P.shape[2] != dim:  # one component standing for every dimension
-        P = np.broadcast_to(P, P.shape[:2] + (dim,))
+    N) and faults: None when every block resolves, else per state and block
+    of the layout None or the DomainError that evaluating the block alone
+    gives (see _faults).  A faulting block's rows are meaningless."""
+    points, (t, w, terms, shape) = _points(layout, x, h), layout[2:6]
+    walled, live = obj.values_batch(points, t, w) == NEG_INF, slice(None)
+    if walled.any():  # no partials at the windows of vectors with a -inf window
+        windows = walled.reshape(-1, shape[0] * shape[1])
+        live = np.tile(~windows.any(axis=0), len(windows))
+        if not live.any():  # every vector walled: no partials call
+            unresolved = np.zeros((0, points.shape[1]), dtype=bool)
+            return np.full(shape, np.nan), _faults(layout, walled, unresolved, live)
+    P, unresolved = _partials_unresolved(obj, points[live], t[live], w[live])
+    if len(P) < len(points):  # zeros at the windows of walled vectors
+        P, kept = np.zeros((len(points),) + P.shape[1:]), P
+        P[live] = kept
+    if P.shape[2] != points.shape[2]:  # one component standing for every dimension
+        P = np.broadcast_to(P, points.shape)
     # summed in kernel.euler_rows' slot order, from 0.0; adding the trailing
     # 0.0 for a window before 0 leaves a sum's bits as they are
     terms = np.concatenate((P, [0.0]), axis=None).take(terms)
     rows = terms[-1] + 0.0
     for term in terms[-2::-1]:
         rows += term
-    if unresolved.any():
-        valid[valid] = ~unresolved.reshape(windows, -1, slots).any(axis=(0, 2))
-    if not valid.all():
-        rows[~valid] = np.nan
-    return rows.reshape(shape), valid.reshape(shape[:2])
+    if walled.any() or unresolved.any():
+        return rows.reshape(shape), _faults(layout, walled, unresolved, live)
+    return rows.reshape(shape), None
 
 
-def _fault(obj, layout, x, h=None) -> DomainError:
-    """The DomainError of evaluating the vectors of a one-state _layout: a
-    -inf window, else the first unresolved finite-difference partial."""
-    points, (t, w) = _points(layout, x, h), layout[2:4]
-    if not np.isneginf(obj.values_batch(points, t, w)).any():
-        try:
-            obj.partials_batch(points, t, w)
-        except DomainError as exc:
-            return exc
-    return DomainError("trial point left the objective's domain")
+def _faults(layout, walled, unresolved, live):
+    """Per state and block of a _layout, None or the DomainError that
+    evaluating the block alone gives: a -inf window, else the first slot in
+    (window, vector, slot) order whose partial fd_partials leaves
+    unresolved.  walled marks the points with a -inf value, and unresolved
+    the (point, slot)s left unresolved among the live points."""
+    t, w, (K, V, _), blocks = layout[2], layout[3], layout[5], layout[6]
+    bad = np.zeros((len(walled), layout[1].shape[1]), dtype=bool)
+    bad[live] = unresolved
+    walled, bad = walled.reshape(-1, K, V), bad.reshape(-1, K, V, bad.shape[1])
+    t, w = t.reshape(walled.shape), w.reshape(walled.shape)
+    return [[DomainError("trial point left the objective's domain") if walled[:, i, b].any()
+             else unresolved_fault(bad[:, i, b].reshape(-1, bad.shape[3]), t[:, i, b].ravel(),
+                                   w[:, i, b].ravel()) for b in blocks] for i in range(K)]
 
 
 def _classify_curvature(jacs: np.ndarray) -> tuple[str, ...]:
@@ -238,9 +241,10 @@ def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
     domain-invalid or its residual norm fails to decrease.  Curvature is read
     from the Jacobian of each state's last step (at the guess if it took
     none).  Paths, reports and errors are those of solving the states one
-    after another: the lowest-numbered failing state's error is raised, and
-    a pass whose batched call raises a ToolkitError is redone state by state,
-    evaluating only what solving the state alone would.
+    after another: the lowest-numbered failing state's error is raised.  A
+    pass reads each state's faults from _residuals; when its batched call
+    raises a ToolkitError, each state's trial and stencil are evaluated
+    alone instead, and what each raises is that block's fault.
     """
     n, T, guess = obj.order, spec.horizon, spec.guess
     if guess.domain.kind != "discrete" or guess.domain.t_max != T + n:
@@ -286,27 +290,27 @@ def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
             picks = pick[:, None] + np.arange(len(states))[:, None] * np.reshape(
                 [(1 + 2 * len(member)) * size] * 2 + [size], (3, 1, 1))
         try:
-            rows, valid = _residuals(obj, layout, x, h)
-            # per state: its trial's residual norm and validity, and its stencil's
-            norms = np.abs(rows[:, 0]).max(axis=1).tolist()
-            trial_ok, stencil_ok = valid[:, 0].tolist(), valid[:, 1:].all(axis=1).tolist()
-            alone = False
-        except ToolkitError:  # filled state by state below
-            rows, norms, alone = np.full(layout[5], np.nan), [np.nan] * len(states), True
-            trial_ok, stencil_ok = [False] * len(states), [False] * len(states)
+            rows, faults = _residuals(obj, layout, x, h)
+        except ToolkitError:  # each state's trial, then its stencil, alone
+            rows, faults = np.full(layout[5], np.nan), [[] for _ in states]
+            for i, s in enumerate(states):
+                for block, alone in ((slice(1), _layout(out, [s], t_lo, n)),
+                                     (slice(1, None), _layout(out, [s], t_lo, n, member, False))):
+                    try:
+                        rows[i, block], fault = _residuals(obj, alone, x[i : i + 1], h[i : i + 1])
+                        faults[i].append(None if fault is None else fault[0][0])
+                    except ToolkitError as exc:
+                        faults[i].append(exc)
+        norms = np.abs(rows[:, 0]).max(axis=1).tolist()  # per state, its trial's residual norm
         accepted, assemble, kept, fresh = [], [], [], []
         for i, s in enumerate(states):
+            trial_fault, stencil_fault = (None, None) if faults is None else faults[i]
             try:
-                if alone:
-                    try:
-                        rows[i, :1], ok = _residuals(obj, _layout(out, [s], t_lo, n), x[i : i + 1])
-                        norms[i], trial_ok[i] = float(np.abs(rows[i, 0]).max()), bool(ok[0, 0])
-                    except DomainError:  # a trial the line search rejects
-                        pass
-                if first and not trial_ok[i]:
-                    raise _fault(obj, _layout(out, [s], t_lo, n), x[i : i + 1])
+                if trial_fault is not None and (first or not isinstance(trial_fault, DomainError)):
+                    raise trial_fault
                 if not first:
-                    if not (trial_ok[i] and (norms[i] < norm[s] or norms[i] <= spec.tolerance)):
+                    if trial_fault is not None or not (norms[i] < norm[s]
+                                                       or norms[i] <= spec.tolerance):
                         lam[s] *= 0.5
                         if lam[s] < 1e-12:
                             raise NumericalError(f"no valid Newton step found in state {s}")
@@ -320,13 +324,8 @@ def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
                     converged = False
                     continue
                 if iterate or iterations[s] == 0:  # a next step, or curvature at the guess
-                    if alone:
-                        stencil = _layout(out, [s], t_lo, n, member, False)
-                        rows[i, 1:], ok = _residuals(obj, stencil, x[i : i + 1], h[i : i + 1])
-                        stencil_ok[i] = ok.all()
-                    if not stencil_ok[i]:
-                        raise _fault(obj, _layout(out, [s], t_lo, n, member, False),
-                                     x[i : i + 1], h[i : i + 1])
+                    if stencil_fault is not None:
+                        raise stencil_fault
                     assemble.append(i)
                 if iterate:
                     kept.append(s)

@@ -219,6 +219,16 @@ def test_one_time_axis():
     assert calls == {("core", "derivatives", "gradient"), ("core", "running_sum", "cumsum")}
 
 
+def test_one_unresolved_message():
+    """The unresolved-partial message is built only in
+    objectives.unresolved_fault, which _fd_or_raise and Newton's faults
+    share."""
+    text = "no finite-difference step resolves"
+    counts = {path.stem: path.read_text().count(text)
+              for path in sorted(Path(tk.__file__).resolve().parent.glob("*.py"))}
+    assert {stem: k for stem, k in counts.items() if k} == {"objectives": 1}
+
+
 def test_one_alternating_sum():
     """(-1) ** appears only inside kernel.momenta: the continuous Euler
     residual and the boundary bracket read their alternating derivative sums

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import reference
 import tvckit as tk
 from tvckit import kernel
-from tvckit.errors import DomainError, InputError, ToolkitError
+from tvckit.errors import InputError, ToolkitError
 from tvckit.solvers import _layout, _residuals
 
 REL = 1e-12
@@ -97,10 +97,11 @@ def twins(cases, case, seed, m):
     return rng, cases[case](rng, m, tk), cases[case](np.random.default_rng(seed), m, reference)
 
 
-def _valid_rows(rows, valid):
-    """The rows of the one trial vector, or the DomainError its loop form raises."""
-    if not valid[0, 0]:
-        raise DomainError("trial point left the objective's domain")
+def _valid_rows(rows, faults):
+    """The rows of the one trial vector, or its fault: the DomainError its
+    loop form raises."""
+    if faults is not None and faults[0][0] is not None:
+        raise faults[0][0]
     return rows[0, 0]
 
 

@@ -88,15 +88,15 @@ def test_grouped_jacobian_equals_dense(seed, case, horizon):
     t_lo, w = int(rng.integers(0, horizon + 1)), int(rng.integers(0, M))
 
     def residuals(U):
-        rows, valid = solvers._residuals(obj, solvers._layout(out, np.full(len(U), w), t_lo, n), U)
-        assert valid.all()
+        rows, faults = solvers._residuals(obj, solvers._layout(out, np.full(len(U), w), t_lo, n), U)
+        assert faults is None
         return rows[:, 0]
 
     u = out[t_lo : horizon + 1, w].ravel()
     member, band, pick = solvers._stencil_layout(u.size, n, dim)
     h = solvers.JAC_FD_STEP * np.maximum(1.0, np.abs(u[None]))
-    rows, valid = solvers._residuals(obj, solvers._layout(out, [w], t_lo, n, member), u[None], h)
-    assert valid.all()
+    rows, faults = solvers._residuals(obj, solvers._layout(out, [w], t_lo, n, member), u[None], h)
+    assert faults is None
     got = np.zeros((u.size, u.size))
     got.reshape(-1)[band] = solvers._jacobians(rows, h, pick[:, None])[0]
     want = reference.fd_jacobian(lambda v: residuals(v[None])[0], u)
@@ -352,6 +352,141 @@ def test_newton_guess_wall_below_a_raising_guess():
     got = _newton_outcome(tk.newton_euler_solve, obj, spec)
     assert got == ("raised", DomainError, "guess violates domain validity in state 0")
     assert got == _newton_outcome(reference.newton_euler_solve, obj, spec)
+
+
+# builders whose blocks fault: -inf windows, unresolved partials, raised errors
+FAULT_BUILDERS = {"kinked": _kinked, "household-live": CASES["household-live"],
+                  "fd-log": lambda rng, m: (_fd_log(), 0.5, 2.0),
+                  "sqrt-wall": _sqrt_wall, "root-wall": _root_wall}
+# where each builder's wall (or kink) lies, in y0
+WALLS = {"kinked": 1.0, "fd-log": 0.0, "sqrt-wall": 0.0, "root-wall": 0.0}
+
+
+def _raised(fn, *args):
+    """None if fn returns, else the type and message of the ToolkitError it raises."""
+    try:
+        fn(*args)
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(sorted(FAULT_BUILDERS)),
+       horizon=st.integers(1, 8), gap=st.sampled_from([None, -0.5, 0.0, 1e-13, 1e-7, 1e-5, 1e-3]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+# an unresolved slot-0 partial at the trial; the stencil has a -inf window
+@example(seed=0, case="fd-log", horizon=3, gap=1e-13)
+# an unresolved partial in both blocks
+@example(seed=4, case="fd-log", horizon=3, gap=1e-13)
+# a clean trial whose stencil has a -inf window
+@example(seed=0, case="household-live", horizon=3, gap=1e-7)
+# a clean trial whose stencil raises EvalError
+@example(seed=0, case="sqrt-wall", horizon=3, gap=1e-7)
+# both blocks raise DomainError, and so does the batched call
+@example(seed=4, case="root-wall", horizon=3, gap=-0.5)
+def test_residual_faults_equal_the_loop(seed, case, horizon, gap):
+    """The fault _residuals gives each block of one state, its trial and its
+    stencil, is what reference.trial_residuals raises on that block's
+    vectors alone (type and message), or both are clean; so is what the
+    block raises through its own layout, as Newton's fallback evaluates it.
+    One value of the trajectory (a household consumption) may lie at or
+    near the wall, so that the trial or only its stencil faults.  Clean
+    blocks have the loop's rows, bit for bit."""
+    rng = np.random.default_rng(seed)
+    obj, lo, hi = FAULT_BUILDERS[case](rng, M)
+    n, dim = obj.order, obj.dim
+    out = rng.uniform(lo, hi, size=(horizon + n + 1, M, dim))
+    t_lo, w = int(rng.integers(0, horizon + 1)), int(rng.integers(0, M))
+    if gap is not None and case == "household-live":  # y_t + y_{t+1} - y_{t+2} = gap
+        t = int(rng.integers(0, horizon + 1))
+        out[t + 2, w] = out[t, w] + out[t + 1, w] - gap
+    elif gap is not None:
+        out[int(rng.integers(0, horizon + n + 1)), w] = WALLS[case] + gap
+    x = out[t_lo : horizon + 1, w].reshape(1, -1)
+    member = solvers._stencil_layout(x.size, n, dim)[0]
+    h = solvers.JAC_FD_STEP * np.maximum(1.0, np.abs(x))
+    blocks = (x, np.concatenate([np.where(member, x + h, x), np.where(member, x - h, x)]))
+    want = [_raised(reference.trial_residuals, obj, out[:, w], U, t_lo, n, w) for U in blocks]
+
+    def described(faults):
+        return [None if f is None else (type(f), str(f)) for f in faults]
+
+    alone = [solvers._layout(out, [w], t_lo, n), solvers._layout(out, [w], t_lo, n, member, False)]
+    for layout, fault in zip(alone, want):
+        try:
+            faults = solvers._residuals(obj, layout, x, h)[1]
+        except ToolkitError as exc:
+            assert (type(exc), str(exc)) == fault
+        else:
+            assert described((faults or [[None]])[0]) == [fault]
+    try:
+        rows, faults = solvers._residuals(obj, solvers._layout(out, [w], t_lo, n, member), x, h)
+    except ToolkitError as exc:  # the batched call raises what one of the blocks raises
+        assert (type(exc), str(exc)) in want
+        return
+    assert described((faults or [[None, None]])[0]) == want
+    for got, U, fault in zip((rows[0, :1], rows[0, 1:]), blocks, want):
+        if fault is None:
+            np.testing.assert_array_equal(got, reference.trial_residuals(obj, out[:, w], U, t_lo,
+                                                                         n, w))
+
+
+def test_first_unresolved_partial_is_window_major():
+    """y0 + [y0 > 1] + y1: no step resolves a slot-0 partial at y0 = 1.
+    With y_0 = y_1 = 1, the stencil's first vector moves y_0 and leaves
+    window 1 unresolved, its second moves y_1 and leaves window 0: the
+    stencil's fault names the first window over all its vectors, t = 0, as
+    evaluating the stencil alone does."""
+    obj = tk.DiscreteObjective(
+        order=1, batch_eval_fn=lambda p, t, w: p[:, 0, 0] + (p[:, 0, 0] > 1.0) + p[:, 1, 0])
+    out = np.array([1.0, 1.0, 2.0, 2.0, 2.0])[:, None, None]
+    x = out[:4, 0].reshape(1, -1)
+    member = solvers._stencil_layout(x.size, 1, 1)[0]
+    h = solvers.JAC_FD_STEP * np.maximum(1.0, np.abs(x))
+    faults = solvers._residuals(obj, solvers._layout(out, [0], 0, 1, member), x, h)[1]
+    stencil = np.concatenate([np.where(member, x + h, x), np.where(member, x - h, x)])
+    with pytest.raises(DomainError) as exc:
+        reference.trial_residuals(obj, out[:, 0], stencil, 0, 1, 0)
+    assert str(faults[0][1]) == str(exc.value) == (
+        "no finite-difference step resolves slot 0 (t=0, state 0)")
+
+
+def test_newton_fallback_call_order():
+    """A pass whose batched call raises evaluates each iterating state's
+    trial, then its stencil, in their own calls, in state order, and keeps
+    what each raises as that block's fault; a pass that does not raise
+    makes no per-state call.  Order 1, T = 2: 3 windows per vector, 1 + 2 *
+    3 vectors per state.  State 1's solution lies within h of 0, where the
+    objective raises (as in root-wall), so the stencil around its first
+    step raises; state 1 then has converged and never needs it, while
+    state 0 takes 8 steps."""
+    a, q, calls = np.array([0.3, 5e-7]), np.array([20.0, 0.0]), []
+
+    def values(points, t, w):
+        below = points[:, 0, 0] < 0.0
+        calls.append(("values", sorted(set(w.tolist())), len(points)))
+        if below.any():
+            raise DomainError(f"y0 < 0 in state {w[np.argmax(below)]}")
+        d = points[:, 0, 0] - a[w]
+        return d**2 + q[w] * d**4 + 1e-8 * points[:, 1, 0]
+
+    def partials(points, t, w):
+        calls.append(("partials", sorted(set(w.tolist())), len(points)))
+        d = points[:, 0, 0] - a[w]
+        return np.stack([2.0 * d + 4.0 * q[w] * d**3, 1e-8 + 0.0 * d], axis=1)[..., None]
+
+    obj = tk.DiscreteObjective(order=1, batch_eval_fn=values, batch_partials_fn=partials)
+    guess = tk.StochasticPath.constant(tk.TimeDomain.discrete(3), tk.SampleSpace((0.5, 0.5)), 1.0)
+    _, rep = tk.newton_euler_solve(obj, tk.SolveSpec(horizon=2, guess=guess, tolerance=1e-8))
+    assert rep.converged and rep.iterations == (8, 1)
+    # the guess check, the start, the raising pass and its fallback (state
+    # 1's stencil raises in its values call), then state 0's last 7 passes
+    assert calls == ([("values", [0, 1], 6), ("values", [0, 1], 42), ("partials", [0, 1], 42),
+                      ("values", [0, 1], 42)]
+                     + [("values", [0], 3), ("partials", [0], 3),
+                        ("values", [0], 18), ("partials", [0], 18),
+                        ("values", [1], 3), ("partials", [1], 3), ("values", [1], 18)]
+                     + [("values", [0], 21), ("partials", [0], 21)] * 7)
 
 
 @pytest.mark.parametrize("a, state", [((1.0, 0.0), 1), ((0.0, 1.0), 0), ((0.0, 0.0), 0)])
@@ -701,6 +836,33 @@ def test_household_solve_rejected_step_call_count():
     assert calls == ([("values", 22, [0, 1], [])] + both
                      + [("values", 154, [0, 1], [0]), ("partials", 77, [1], [])]
                      + both * 2 + one * 5)
+
+
+def test_household_solve_rejected_step_call_count_one_state():
+    """State 0 of the test above, alone: in its rejected pass every vector
+    has a -inf window (7 walled points among 77), so that pass makes its
+    values call and no partials call."""
+    obj, calls = tk.household_log(0.99, 1, zero_head=False), []
+
+    def recorded(name, fn):
+        def call(points, t, w):
+            out = fn(points, t, w)
+            walled = int(np.isneginf(out).sum()) if name == "values" else 0
+            calls.append((name, len(points), walled))
+            return out
+        return call
+
+    obj = dataclasses.replace(obj, batch_eval_fn=recorded("values", obj.batch_eval_fn),
+                              batch_partials_fn=recorded("partials", obj.batch_partials_fn))
+    spend = np.r_[1.0, 0.2 * 0.99 ** np.arange(1, 11)][:, None]
+    y = 10.0 - np.concatenate([np.zeros((1, 1)), np.cumsum(spend, axis=0)])
+    guess = tk.StochasticPath(tk.TimeDomain.discrete(11), tk.SampleSpace((1.0,)), y)
+    spec = tk.SolveSpec(horizon=10, guess=guess, mode="fixed", head=y[:1], tail=y[11:])
+    _, rep = tk.newton_euler_solve(obj, spec)
+    assert rep.converged and rep.iterations == (7,)
+    step = [("values", 77, 0), ("partials", 77, 0)]
+    # the guess check, the start, the rejected pass, then 7 accepted trials
+    assert calls == [("values", 11, 0)] + step + [("values", 77, 7)] + step * 7
 
 
 def test_household_solve_lockstep_masking(space):
