@@ -175,17 +175,12 @@ def growth_slope(tprimes, col):
 
 def _richardson_eps(eps_asc, vals_asc):
     """Linear-in-eps extrapolation to eps=0 from the two smallest eps, with an
-    error estimate from the next pair."""
-    e1, e2 = eps_asc[0], eps_asc[1]
-    v1, v2 = vals_asc[0], vals_asc[1]
+    error estimate from the next pair (iterated_limits passes at least 4)."""
+    e1, e2, e3 = eps_asc[:3]
+    v1, v2, v3 = vals_asc[:3]
     extrap = v1 - e1 * (v2 - v1) / (e2 - e1)
-    if len(eps_asc) >= 3:
-        e3, v3 = eps_asc[2], vals_asc[2]
-        alt = v2 - e2 * (v3 - v2) / (e3 - e2)
-        err = abs(extrap - alt)
-    else:
-        err = abs(extrap - v1)
-    return float(extrap), float(err)
+    alt = v2 - e2 * (v3 - v2) / (e3 - e2)
+    return float(extrap), float(abs(extrap - alt))
 
 
 def iterated_limits(matrix: DiagnosticMatrix) -> IteratedLimits:

@@ -26,6 +26,9 @@ NEG_INF = float("-inf")
 
 FUNCTIONS = ("ln", "exp", "abs", "sqrt")
 
+MAX_NESTING = 125  # parentheses, calls, minus signs and exponents inside one another
+MAX_DEPTH = 750    # levels a slot-partial may reach: a +, - or sign adds 1, any other node 3
+
 
 # ---------------------------------------------------------------------------
 # Tokens
@@ -104,6 +107,7 @@ class _Parser:
         self.tokens = tokens
         self.symbols = symbols
         self.i = 0
+        self.nesting = 0
 
     def peek(self) -> Token | None:
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -125,10 +129,9 @@ class _Parser:
 
     def parse(self) -> Node:
         node = self.expr()
-        tok = self.peek()
-        if tok is not None:
+        if (tok := self.peek()) is not None:
             raise ExprSyntaxError(f"unexpected {tok.lexeme!r}", tok.pos)
-        return node
+        return _check_depth(node)
 
     def expr(self) -> Node:
         node = self.term()
@@ -146,17 +149,23 @@ class _Parser:
 
     def unary(self) -> Node:
         tok = self.peek()
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ExprSyntaxError(f"nested deeper than {MAX_NESTING} levels", tok and tok.pos)
         if tok and tok.kind == "op" and tok.lexeme == "-":
             self.take()
-            return Neg(self.unary())
-        return self.power()
+            node = Neg(self.unary())
+        else:
+            node = self.power()
+        self.nesting -= 1
+        return node
 
     def power(self) -> Node:
         base = self.atom()
         tok = self.peek()
         if tok and tok.kind == "op" and tok.lexeme == "^":
             self.take()
-            expo = fold_constants(self.unary())
+            expo = _rewrite(_check_depth(self.unary(), tok.pos), identities=False)
             if not isinstance(expo, Const):
                 raise ExprSyntaxError("exponent must fold to a constant", tok.pos)
             return Bin("^", base, expo)
@@ -185,6 +194,24 @@ class _Parser:
             self.expect("rparen", "')'")
             return node
         raise ExprSyntaxError(f"unexpected {tok.lexeme!r}", tok.pos)
+
+
+def _children(node: Node) -> tuple:
+    if isinstance(node, Bin):
+        return node.left, node.right
+    return (node.child,) if isinstance(node, Neg) else (node.arg,) if isinstance(node, Call) else ()
+
+
+def _check_depth(node: Node, pos=None) -> Node:
+    """node, unless a slot-partial may be deeper than MAX_DEPTH: each pass recurses per level."""
+    stack = [(node, 1)]
+    while stack:
+        top, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression too deep: slot-partials over {MAX_DEPTH} levels", pos)
+        step = 1 if isinstance(top, Neg) or isinstance(top, Bin) and top.op in "+-" else 3
+        stack.extend((child, depth + step) for child in _children(top))
+    return node
 
 
 def parse(tokens: list[Token], symbols) -> Node:
@@ -249,10 +276,10 @@ def _divide(left, right):
 
 
 def _power(base, c: float):
-    """base ^ c with Python's float rules: 0 ^ (c < 0) and a negative finite
-    base with a finite non-integer c fail, as does finite overflow."""
+    """base ^ c with Python's float rules: 0 ^ (c < 0) and a negative finite base with
+    a finite non-integer c fail, as does finite overflow; -inf ^ 0.5 is inf (numpy: NaN)."""
     base = np.asarray(base, dtype=float)
-    out = np.power(base, c)
+    out = np.power(np.abs(base) if c != math.floor(c) else base, c)
     if math.isfinite(c):
         finite = np.isfinite(base)
         if c < 0.0 and (base == 0.0).any():
@@ -341,79 +368,40 @@ def _diff(node: Node, v: str) -> Node:
     raise InputError(f"cannot differentiate operator {node.op!r}")
 
 
-def fold_constants(node: Node) -> Node:
-    if isinstance(node, (Const, Var)):
-        return node
-    if isinstance(node, Neg):
-        child = fold_constants(node.child)
-        if isinstance(child, Const):
-            return Const(-child.value)
-        return Neg(child)
-    if isinstance(node, Call):
-        arg = fold_constants(node.arg)
-        if isinstance(arg, Const):
-            return Const(eval_ast(Call(node.fn, arg), {}))
-        return Call(node.fn, arg)
-    left = fold_constants(node.left)
-    right = fold_constants(node.right)
-    if isinstance(left, Const) and isinstance(right, Const):
-        return Const(eval_ast(Bin(node.op, left, right), {}))
-    return Bin(node.op, left, right)
-
-
-def _is_const(node: Node, value: float) -> bool:
-    return isinstance(node, Const) and node.value == value
-
-
 def simplify(node: Node) -> Node:
     """Constant folding plus 0/1 identities; no general CAS rewriting."""
-    node = fold_constants(node)
-    return _simplify(node)
+    return _rewrite(node, identities=True)
 
 
-def _simplify(node: Node) -> Node:
-    if isinstance(node, (Const, Var)):
-        return node
+def _rewrite(node: Node, identities: bool) -> Node:
+    """One bottom-up pass: each node is rebuilt from its rewritten children, then
+    reduced by a 0/1 identity (if identities) or, if its children are constants, evaluated."""
     if isinstance(node, Neg):
-        child = _simplify(node.child)
-        if isinstance(child, Const):
-            return Const(-child.value)
-        return Neg(child)
-    if isinstance(node, Call):
-        return Call(node.fn, _simplify(node.arg))
-    left = _simplify(node.left)
-    right = _simplify(node.right)
-    op = node.op
-    if op == "+":
-        if _is_const(left, 0.0):
-            return right
-        if _is_const(right, 0.0):
-            return left
-    elif op == "-":
-        if _is_const(right, 0.0):
-            return left
-        if _is_const(left, 0.0):
-            return _simplify(Neg(right))
-    elif op == "*":
-        if _is_const(left, 0.0) or _is_const(right, 0.0):
-            return Const(0.0)
-        if _is_const(left, 1.0):
-            return right
-        if _is_const(right, 1.0):
-            return left
-    elif op == "/":
-        if _is_const(left, 0.0) and not _is_const(right, 0.0):
-            return Const(0.0)
-        if _is_const(right, 1.0):
-            return left
-    elif op == "^":
-        if _is_const(right, 1.0):
-            return left
-        if _is_const(right, 0.0):
-            return Const(1.0)
-    out = Bin(op, left, right)
-    folded = fold_constants(out)
-    return folded
+        node = Neg(_rewrite(node.child, identities))
+    elif isinstance(node, Call):
+        node = Call(node.fn, _rewrite(node.arg, identities))
+    elif isinstance(node, Bin):
+        node = Bin(node.op, _rewrite(node.left, identities), _rewrite(node.right, identities))
+        node = _identity(node) if identities else node
+    children = _children(node)
+    if children and all(isinstance(child, Const) for child in children):
+        return Const(eval_ast(node, {}))
+    return node
+
+
+def _identity(node: Bin) -> Node:
+    """node reduced by the first 0/1 identity that applies, else node."""
+    op, left, right = node.op, node.left, node.right
+    lval, rval = (n.value if isinstance(n, Const) else None for n in (left, right))
+    if op == "*" and 0.0 in (lval, rval) or op == "/" and lval == 0.0 and rval != 0.0:
+        return Const(0.0)
+    if op == "+" and lval == 0.0 or op == "*" and lval == 1.0:
+        return right
+    if op in "+-" and rval == 0.0 or op in "*/^" and rval == 1.0:
+        return left
+    if op == "-" and lval == 0.0:
+        return Neg(right)
+    return Const(1.0) if op == "^" and rval == 0.0 else node
 
 
 # ---------------------------------------------------------------------------

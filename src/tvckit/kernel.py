@@ -59,12 +59,10 @@ def values_at(obj, stack, t_axis, states) -> np.ndarray:
     return obj.values_batch(*_flatten(stack, t_axis, states)).reshape(stack.shape[:2])
 
 
-def partials_at(obj, stack, t_axis, states, partials_fn=None) -> np.ndarray:
-    """Slot-partials at every point of a stack as P[j, k, w, :]; shape (J, n+1, m, dim).
-    partials_fn(points, t, w), if given, stands in for obj.partials_batch."""
+def partials_at(obj, stack, t_axis, states) -> np.ndarray:
+    """Slot-partials at every point of a stack as P[j, k, w, :]; shape (J, n+1, m, dim)."""
     _check_dim(obj, stack)
-    return slot_major((partials_fn or obj.partials_batch)(*_flatten(stack, t_axis, states)),
-                      stack.shape)
+    return slot_major(obj.partials_batch(*_flatten(stack, t_axis, states)), stack.shape)
 
 
 def slot_major(partials: np.ndarray, shape) -> np.ndarray:

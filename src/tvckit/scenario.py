@@ -307,11 +307,7 @@ def _validate_path(node, domain, space, order, params):
     arrays = {}
     for key in ("head", "tail"):
         if key in solve:
-            arr = _array(solve[key], f"path.solve.{key}")
-            if arr.ndim != 2 or arr.shape[1] != space.m:
-                raise SchemaError(f"path.solve.{key}",
-                                  "expected a (length, state) array of numbers")
-            out[key], arrays[key] = solve[key], arr
+            out[key], arrays[key] = solve[key], _array(solve[key], f"path.solve.{key}")
     if "tolerance" in solve:
         out["tolerance"] = _number(solve["tolerance"], "path.solve.tolerance")
     if "max_iterations" in solve:

@@ -59,11 +59,15 @@ class SolveSpec:
             raise InputError("horizon must be >= 0")
         if not self.tolerance > 0.0 or self.max_iterations < 1:
             raise InputError("need tolerance > 0 and max_iterations >= 1")
+        m, dim = self.guess.space.m, self.guess.dim
         for name in ("head", "tail"):
             arr = getattr(self, name)
             if arr is None:
                 continue
             arr = np.asarray(arr, dtype=float)
+            if arr.shape[1:] not in ((m,), (m, dim)):
+                raise InputError(f"{name} needs shape (rows, {m}) or (rows, {m}, {dim}) "
+                                 f"for the guess, got {arr.shape}")
             if arr.ndim == 2:
                 arr = arr[:, :, None]
             if not np.isfinite(arr).all():

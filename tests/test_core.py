@@ -243,6 +243,19 @@ def test_one_alternating_sum():
     assert sites == {("kernel", "momenta")}
 
 
+def test_one_constant_fold():
+    """eval_ast is called only inside expr._rewrite: the parser's exponent
+    fold and simplify fold constants in that one bottom-up pass."""
+    sites = set()
+    for path in sorted(Path(tk.__file__).resolve().parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:  # a function, a class or a statement
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "eval_ast"):
+                    sites.add((path.stem, getattr(top, "name", None)))
+    assert sites == {("expr", "_rewrite")}
+
+
 class TestPerturbationCurve:
     def test_head_validation_discrete(self, space):
         dom = tk.TimeDomain.discrete(10)

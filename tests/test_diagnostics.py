@@ -1,12 +1,22 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import tvckit as tk
+import tvckit.diagnostics
 from tvckit.diagnostics import (DIVERGES, STATUS_DOMAIN_ERROR, STATUS_FINITE,
                                 DiagnosticMatrix, deviation_profile, growth_slope)
 from tvckit.errors import InputError, NumericalError, UnsupportedError
 
 TPRIMES = [12, 15, 20, 25, 30, 35, 40, 45]
+
+
+def finite_matrix(values):
+    """A synthetic all-finite A(T', eps) matrix on 4 x 4 grids."""
+    values = np.asarray(values, dtype=float)
+    return DiagnosticMatrix((0.1, 0.05, 0.02, 0.01), (10, 20, 30, 40), values,
+                            np.full(values.shape, STATUS_FINITE, dtype=object))
 
 
 @pytest.fixture
@@ -90,6 +100,36 @@ class TestIteratedLimits:
         assert lims.eps_then_T != DIVERGES
         assert abs(lims.eps_then_T - lims.T_then_eps) <= 1e-6
         assert tk.uniformity_verdict(m).verdict == "UNIFORM"
+
+    def test_growth_at_every_eps_is_non_uniform(self):
+        # A = T' at every eps: each column and the eps-extrapolated row grow
+        m = finite_matrix(np.repeat([[10.0], [20.0], [30.0], [40.0]], 4, axis=1))
+        v = tk.uniformity_verdict(m)
+        assert (v.verdict, v.reason) == ("NON_UNIFORM", "growth in T' detected at fixed eps")
+        assert v.limits.eps_then_T == v.limits.T_then_eps == DIVERGES
+        assert v.gap is None and v.deviation_profile is None
+
+    def test_finite_limits_that_differ_are_non_uniform(self, monkeypatch):
+        """Finite iterated limits further apart than AGREEMENT_FACTOR times
+        their larger error estimate.  iterated_limits cannot yield them (both
+        finite limits extrapolate the last T' row), so they are patched in."""
+        m = finite_matrix(np.ones((4, 4)))
+        limits = dataclasses.replace(tk.iterated_limits(m), eps_then_T=1.0, T_then_eps=1.5,
+                                     eps_then_T_error=0.01, T_then_eps_error=0.02)
+        monkeypatch.setattr(tvckit.diagnostics, "iterated_limits", lambda matrix: limits)
+        v = tk.uniformity_verdict(m)
+        assert (v.verdict, v.reason) == ("NON_UNIFORM",
+                                         "iterated limits differ by 0.5 > 10.0x error 0.02")
+        assert v.limits is limits and v.gap == 0.5 and v.deviation_profile is None
+
+    def test_undecayed_profile_is_inconclusive(self):
+        # A = 1 + 1/T' at every eps: no growth and equal limits, but A(30) - A(40) = 1/120
+        m = finite_matrix(np.repeat([[1.1], [1.05], [1.0 + 1.0 / 30.0], [1.025]], 4, axis=1))
+        v = tk.uniformity_verdict(m)
+        assert (v.verdict, v.reason) == ("INCONCLUSIVE",
+                                         "limits agree but the deviation profile has not decayed")
+        assert v.limits.eps_then_T == v.limits.T_then_eps == 1.025 and v.gap == 0.0
+        assert v.deviation_profile[-2] == pytest.approx(1.0 / 120.0)
 
     def test_coarse_grid_inconclusive(self):
         m = DiagnosticMatrix((0.1, 0.01), (1, 2, 3, 4), np.zeros((4, 2)),

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 import reference
 import tvckit as tk
 from tvckit.errors import EvalError, ExprSyntaxError
-from tvckit.expr import (Bin, Call, Const, Neg, Var, compile_ast, eval_ast,
-                         parse_source, simplify, symbolic_partial, to_source,
-                         tokenize)
+from tvckit.expr import (MAX_DEPTH, MAX_NESTING, Bin, Call, Const, Neg, Var, _diff,
+                         compile_ast, eval_ast, parse_source, simplify, symbolic_partial,
+                         to_source, tokenize)
 
 NEG_INF = float("-inf")
 
@@ -81,6 +81,39 @@ class TestParsing:
     def test_scientific_notation(self):
         assert ev("1e-3 + 2.5E2") == pytest.approx(250.001)
 
+    def test_nesting_limit(self):
+        """Parentheses, calls, minus signs and exponents count alike."""
+        for nested in ("(" * (MAX_NESTING - 1) + "x" + ")" * (MAX_NESTING - 1),
+                       "-" * (MAX_NESTING - 1) + "x",
+                       "ln(" * (MAX_NESTING - 1) + "x" + ")" * (MAX_NESTING - 1)):
+            parse_source(nested, {"x"})
+            with pytest.raises(ExprSyntaxError, match=f"nested deeper than {MAX_NESTING}"):
+                parse_source(f"({nested})", {"x"})
+
+    def test_depth_limit(self):
+        """A sum, a difference or a sign adds one level to a slot-partial and
+        any other node up to three: a sum of MAX_DEPTH terms and a quotient
+        chain a third as deep load, one term more is refused before any
+        recursion, and so is an exponent that deep."""
+        too_deep = f"expression too deep: slot-partials over {MAX_DEPTH} levels"
+        for op, terms in (("+", MAX_DEPTH), ("-", MAX_DEPTH), ("/", (MAX_DEPTH - 1) // 3 + 1)):
+            parse_source(f" {op} ".join(["x"] * terms), {"x"})
+            with pytest.raises(ExprSyntaxError, match=too_deep):
+                parse_source(f" {op} ".join(["x"] * (terms + 1)), {"x"})
+        with pytest.raises(ExprSyntaxError, match=too_deep) as err:
+            parse_source("x ^ (" + " + ".join(["1"] * 1200) + ")", {"x"})
+        assert err.value.pos == 2
+
+    def test_partials_at_the_depth_limit(self):
+        """The deepest slot-partials the limit admits are built and evaluated
+        without exhausting the stack."""
+        for src in (" + ".join(["y0 * y1"] * (MAX_DEPTH - 3)),
+                    " / ".join(["y0"] * ((MAX_DEPTH - 1) // 3 + 1)),
+                    "(" * 60 + "y0" + " * y1) ^ 2" * 60 + " / y1" * ((MAX_DEPTH - 1) // 3 - 120)):
+            obj = tk.dsl_discrete_objective(src, 1)
+            out = obj.partials_batch(np.full((2, 2, 1), 1.0), np.zeros(2), np.zeros(2, dtype=int))
+            assert np.isfinite(out).all(), src
+
 
 class TestDifferentiation:
     def test_polynomial(self):
@@ -99,6 +132,16 @@ class TestDifferentiation:
     def test_other_variable_is_zero(self):
         d = symbolic_partial(parse_source("x ^ 2", {"x", "y"}), "y")
         assert d == Const(0.0)
+
+    @pytest.mark.parametrize("src, order", [("(y0 - a)^2 + b * y1 + g * y2", 2),
+                                            ("(y0 - a)^2 + b*y1 + g*y2 + d*y3", 3)])
+    def test_shipped_partials(self, src, order):
+        """The slot-partials of scenarios/quadlin-dsl.json's objective and of
+        the order-3 objective of the discrete-horizon benchmark workload."""
+        slots = [f"y{k}" for k in range(order + 1)]
+        ast = parse_source(src, set(slots) | {"a", "b", "g", "d"})
+        want = [Bin("*", Const(2.0), Bin("-", Var("y0"), Var("a"))), Var("b"), Var("g"), Var("d")]
+        assert [symbolic_partial(ast, s) for s in slots] == want[:order + 1]
 
     def test_fd_agreement_random(self):
         rng = np.random.default_rng(3)
@@ -122,6 +165,18 @@ class TestSimplify:
 
     def test_folding(self):
         assert simplify(parse_source("2 + 3 * 4", set())) == Const(14.0)
+
+    def test_identity_before_fold(self):
+        """Each node is reduced once, by an identity before a fold: a call
+        whose argument an identity made constant is folded too."""
+        assert simplify(parse_source("ln(x * 0 + 1)", {"x"})) == Const(0.0)
+        assert simplify(parse_source("0 - (x * 0 + 2)", {"x"})) == Const(-2.0)
+        assert simplify(parse_source("x * 0 + sqrt(x) * 1", {"x"})) == Call("sqrt", Var("x"))
+
+    def test_exponent_fold_has_no_identities(self):
+        with pytest.raises(ExprSyntaxError, match="exponent must fold to a constant"):
+            parse_source("x ^ (y * 0)", {"x", "y"})
+        assert parse_source("x ^ (2 * 0 + 1)", {"x"}) == Bin("^", Var("x"), Const(1.0))
 
 
 # strategy for random well-formed ASTs over x, y (or the given variables)
@@ -181,6 +236,23 @@ class TestRoundTrip:
 _inputs = st.one_of(st.sampled_from([0.0, -2.0, 1e-300, 700.0]), st.floats(-5.0, 5.0))
 
 
+class TestRewrite:
+    @given(_ast_strategy(st.sampled_from([-1.0, 0.5, 2.0, 2.5, 3.0]), max_leaves=10),
+           _inputs, _inputs)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_simplified_partial_keeps_every_finite_value(self, ast, x, y):
+        """Wherever the raw derivative is finite at a point, the simplified
+        one gives the same float there."""
+        env = {"x": x, "y": y}
+        for v in ("x", "y"):
+            try:
+                raw = eval_ast(_diff(ast, v), env)
+            except EvalError:
+                continue
+            if math.isfinite(raw):
+                assert eval_ast(symbolic_partial(ast, v), env) == raw
+
+
 class TestCompiled:
     @given(_ast_strategy(st.sampled_from([-1.0, 0.5, 2.0, 2.5, 3.0]), max_leaves=8),
            st.lists(st.tuples(_inputs, _inputs), min_size=1, max_size=6))
@@ -217,6 +289,13 @@ class TestCompiled:
             eval_ast(ast, {"x": x})
         with pytest.raises(EvalError):
             compile_ast(ast)({"x": np.array([1.0, x])})
+
+    def test_minus_inf_to_a_fractional_power(self):
+        """Python's float rules: -inf ^ 0.5 is inf and -inf ^ -0.5 is 0."""
+        for src, want in (("ln(x) ^ 0.5", math.inf), ("ln(x) ^ -0.5", 0.0)):
+            ast = parse_source(src, {"x"})
+            assert reference.eval_ast(ast, {"x": 0.0}) == want
+            assert compile_ast(ast)({"x": np.array([0.0, math.e])}).tolist() == [want, 1.0]
 
     def test_ln_wall_and_exp_of_minus_inf(self):
         run = compile_ast(parse_source("exp(ln(x)) + ln(x)", {"x"}))

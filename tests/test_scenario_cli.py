@@ -144,6 +144,9 @@ class TestSchemaAtLoad:
          "perturbation.values"),
         ("household", ("path", "solve", "head"), [[1.0, 1.0], [1.0]], "path.solve.head"),
         ("household", ("path", "solve", "tail"), [[0.2], [0.1, 0.1]], "path.solve.tail"),
+        # rectangular, but not (rows, state): the SolveSpec refuses it
+        ("household", ("path", "solve", "head"), [[1.0, 1.0, 1.0]] * 2, "path.solve"),
+        ("household", ("path", "solve", "tail"), [0.2, 0.1], "path.solve"),
         # past the grid budget: refused before any array is built
         ("discrete-counterexample", ("time", "t_max"), 10**11, "time.t_max"),
         ("continuous-counterexample", ("time", "t_end"), 1e11, "time.t_end"),
@@ -239,6 +242,29 @@ class TestCliExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(minimal_scenario(omega={"probs": [0.9]})))
         assert main(["euler", "--scenario", str(bad), "--quiet"]) == 2
+
+    @pytest.mark.parametrize("expr, error", [
+        (" + ".join(["y0"] * 1200), "expression too deep: slot-partials over 750 levels"),
+        ("(" * 200 + "y0" + ")" * 200, "nested deeper than 125 levels (at position 125)"),
+    ], ids=["sum-1200", "parentheses-200"])
+    def test_deeply_nested_dsl_exit_2(self, tmp_path, capsys, expr, error):
+        """Nesting past the DSL's limits is refused at parse, before a pass
+        over the tree could exhaust the stack."""
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(minimal_scenario(
+            objective={"expr": expr, "constants": {}}, path={"constant": 1.0})))
+        assert main(["euler", "--scenario", str(f), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"input error: {error}\n"
+
+    @pytest.mark.parametrize("expr", [" + ".join(["y0"] * 198 + ["y1", "y2"]),
+                                      "(" * 100 + "y0" + ")" * 100 + " + y1 + y2"],
+                             ids=["sum-200", "parentheses-100"])
+    def test_nested_dsl_within_the_limits_loads(self, tmp_path, capsys, expr):
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(minimal_scenario(
+            objective={"expr": expr, "constants": {}}, path={"constant": 1.0})))
+        assert main(["euler", "--scenario", str(f), "--quiet"]) == 1  # a verdict
+        assert capsys.readouterr().err == ""
 
     def test_solve_household_exit_0(self):
         assert main(["solve", "--scenario", str(SCENARIOS / "household.json"),

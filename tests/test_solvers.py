@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,17 @@ class TestSolveSpec:
         with pytest.raises(InputError, match="no free indices"):
             tk.SolveSpec(horizon=4, guess=guess, mode="fixed", head=np.ones((5, 2)),
                          tail=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("key, shape", [("head", (2, 3)), ("head", (2, 2, 2)),
+                                            ("tail", (2, 1))])
+    def test_head_and_tail_match_the_guess(self, space, key, shape):
+        """A head or tail of any shape but (rows, m) or (rows, m, dim) of the
+        guess is refused when the spec is built, not broadcast by the solve."""
+        guess = tk.StochasticPath.constant(tk.TimeDomain.discrete(6), space, 1.0)
+        values = {"head": np.ones((2, 2)), "tail": np.zeros((2, 2)), key: np.ones(shape)}
+        message = f"{key} needs shape (rows, 2) or (rows, 2, 1) for the guess, got {shape}"
+        with pytest.raises(InputError, match=re.escape(message)):
+            tk.SolveSpec(horizon=4, guess=guess, mode="fixed", **values)
 
     def test_dense_jacobians_past_the_budget(self, space):
         # two states of N unknowns take 2 * N^2 * 8 bytes: N = 8192 fills 2^30
