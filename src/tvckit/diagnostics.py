@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import PerturbationCurve, StochasticPath, _check_same_shape, perturb
 from .errors import HorizonError, InputError, NumericalError, UnsupportedError
-from .kernel import expected_running_sum, max_window_start, objective_values, values_at
+from .kernel import expected_running_sum, max_window_start, objective_layout, values_at
 from .objectives import ContinuousObjective
 
 DIVERGES = "DIVERGES"
@@ -94,6 +94,8 @@ def a_grid(obj, path: StochasticPath, curve: PerturbationCurve,
     expected difference of the sampled objective along the jets by the
     trapezoid rule.  A time at which the base or the perturbed value is -inf
     in any state adds 0, and every cell from that time on is a domain error.
+    The base and each base + eps * curve are evaluated on one
+    kernel.objective_layout, one values call each.
     """
     _check_same_shape(path, curve)
     if path.domain.kind == "discrete":
@@ -113,13 +115,13 @@ def a_grid(obj, path: StochasticPath, curve: PerturbationCurve,
             tprime_grid = sorted({round(path.domain.index_of(round(t / h) * h) * h, 12)
                                   for t in np.geomspace(onset + 2, path.domain.t_end, 8)})
         idx = np.asarray([path.domain.index_of(tp) for tp in tprime_grid], dtype=int)
-    t_last = int(idx.max())
     values = np.zeros((len(idx), len(eps_grid)))
     status = np.full(values.shape, STATUS_FINITE, dtype=object)
-    base = objective_values(obj, path, t_last)
+    layout = objective_layout(obj, path, int(idx.max()))
+    base = layout.values(path.values)
     base_wall = np.isneginf(base)
     for ie, eps in enumerate(eps_grid):
-        shifted = objective_values(obj, perturb(path, curve, eps), t_last)
+        shifted = layout.values(path.values + eps * curve.values)
         with np.errstate(invalid="ignore"):  # -inf - -inf at walled times
             diff = shifted - base
         wall = base_wall | np.isneginf(shifted)

@@ -71,30 +71,84 @@ def tokenize(source: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 # AST
 
-@dataclass(frozen=True)
-class Const:
+class _Node:
+    """Structural ==, hash() and the dataclass repr() of an AST node, each
+    walked with an explicit stack: a tree that MAX_DEPTH admits is deeper
+    than the interpreter's recursion limit lets generated methods go."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return [getattr(self, name) for name in self.__dataclass_fields__]
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            for x, y in zip(a._fields(), b._fields()):
+                if isinstance(x, _Node):
+                    stack.append((x, y))
+                elif not (x is y or x == y):
+                    return False
+        return True
+
+    def __hash__(self):
+        hashes, stack = {}, [self]  # by id: every node stays alive meanwhile
+        while stack:
+            node = stack[-1]
+            todo = [x for x in node._fields() if isinstance(x, _Node) and id(x) not in hashes]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            hashes[id(node)] = hash((type(node).__name__,) + tuple(
+                hashes[id(x)] if isinstance(x, _Node) else x for x in node._fields()))
+        return hashes[id(self)]
+
+    def __repr__(self):
+        parts, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            todo = [f"{type(item).__qualname__}("]
+            for i, (name, x) in enumerate(zip(item.__dataclass_fields__, item._fields())):
+                todo += [", " * (i > 0) + f"{name}=", x if isinstance(x, _Node) else repr(x)]
+            stack.extend(reversed(todo + [")"]))
+        return "".join(parts)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Const(_Node):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False, repr=False)
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False, repr=False)
+class Neg(_Node):
     child: "Node"
 
 
-@dataclass(frozen=True)
-class Bin:
+@dataclass(frozen=True, eq=False, repr=False)
+class Bin(_Node):
     op: str  # + - * / ^
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Call:
+@dataclass(frozen=True, eq=False, repr=False)
+class Call(_Node):
     fn: str
     arg: "Node"
 

@@ -2,7 +2,8 @@
 reductions the engines build from it.
 
 One batched call of the objective covers every (window, state) pair of a
-discrete path or every (time, state) pair of a continuous one.  Slot-partials
+discrete path or every (time, state) pair of a continuous one, placed by a
+PointLayout that paths moved along a curve reuse.  Slot-partials
 come back as one tensor P[j, k, w, :] (window or time j, slot k, state w).
 Discrete: an Euler row is a clipped diagonal sum of P, and the tail at a
 truncation T' is the rows past T' of the windows up to T'.  Continuous: the
@@ -28,12 +29,16 @@ def max_window_start(path: StochasticPath, n: int) -> int:
 
 def window_stack(values: np.ndarray, n: int, j_lo: int, j_hi: int) -> np.ndarray:
     """Windows j_lo..j_hi of a (time, state, dim) array; shape (J, m, n+1, dim)."""
-    if j_lo < 0 or j_hi + n > len(values) - 1:
-        raise HorizonError(f"windows [{j_lo}, {j_hi + n}] fall off the grid 0..{len(values) - 1}")
+    _check_windows(n, j_lo, j_hi, len(values))
     out = np.empty((j_hi - j_lo + 1, values.shape[1], n + 1) + values.shape[2:], values.dtype)
     for k in range(n + 1):
         out[:, :, k] = values[j_lo + k : j_hi + k + 1]
     return out
+
+
+def _check_windows(n: int, j_lo: int, j_hi: int, count: int):
+    if j_lo < 0 or j_hi + n > count - 1:
+        raise HorizonError(f"windows [{j_lo}, {j_hi + n}] fall off the grid 0..{count - 1}")
 
 
 def _flatten(stack, t_axis, states):
@@ -74,54 +79,105 @@ def slot_major(partials: np.ndarray, shape) -> np.ndarray:
     return out.transpose(0, 2, 1, 3)
 
 
-def _discrete_windows(path: StochasticPath, n: int, j_lo: int, j_hi: int):
-    if path.domain.kind != "discrete":
-        raise UnsupportedError("windows are defined on discrete domains only")
-    return (window_stack(path.values, n, j_lo, j_hi), np.arange(j_lo, j_hi + 1),
-            np.arange(path.space.m))
+class PointLayout:
+    """Where an objective is evaluated along the paths of one domain, sample
+    space and dimension: the windows j_lo..j_hi (PointLayout.windows) or the
+    jets at every grid time (PointLayout.jets), as one point buffer and its
+    (t, w) table, both built once.  values and partials write a (time, state,
+    dim) series' points into the buffer and make one batched call; a series
+    that is not finite, or whose jets are not, is refused as a path is."""
+
+    def __init__(self, obj, path: StochasticPath, t_axis, first: int, h=None, rows=slice(None)):
+        m = path.space.m
+        self.obj, self._first, self._h, self._rows = obj, first, h, rows
+        self._stack = np.empty((len(t_axis), m, obj.order + 1, path.dim))
+        self._points, self._t, self._w = _flatten(self._stack, t_axis, np.arange(m))
+
+    @classmethod
+    def windows(cls, obj, path: StochasticPath, j_lo: int, j_hi: int) -> "PointLayout":
+        """The windows j_lo..j_hi of every state; rows j_lo..j_hi."""
+        if path.domain.kind != "discrete":
+            raise UnsupportedError("windows are defined on discrete domains only")
+        _check_windows(obj.order, j_lo, j_hi, path.num_points)
+        return cls(obj, path, np.arange(j_lo, j_hi + 1), j_lo)
+
+    @classmethod
+    def jets(cls, obj, path: StochasticPath, last: int | None = None) -> "PointLayout":
+        """The jets (x, x', ..., x^(n)) at every grid time and state, each
+        evaluated (so a NaN anywhere raises); rows 0..last (all by default)."""
+        if path.domain.kind != "continuous":
+            raise UnsupportedError("time derivatives are defined on continuous domains only")
+        return cls(obj, path, path.domain.times(), 0, path.domain.h,
+                   slice(None if last is None else last + 1))
+
+    def _fill(self, series: np.ndarray) -> np.ndarray:
+        if not np.isfinite(series).all():
+            raise InputError("path values must all be finite")
+        n, count = self.obj.order, len(self._stack)
+        if self._h is None:
+            parts = [series[self._first + k : self._first + k + count] for k in range(n + 1)]
+        else:
+            parts = derivatives(series, self._h, n)
+            if not all(np.isfinite(d).all() for d in parts[1:]):
+                raise InputError("path values must all be finite")
+        for k, part in enumerate(parts):
+            self._stack[:, :, k] = part
+        _check_dim(self.obj, self._stack)
+        return self._points
+
+    def _own(self, out: np.ndarray) -> np.ndarray:
+        """out, copied when it is a view of the buffer the next series overwrites."""
+        out = out[self._rows]
+        return out.copy() if np.may_share_memory(out, self._stack) else out
+
+    def values(self, series: np.ndarray) -> np.ndarray:
+        """Objective values at the series' points; shape (rows, m)."""
+        points = self._fill(series)
+        return self._own(self.obj.values_batch(points, self._t, self._w)
+                         .reshape(self._stack.shape[:2]))
+
+    def partials(self, series: np.ndarray) -> np.ndarray:
+        """Slot-partials at the series' points as P[j, k, w, :]; shape (rows, n+1, m, dim)."""
+        points = self._fill(series)
+        return self._own(slot_major(self.obj.partials_batch(points, self._t, self._w),
+                                    self._stack.shape))
 
 
 def window_values(obj, path: StochasticPath, j_lo: int, j_hi: int) -> np.ndarray:
     """V at windows j_lo..j_hi of every state; shape (J, m)."""
-    return values_at(obj, *_discrete_windows(path, obj.order, j_lo, j_hi))
+    return PointLayout.windows(obj, path, j_lo, j_hi).values(path.values)
 
 
 def window_partials(obj, path: StochasticPath, j_lo: int, j_hi: int) -> np.ndarray:
     """P over windows j_lo..j_hi; shape (J, n+1, m, dim)."""
-    return partials_at(obj, *_discrete_windows(path, obj.order, j_lo, j_hi))
-
-
-def _jets(path: StochasticPath, n: int):
-    """(x, x', ..., x^(n)) at every grid time and state, stacked (num_points, m, n+1, dim)."""
-    if path.domain.kind != "continuous":
-        raise UnsupportedError("time derivatives are defined on continuous domains only")
-    jets = derivatives(path.values, path.domain.h, n)
-    if not all(np.isfinite(d).all() for d in jets[1:]):
-        raise InputError("path values must all be finite")
-    return np.stack(jets, axis=2), path.domain.times(), np.arange(path.space.m)
+    return PointLayout.windows(obj, path, j_lo, j_hi).partials(path.values)
 
 
 def jet_values(obj, path: StochasticPath) -> np.ndarray:
     """v along the path's jets at every grid time and state; shape (num_points, m)."""
-    return values_at(obj, *_jets(path, obj.order))
+    return PointLayout.jets(obj, path).values(path.values)
 
 
 def jet_partials(obj, path: StochasticPath) -> np.ndarray:
     """P along the path's jets, time-major; shape (num_points, n+1, m, dim)."""
-    return partials_at(obj, *_jets(path, obj.order))
+    return PointLayout.jets(obj, path).partials(path.values)
+
+
+def objective_layout(obj, path: StochasticPath, last: int | None = None) -> PointLayout:
+    """The layout of per-time values at times 0..last, by the objective's
+    type: the windows of a discrete objective (through the last full window
+    by default), the jets of a continuous one (every grid time by default)."""
+    if isinstance(obj, DiscreteObjective):
+        return PointLayout.windows(obj, path, 0, max_window_start(path, obj.order)
+                                   if last is None else last)
+    if isinstance(obj, ContinuousObjective):
+        return PointLayout.jets(obj, path, last)
+    raise UnsupportedError(f"unsupported objective type {type(obj).__name__}")
 
 
 def objective_values(obj, path: StochasticPath, last: int | None = None) -> np.ndarray:
-    """Per-time values at times 0..last, by the objective's type: V at the
-    windows of a discrete objective (through the last full window by
-    default), v along the jets of a continuous one (every grid time by
-    default); shape (last+1, m)."""
-    if isinstance(obj, DiscreteObjective):
-        return window_values(obj, path, 0, max_window_start(path, obj.order)
-                             if last is None else last)
-    if isinstance(obj, ContinuousObjective):
-        return jet_values(obj, path)[: None if last is None else last + 1]
-    raise UnsupportedError(f"unsupported objective type {type(obj).__name__}")
+    """Per-time values at times 0..last (objective_layout); shape (last+1, m)."""
+    return objective_layout(obj, path, last).values(path.values)
 
 
 def expected_running_sum(path: StochasticPath, values: np.ndarray) -> np.ndarray:

@@ -158,8 +158,7 @@ def _residuals(obj, layout, x, h=None):
         windows = walled.reshape(-1, shape[0] * shape[1])
         live = np.tile(~windows.any(axis=0), len(windows))
         if not live.any():  # every vector walled: no partials call
-            unresolved = np.zeros((0, points.shape[1]), dtype=bool)
-            return np.full(shape, np.nan), _faults(layout, walled, unresolved, live)
+            return np.full(shape, np.nan), _faults(layout, walled, None, live)
     P, unresolved = _partials_unresolved(obj, points[live], t[live], w[live])
     if len(P) < len(points):  # zeros at the windows of walled vectors
         P, kept = np.zeros((len(points),) + P.shape[1:]), P
@@ -172,7 +171,7 @@ def _residuals(obj, layout, x, h=None):
     rows = terms[-1] + 0.0
     for term in terms[-2::-1]:
         rows += term
-    if walled.any() or unresolved.any():
+    if walled.any() or unresolved is not None and unresolved.any():
         return rows.reshape(shape), _faults(layout, walled, unresolved, live)
     return rows.reshape(shape), None
 
@@ -182,10 +181,11 @@ def _faults(layout, walled, unresolved, live):
     evaluating the block alone gives: a -inf window, else the first slot in
     (window, vector, slot) order whose partial fd_partials leaves
     unresolved.  walled marks the points with a -inf value, and unresolved
-    the (point, slot)s left unresolved among the live points."""
+    the (point, slot)s left unresolved among the live points (None: none)."""
     t, w, (K, V, _), blocks = layout[2], layout[3], layout[5], layout[6]
     bad = np.zeros((len(walled), layout[1].shape[1]), dtype=bool)
-    bad[live] = unresolved
+    if unresolved is not None:
+        bad[live] = unresolved
     walled, bad = walled.reshape(-1, K, V), bad.reshape(-1, K, V, bad.shape[1])
     t, w = t.reshape(walled.shape), w.reshape(walled.shape)
     return [[DomainError("trial point left the objective's domain") if walled[:, i, b].any()
@@ -539,10 +539,10 @@ def discrete_to_continuous(V: DiscreteObjective) -> CorrespondencePair:
 
 def _partials_unresolved(obj, points, t, w):
     """Slot-partials of obj at points where it is finite, and per (point, slot)
-    whether fd_partials left them unresolved."""
+    whether fd_partials left them unresolved: None for analytic partials,
+    which leave none."""
     if obj.has_analytic_partials:
-        P = obj.partials_batch(points, t, w)
-        return P, np.zeros(P.shape[:2], dtype=bool)
+        return obj.partials_batch(points, t, w), None
     return fd_partials(obj, points, t, w)
 
 
@@ -598,14 +598,17 @@ def correspondence_check(pair: CorrespondencePair, segments) -> CorrespondenceRe
     # V's partials on windows 0..2: (a) reads every slot of window 0, (b) the
     # slots 2, 1, 0 of windows 0, 1, 2
     PV, unresolved = _partials_unresolved(V, win.reshape(-1, 3, dim), times.ravel(), states)
-    PV, unresolved = PV.reshape((live, 3) + PV.shape[1:]), unresolved.reshape(live, 3, 3)
+    PV = PV.reshape((live, 3) + PV.shape[1:])
     fd, fd_unresolved = fd_partials(v, jets[:, 0], t, w)
     fv = v.values_batch(jets.reshape(-1, 3, dim), times.ravel(), states).reshape(live, 3)
-    ok = ~(unresolved[:, 0].any(axis=1) | unresolved[:, 1, 1] | unresolved[:, 2, 0]
-           | fd_unresolved.any(axis=1) | np.isneginf(fv).any(axis=1))
+    ok = ~(fd_unresolved.any(axis=1) | np.isneginf(fv).any(axis=1))
+    if unresolved is not None:
+        unresolved = unresolved.reshape(live, 3, 3)
+        ok &= ~(unresolved[:, 0].any(axis=1) | unresolved[:, 1, 1] | unresolved[:, 2, 0])
     Pv, unresolved = _partials_unresolved(v, jets[ok].reshape(-1, 3, dim), times[ok].ravel(),
                                           np.repeat(w[ok], 3))
-    fine = ~(unresolved.reshape(-1, 3, 3) & _JET_SLOTS).any(axis=(1, 2))
+    fine = np.ones(len(Pv) // 3, dtype=bool) if unresolved is None else ~(
+        unresolved.reshape(-1, 3, 3) & _JET_SLOTS).any(axis=(1, 2))
     checked = int(fine.sum())
     if checked == 0:
         return CorrespondenceReport(math.nan, math.nan, 0, count, tolerance, "INCONCLUSIVE")

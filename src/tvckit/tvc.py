@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (PerturbationCurve, StochasticPath, _check_same_shape, derivatives,
-                   expectation, perturb, smoothstep_quintic)
+                   expectation, smoothstep_quintic)
 from .errors import DomainError, HorizonError, InputError, NumericalError, UnsupportedError
 from .kernel import (euler_rows, expected_running_sum, jet_partials, max_window_start, momenta,
-                     objective_values, tail_terms, window_partials)
+                     objective_layout, objective_values, tail_terms, window_partials)
 from .objectives import ContinuousObjective, DiscreteObjective
 
 DEFAULT_TOL_TVC_ANALYTIC = 1e-8
@@ -179,7 +179,12 @@ def truncated_objective(obj: DiscreteObjective, path: StochasticPath,
                         tprime: int) -> float:
     """sum_{t=0}^{T'} E V(window(path, t)); an expected sum of -inf raises a
     domain error naming the first such t."""
-    sums = expected_running_sum(path, objective_values(obj, path, tprime))
+    return _truncated_sum(path, objective_values(obj, path, tprime))
+
+
+def _truncated_sum(path: StochasticPath, values: np.ndarray) -> float:
+    """truncated_objective from per-time values at times 0..T'."""
+    sums = expected_running_sum(path, values)
     walled = np.isneginf(sums)
     if walled.any():
         raise DomainError(f"objective is -inf inside the truncated sum at t={int(np.argmax(walled))}")
@@ -194,9 +199,12 @@ def variation_decomposition_check(obj: DiscreteObjective, path: StochasticPath,
     n = obj.order
     if tprime is None:
         tprime = max_window_start(path, n)
+    _check_same_shape(path, q)
     eps = DECOMPOSITION_EPS
-    direct = (truncated_objective(obj, perturb(path, q, +eps), tprime)
-              - truncated_objective(obj, perturb(path, q, -eps), tprime)) / (2.0 * eps)
+    layout = objective_layout(obj, path, tprime)
+    plus, minus = (_truncated_sum(path, layout.values(path.values + step * q.values))
+                   for step in (+eps, -eps))
+    direct = (plus - minus) / (2.0 * eps)
     P = window_partials(obj, path, 0, tprime)
     weighted = np.sum(euler_rows(P)[: tprime + 1] * q.values[: tprime + 1], axis=2)
     rows_total = float(expected_running_sum(path, weighted)[-1])

@@ -13,8 +13,9 @@ batched formula and every engine was a reduction over batched calls:
 - the Newton solver that runs one state after another, with one residual
   call per Jacobian and per line-search trial;
 - the continuous engines with their own composed np.gradient chains and
-  quadratures: the residual's per-term sum, the bracket's triple loop and
-  the A(T', eps) loop over T' (wall-free inputs only);
+  quadratures: the residual's per-term sum and the bracket's triple loop;
+- the A(T', eps) grid on both domains with one perturbed path per eps and
+  one loop per T', walls and cell status included;
 - the report text the CLI wrote through json.dumps, one value at a time.
 
 The kernel, objective, solver and CLI tests hold the library to them.
@@ -28,14 +29,15 @@ import sys
 import numpy as np
 
 import tvckit as tk
-from tvckit.diagnostics import DOMINATION_N_EPS, DominationEntry, DominationReport
+from tvckit.diagnostics import (DOMINATION_N_EPS, STATUS_DIVERGING, STATUS_DOMAIN_ERROR,
+                                STATUS_FINITE, DominationEntry, DominationReport)
 from tvckit.errors import (DomainError, EvalError, HorizonError, InputError,
                            NumericalError, UnsupportedError)
 from tvckit.euler import max_window_start
 from tvckit.expr import Call, Const, Neg, Var, parse_source, symbolic_partial
 from tvckit.objectives import (FD_AGREEMENT, FD_STEPS, GRADIENT_REL_TOL,
                                GradientCheckReport, _as_point)
-from tvckit.kernel import (euler_rows, jet_partials, jet_values, partials_at, values_at,
+from tvckit.kernel import (euler_rows, jet_partials, partials_at, values_at,
                            window_stack)
 from tvckit.solvers import JAC_FD_STEP, BruteForceResult, CorrespondenceReport, NewtonReport
 
@@ -427,19 +429,48 @@ def boundary_bracket_series(obj, path, p):
     return np.atleast_1d(tk.expectation(path.space, np.sum(bracket, axis=2).T))
 
 
-def a_grid_continuous(obj, path, curve, eps_grid, tprime_grid):
-    """Continuous A(T', eps) cells: the cumulative trapezoid of the expected
-    jet-value difference, one T' at a time.  Wall-free inputs only."""
-    h = path.domain.h
-    values = np.zeros((len(tprime_grid), len(eps_grid)))
-    base_vals = jet_values(obj, path)
+def a_grid(obj, path, curve, eps_grid, tprime_grid):
+    """A(T', eps) values and per-cell status on either domain: one perturbed
+    path and one window or jet stack per eps, each cell summed one T' at a
+    time.  A time at which the base or the perturbed value is -inf in any
+    state adds 0 and walls every cell from it on; a wall outranks a
+    non-finite value."""
+    discrete = path.domain.kind == "discrete"
+    idx = [int(tp) if discrete else path.domain.index_of(tp) for tp in tprime_grid]
+    last, h, states = max(idx), path.domain.h, np.arange(path.space.m)
+
+    def per_time(p):
+        if discrete:
+            return values_at(obj, window_stack(p.values, obj.order, 0, last),
+                             np.arange(last + 1), states)
+        jets = np.stack(jet_paths(p, obj.order), axis=2)
+        return values_at(obj, jets, p.domain.times(), states)[: last + 1]
+
+    base = per_time(path)
+    values = np.zeros((len(idx), len(eps_grid)))
+    status = np.full(values.shape, STATUS_FINITE, dtype=object)
     for ie, eps in enumerate(eps_grid):
-        diff = jet_values(obj, tk.perturb(path, curve, eps)) - base_vals
-        ediff = tk.expectation(path.space, diff.T)
-        cum = np.concatenate([[0.0], np.cumsum((ediff[1:] + ediff[:-1]) * 0.5 * h)])
-        for it, tp in enumerate(tprime_grid):
-            values[it, ie] = cum[path.domain.index_of(tp)] / eps
-    return values
+        shifted = per_time(tk.perturb(path, curve, eps))
+        walled = (np.isneginf(base) | np.isneginf(shifted)).any(axis=1)
+        with np.errstate(invalid="ignore"):  # -inf - -inf at walled times
+            diff = np.where(walled[:, None], 0.0, shifted - base)
+        e = tk.expectation(path.space, diff.T)
+        for it, i in enumerate(idx):
+            total = 0.0
+            for t in range(i + 1) if discrete else range(1, i + 1):
+                total += e[t] if discrete else (e[t] + e[t - 1]) * 0.5 * h
+            values[it, ie] = total / eps
+            status[it, ie] = (STATUS_DOMAIN_ERROR if walled[: i + 1].any() else
+                              STATUS_FINITE if np.isfinite(values[it, ie]) else
+                              STATUS_DIVERGING)
+    if (status == STATUS_DOMAIN_ERROR).all():
+        raise NumericalError("every diagnostic cell hit the -inf domain boundary")
+    return values, status
+
+
+def a_grid_continuous(obj, path, curve, eps_grid, tprime_grid):
+    """The values of a_grid on a continuous domain."""
+    return a_grid(obj, path, curve, eps_grid, tprime_grid)[0]
 
 
 def domination_check(obj, path, curve, eps_bar, sample_times):

@@ -186,6 +186,25 @@ class TestTimeAxis:
         for lower, upper in zip(chain, chain[1:]):
             assert np.array_equal(upper, np.gradient(lower, 0.05, axis=0, edge_order=2))
 
+    @given(seed=st.integers(0, 2**32 - 1), points=st.integers(3, 60), m=st.integers(1, 3),
+           dim=st.integers(1, 2), k=st.integers(0, 4), slot=st.integers(-1, 2),
+           h=st.floats(1e-4, 10.0))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_derivatives_are_gradient_bits(self, seed, points, m, dim, k, slot, h):
+        """Each pass is np.gradient(edge_order=2)'s arithmetic: the same bits
+        and the same memory order, on contiguous series and on slot views
+        P[:, k] of a (time, slot, state, dim) stack (slot -1)."""
+        rng = np.random.default_rng(seed)
+        P = rng.normal(size=(points, 3, m, dim)) * 10.0 ** rng.integers(-4, 5, size=(1, 3, m, 1))
+        x = P[:, 0].copy() if slot < 0 else P[:, slot]
+        want = [x]
+        for _ in range(k):
+            want.append(np.gradient(want[-1], h, axis=0, edge_order=2))
+        got = derivatives(x, h, k)
+        assert len(got) == k + 1 and got[0] is x
+        for g, w in zip(got[1:], want[1:]):
+            assert np.array_equal(g, w) and g.strides == w.strides
+
     def test_derivatives_need_three_points(self):
         assert len(derivatives(np.ones(2), 0.5, 0)) == 1
         with pytest.raises(InputError, match="at least 3 grid points, got 2"):
@@ -206,9 +225,10 @@ class TestTimeAxis:
 
 
 def test_one_time_axis():
-    """np.gradient, np.cumsum and np.trapezoid are called only inside core's
-    derivatives and running_sum: every time derivative and every sum over
-    time in the library goes through those two."""
+    """np.gradient and np.trapezoid are called nowhere, and np.cumsum only
+    inside core.running_sum: every time derivative in the library is
+    core.derivatives' own stencil, and every sum over time goes through
+    running_sum."""
     calls = set()
     for path in sorted(Path(tk.__file__).resolve().parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:  # a function, a class or a statement
@@ -216,7 +236,7 @@ def test_one_time_axis():
                 if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                         and node.func.attr in ("gradient", "cumsum", "trapezoid", "trapz")):
                     calls.add((path.stem, getattr(top, "name", None), node.func.attr))
-    assert calls == {("core", "derivatives", "gradient"), ("core", "running_sum", "cumsum")}
+    assert calls == {("core", "running_sum", "cumsum")}
 
 
 def test_one_unresolved_message():

@@ -114,6 +114,25 @@ class TestParsing:
             out = obj.partials_batch(np.full((2, 2, 1), 1.0), np.zeros(2), np.zeros(2, dtype=int))
             assert np.isfinite(out).all(), src
 
+    def test_deep_trees_compare_hash_and_print(self):
+        """==, hash() and repr() walk a tree the depth limit admits without
+        exhausting the stack; repr keeps the dataclass form."""
+        syms = {"y0", "y1"}
+        src = " + ".join(["y0 * y1"] * (MAX_DEPTH - 10))
+        tree, twin = parse_source(src, syms), parse_source(src, syms)
+        assert tree == twin and hash(tree) == hash(twin) and not tree != twin
+        assert tree != parse_source(src + " * y0", syms)
+        assert tree != parse_source(src[:-2] + "y0", syms)
+        assert symbolic_partial(tree, "y0") == symbolic_partial(twin, "y0")
+        text = repr(tree)
+        assert text.startswith("Bin(op='+', left=Bin(op='+', left=")
+        term = "Bin(op='*', left=Var(name='y0'), right=Var(name='y1'))"
+        assert text.count(term) == MAX_DEPTH - 10
+        assert (repr(Bin("-", Neg(Var("y0")), Call("ln", Const(1.5))))
+                == "Bin(op='-', left=Neg(child=Var(name='y0')), "
+                   "right=Call(fn='ln', arg=Const(value=1.5)))")
+        assert Const(1.0) != 1.0 and {Var("y0"): 1}[Var("y0")] == 1
+
 
 class TestDifferentiation:
     def test_polynomial(self):

@@ -250,6 +250,99 @@ def test_continuous_engines_match_their_loops(seed, n, m, h, ramp):
         obj, path, curve, matrix.eps_grid, matrix.tprime_grid))
 
 
+# (name -> builder(rng, m) returning (objective, domain kind, path level, path
+# slope)): a path level + slope * t + noise, walled where the objective is
+# -inf; "view" objectives return a view of the points they are given
+A_GRID_CASES = {
+    "quadlin": lambda rng, m: (tk.quadlin_discrete(_quadlin_params(rng, m)), "discrete", 1.0, 0.0),
+    "household": lambda rng, m: (tk.household_log(0.9, 2), "discrete", 1.5, 0.0),
+    "household-walled": lambda rng, m: (tk.household_log(0.9, 1, zero_head=False),
+                                        "discrete", 0.6, 0.0),
+    "dsl-log": lambda rng, m: (tk.dsl_discrete_objective(
+        "ln(y0 + y1 - c) * exp(0 - t / 10) + y2 ^ 2 / (1 + y0 ^ 2)", 2,
+        _constants(rng, m, "c")), "discrete", 1.2, 0.0),
+    "dsl-view": lambda rng, m: (tk.dsl_discrete_objective("y1", 1), "discrete", 1.0, 0.0),
+    "quadlin-c": lambda rng, m: (tk.quadlin_continuous(_quadlin_params(rng, m)),
+                                 "continuous", 1.0, 0.0),
+    "dsl-ln-wall": lambda rng, m: (tk.dsl_continuous_objective("ln(x0) + a * x1 + x2", 2,
+                                                               _constants(rng, m, "a")),
+                                   "continuous", 1.0, -0.3),
+    "dsl-view-c": lambda rng, m: (tk.dsl_continuous_objective("x0", 1), "continuous", 1.0, 0.0),
+}
+
+
+def _a_grid_case(case, seed, horizon, m, wide):
+    """A random a_grid input: objective, path, curve, eps grid and T' grid."""
+    rng = np.random.default_rng(seed)
+    obj, kind, level, slope = A_GRID_CASES[case](rng, m)
+    space = _space(rng, m)
+    if kind == "discrete":
+        domain = tk.TimeDomain.discrete(horizon)
+        onset = int(rng.integers(0, 4))
+        value = rng.uniform(-1.0, 1.0, size=m)
+        q = (tk.eventually_constant_curve(domain, space, onset, value) if rng.random() < 0.5
+             else tk.compact_support_curve(domain, space, onset, onset + 3, value))
+        last = horizon - obj.order
+        tprimes = sorted(rng.choice(last + 1, size=min(6, last + 1), replace=False).tolist())
+    else:
+        domain = tk.TimeDomain.continuous(horizon / 5, 0.05)
+        q = tk.quintic_ramp_curve(domain, space, target=rng.uniform(-1.0, 1.0, m))
+        steps = sorted(rng.choice(np.arange(1, domain.num_points), size=6, replace=False))
+        tprimes = [round(int(k) * domain.h, 12) for k in steps]
+    t = domain.times()[:, None]
+    noise = rng.uniform(-0.2, 0.2, size=(domain.num_points, m)) if kind == "discrete" else 0.0
+    path = tk.StochasticPath(domain, space, level + slope * t + noise
+                             + 0.1 * np.sin(rng.uniform(0.5, 2.0, m) * t))
+    eps_grid = (2.0, 0.5, 0.1, 0.01) if wide else tk.diagnostics.DEFAULT_EPS_GRID
+    return obj, path, q, eps_grid, tprimes
+
+
+@given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(sorted(A_GRID_CASES)),
+       horizon=st.integers(10, 30), m=st.integers(1, 3), wide=st.booleans())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_a_grid_matches_per_eps_reference(seed, case, horizon, m, wide):
+    """a_grid on its one point layout gives the per-eps perturb loop's values
+    and statuses bit for bit, walls and refusals included."""
+    args = _a_grid_case(case, seed, horizon, m, wide)
+    got = outcome(tk.a_grid, *args)
+    want = outcome(reference.a_grid, *args)
+    assert got[0] == want[0], (got, want)
+    if got[0] == "raised":
+        assert got[1] is want[1]
+        return
+    values, status = want[1]
+    assert np.array_equal(got[1].values, values, equal_nan=True)
+    assert (got[1].status == status).all()
+
+
+@pytest.mark.parametrize("case", ["dsl-log", "quadlin-c", "dsl-ln-wall"])
+def test_a_grid_work_count(case, monkeypatch):
+    """One a_grid call makes one values_batch call for the base and one per
+    eps, and builds no path; variation_decomposition_check's +-eps pair makes
+    two and builds none either."""
+    calls = {"values": 0, "paths": 0}
+    values_batch = tk.objectives._Objective.values_batch
+    post_init = tk.StochasticPath.__post_init__
+
+    def counted_values(self, *args):
+        calls["values"] += 1
+        return values_batch(self, *args)
+
+    def counted_paths(self):
+        calls["paths"] += 1
+        post_init(self)
+
+    obj, path, q, eps_grid, tprimes = _a_grid_case(case, 7, 20, 2, False)
+    monkeypatch.setattr(tk.objectives._Objective, "values_batch", counted_values)
+    monkeypatch.setattr(tk.StochasticPath, "__post_init__", counted_paths)
+    tk.a_grid(obj, path, q, eps_grid, tprimes)
+    assert calls == {"values": 1 + len(eps_grid), "paths": 0}
+    if path.domain.kind == "discrete":
+        calls["values"] = 0
+        tk.variation_decomposition_check(obj, path, q)
+        assert calls == {"values": 2, "paths": 0}
+
+
 DOMINATION_CASES = {
     "quadlin": DISCRETE_CASES["quadlin"],
     "household": DISCRETE_CASES["household"],
