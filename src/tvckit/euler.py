@@ -124,6 +124,8 @@ def euler_report(obj, path: StochasticPath, mode: BoundaryMode | None = None,
         j_lo = max(0, idxs.start - obj.order)  # earlier windows touch no admissible row
         rows = euler_rows(window_partials(obj, path, j_lo, idxs.stop - 1))
         residuals = rows[idxs.start - j_lo : idxs.stop - j_lo]
+        if not np.isfinite(residuals).all():
+            raise NumericalError("objective partials produced a non-finite residual")
         default_tol = DEFAULT_TOL_ANALYTIC if obj.has_analytic_partials else DEFAULT_TOL_FD
         indices = tuple(idxs)
     else:

@@ -41,7 +41,7 @@ def _check_windows(n: int, j_lo: int, j_hi: int, count: int):
         raise HorizonError(f"windows [{j_lo}, {j_hi + n}] fall off the grid 0..{count - 1}")
 
 
-def _flatten(stack, t_axis, states):
+def flatten(stack, t_axis, states):
     """(points, t, w) of a stack, window- or time-major: each time repeated
     once per state, the states repeated once per time."""
     grid = stack.shape[:2]
@@ -61,13 +61,13 @@ def _check_dim(obj, stack):
 def values_at(obj, stack, t_axis, states) -> np.ndarray:
     """Objective values at every point of a stack; shape (J, m)."""
     _check_dim(obj, stack)
-    return obj.values_batch(*_flatten(stack, t_axis, states)).reshape(stack.shape[:2])
+    return obj.values_batch(*flatten(stack, t_axis, states)).reshape(stack.shape[:2])
 
 
 def partials_at(obj, stack, t_axis, states) -> np.ndarray:
     """Slot-partials at every point of a stack as P[j, k, w, :]; shape (J, n+1, m, dim)."""
     _check_dim(obj, stack)
-    return slot_major(obj.partials_batch(*_flatten(stack, t_axis, states)), stack.shape)
+    return slot_major(obj.partials_batch(*flatten(stack, t_axis, states)), stack.shape)
 
 
 def slot_major(partials: np.ndarray, shape) -> np.ndarray:
@@ -91,7 +91,7 @@ class PointLayout:
         m = path.space.m
         self.obj, self._first, self._h, self._rows = obj, first, h, rows
         self._stack = np.empty((len(t_axis), m, obj.order + 1, path.dim))
-        self._points, self._t, self._w = _flatten(self._stack, t_axis, np.arange(m))
+        self._points, self._t, self._w = flatten(self._stack, t_axis, np.arange(m))
 
     @classmethod
     def windows(cls, obj, path: StochasticPath, j_lo: int, j_hi: int) -> "PointLayout":
@@ -117,7 +117,8 @@ class PointLayout:
         if self._h is None:
             parts = [series[self._first + k : self._first + k + count] for k in range(n + 1)]
         else:
-            parts = derivatives(series, self._h, n)
+            with np.errstate(over="ignore", invalid="ignore"):  # non-finite jets raise below
+                parts = derivatives(series, self._h, n)
             if not all(np.isfinite(d).all() for d in parts[1:]):
                 raise InputError("path values must all be finite")
         for k, part in enumerate(parts):
@@ -143,19 +144,9 @@ class PointLayout:
                                     self._stack.shape))
 
 
-def window_values(obj, path: StochasticPath, j_lo: int, j_hi: int) -> np.ndarray:
-    """V at windows j_lo..j_hi of every state; shape (J, m)."""
-    return PointLayout.windows(obj, path, j_lo, j_hi).values(path.values)
-
-
 def window_partials(obj, path: StochasticPath, j_lo: int, j_hi: int) -> np.ndarray:
     """P over windows j_lo..j_hi; shape (J, n+1, m, dim)."""
     return PointLayout.windows(obj, path, j_lo, j_hi).partials(path.values)
-
-
-def jet_values(obj, path: StochasticPath) -> np.ndarray:
-    """v along the path's jets at every grid time and state; shape (num_points, m)."""
-    return PointLayout.jets(obj, path).values(path.values)
 
 
 def jet_partials(obj, path: StochasticPath) -> np.ndarray:

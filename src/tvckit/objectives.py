@@ -309,12 +309,15 @@ def _quadlin(params: QuadLinParams, cls, name: str):
     """(p0 - alpha(w))^2 + beta(w) p1 + gamma(w) p2 over a window or a jet p."""
     A, B, G = (np.asarray(v) for v in (params.alpha, params.beta, params.gamma))
 
+    # overflow passes without a warning: callers test finiteness
     def ev_batch(points, t, w):
-        return (points[:, 0, 0] - A[w]) ** 2 + B[w] * points[:, 1, 0] + G[w] * points[:, 2, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (points[:, 0, 0] - A[w]) ** 2 + B[w] * points[:, 1, 0] + G[w] * points[:, 2, 0]
 
     def partials_batch(points, t, w):
         out = np.empty((len(points), 3, 1))
-        out[:, 0, 0] = 2.0 * (points[:, 0, 0] - A[w])
+        with np.errstate(over="ignore"):
+            out[:, 0, 0] = 2.0 * (points[:, 0, 0] - A[w])
         out[:, 1, 0] = B[w]
         out[:, 2, 0] = G[w]
         return out

@@ -18,8 +18,8 @@ import numpy as np
 from .core import StochasticPath
 from .errors import (DomainError, InputError, NumericalError, ToolkitError, UnsupportedError)
 from .euler import BoundaryMode
-from .kernel import (expected_running_sum, max_window_start, objective_values, values_at,
-                     window_stack)
+from .kernel import (euler_rows, expected_running_sum, flatten, max_window_start,
+                     objective_values, slot_major, values_at, window_stack)
 from .objectives import (ContinuousObjective, DiscreteObjective, fd_partials, rel_gap,
                          stack_samples, unresolved_fault)
 
@@ -111,12 +111,12 @@ class NewtonReport:
 def _layout(out, states, t_lo, n, member=None, trial=True):
     """Gather tables for evaluating, per given state, its trial (if trial)
     and, if member (G, N) is given, its stencil: each group's columns moved
-    by +h, then by -h.  Returns (out.ravel(), points, t, w, terms, shape,
-    blocks): the source index (see _points) of every entry of the windows
-    j_lo..T of every vector, with their times and states, flattened
-    window-major as kernel.values_at does; per vector, where each term of
-    its rows t_lo..T lies in the flat partials at those points; (K, V, N);
-    and the slices of V holding each block, the trial then the stencil."""
+    by +h, then by -h.  Returns (out.ravel(), points, t, w, offset, shape,
+    blocks): kernel.flatten of the windows j_lo..T of every vector, j_lo =
+    max(0, t_lo - n), as source indices (see _points) with their times and
+    states; t_lo - j_lo, the index of row t_lo in the kernel.euler_rows of
+    their partials; (K, V, N); and the slices of V holding each block, the
+    trial then the stencil."""
     T, dim = len(out) - 1 - n, out.shape[2]
     size = (T + 1 - t_lo) * dim
     # per state, where each entry t_lo..T of a vector is read: 0 the trial, 1 +h, 2 -h
@@ -127,16 +127,10 @@ def _layout(out, states, t_lo, n, member=None, trial=True):
     traj = np.arange(out.size).reshape(out.shape)[:, owners]  # each vector's source indices
     traj[t_lo : T + 1] = (out.size + np.arange(size) + size * (block * shape[0] + np.arange(
         shape[0])[:, None, None])).reshape(count, -1, dim).transpose(1, 0, 2)
-    points = window_stack(traj, n, max(0, t_lo - n), T)
-    # term k of a vector's row t_lo + r: slot k of its window t_lo + r - k, 0.0 before 0
-    window = (np.arange(T + 1 - t_lo) + min(t_lo, n) - np.arange(n + 1)[:, None])[:, None, :, None]
-    point = window * count + np.arange(count)[:, None, None]  # (n+1, vectors, rows, 1)
-    slot = np.arange(n + 1)[:, None, None, None]
-    terms = np.where(window < 0, points.size, (point * (n + 1) + slot) * dim + np.arange(dim))
-    times = np.arange(max(0, t_lo - n), T + 1)
+    j_lo = max(0, t_lo - n)
+    points, t, w = flatten(window_stack(traj, n, j_lo, T), np.arange(j_lo, T + 1), owners)
     blocks = [slice(1)] * trial + ([] if member is None else [slice(int(trial), None)])
-    return (out.ravel(), points.reshape(-1, n + 1, dim), np.repeat(times, count),
-            np.tile(owners, len(times)), terms, shape, blocks)
+    return out.ravel(), points, t, w, t_lo - j_lo, shape, blocks
 
 
 def _points(layout, x, h=None):
@@ -148,14 +142,16 @@ def _points(layout, x, h=None):
 def _residuals(obj, layout, x, h=None):
     """Rows t_lo..T of the stationarity system at the vectors of a _layout
     around the trials x (K, N) with steps h: one values call, then one
-    partials call on the vectors with finite windows.  Returns rows (K, V,
-    N) and faults: None when every block resolves, else per state and block
-    of the layout None or the DomainError that evaluating the block alone
-    gives (see _faults).  A faulting block's rows are meaningless."""
-    points, (t, w, terms, shape) = _points(layout, x, h), layout[2:6]
+    partials call on the vectors with finite windows, and the rows are the
+    kernel.euler_rows of those partials.  Returns rows (K, V, N) and faults:
+    None when every block resolves, else per state and block of the layout
+    None or the DomainError that evaluating the block alone gives (see
+    _faults).  A faulting block's rows are meaningless."""
+    points, (t, w, offset, shape) = _points(layout, x, h), layout[2:6]
+    vectors = shape[0] * shape[1]
     walled, live = obj.values_batch(points, t, w) == NEG_INF, slice(None)
     if walled.any():  # no partials at the windows of vectors with a -inf window
-        windows = walled.reshape(-1, shape[0] * shape[1])
+        windows = walled.reshape(-1, vectors)
         live = np.tile(~windows.any(axis=0), len(windows))
         if not live.any():  # every vector walled: no partials call
             return np.full(shape, np.nan), _faults(layout, walled, None, live)
@@ -163,17 +159,12 @@ def _residuals(obj, layout, x, h=None):
     if len(P) < len(points):  # zeros at the windows of walled vectors
         P, kept = np.zeros((len(points),) + P.shape[1:]), P
         P[live] = kept
-    if P.shape[2] != points.shape[2]:  # one component standing for every dimension
-        P = np.broadcast_to(P, points.shape)
-    # summed in kernel.euler_rows' slot order, from 0.0; adding the trailing
-    # 0.0 for a window before 0 leaves a sum's bits as they are
-    terms = np.concatenate((P, [0.0]), axis=None).take(terms)
-    rows = terms[-1] + 0.0
-    for term in terms[-2::-1]:
-        rows += term
+    J = len(points) // vectors
+    rows = euler_rows(slot_major(P, (J, vectors) + points.shape[1:]))[offset:J]
+    rows = rows.transpose(1, 0, 2).reshape(shape)
     if walled.any() or unresolved is not None and unresolved.any():
-        return rows.reshape(shape), _faults(layout, walled, unresolved, live)
-    return rows.reshape(shape), None
+        return rows, _faults(layout, walled, unresolved, live)
+    return rows, None
 
 
 def _faults(layout, walled, unresolved, live):
@@ -615,7 +606,7 @@ def correspondence_check(pair: CorrespondencePair, segments) -> CorrespondenceRe
     PV, fd, Pv = PV[ok][fine], fd[ok][fine], Pv.reshape((-1, 3) + Pv.shape[1:])[fine]
     combos = np.stack([PV[:, 0, 0] + PV[:, 0, 1] + PV[:, 0, 2],
                        PV[:, 0, 1] + 2.0 * PV[:, 0, 2], PV[:, 0, 2]], axis=1)
-    lhs = PV[:, 0, 2] + PV[:, 1, 1] + PV[:, 2, 0]
+    lhs = euler_rows(PV.transpose(1, 2, 0, 3))[2]  # row t+2 over windows t..t+2
     rhs = (Pv[:, 2, 0] + (Pv[:, 1, 1] - Pv[:, 2, 1])
            + (Pv[:, 0, 2] - 2.0 * Pv[:, 1, 2] + Pv[:, 2, 2]))
     worst_a, worst_b = rel_gap(fd, combos), rel_gap(rhs, lhs)

@@ -59,8 +59,10 @@ def discrete_tvc_tail(obj: DiscreteObjective, path: StochasticPath,
     if tprime + n > path.domain.t_max:
         raise HorizonError(f"T'={tprime} needs values through index {tprime + n}")
     first = max(0, tprime - n + 1)  # slot 0 of a window never reaches past T'
-    P = window_partials(obj, path, first, tprime)
-    return float(expectation(path.space, tail_terms(P, q.values, [tprime], first)[0]))
+    tail = tail_terms(window_partials(obj, path, first, tprime), q.values, [tprime], first)[0]
+    if not np.isfinite(tail).all():
+        raise NumericalError("objective partials produced a non-finite tail")
+    return float(expectation(path.space, tail))
 
 
 def _check_truncation(tprime: int, n: int):
@@ -101,6 +103,8 @@ def tvc_liminf_discrete(obj: DiscreteObjective, path: StochasticPath,
     if tol is None:
         tol = DEFAULT_TOL_TVC_ANALYTIC if obj.has_analytic_partials else DEFAULT_TOL_TVC_FD
     tails = tail_terms(window_partials(obj, path, 0, last), q.values, tprimes)
+    if not np.isfinite(tails).all():
+        raise NumericalError("objective partials produced a non-finite tail")
     return _liminf_report(tprimes, expectation(path.space, tails.T), tol, "discrete")
 
 

@@ -195,7 +195,7 @@ def test_jet_sampling_matches_reference(seed, case, h, m):
     for k in range(n + 1):
         assert_close(P[:, k], series[k])
     sampled = reference.sampled_values(ref, jets, times, m, 1)
-    assert_close(kernel.jet_values(obj, path), sampled)
+    assert_close(kernel.objective_values(obj, path), sampled)
 
     want = np.zeros_like(series[0])
     for k in range(n + 1):
@@ -440,6 +440,7 @@ def test_path_dimension_must_match_objective():
     values[..., 1] = 5.0
     path = tk.StochasticPath(dom, space, values)
     for engine in (lambda: tk.euler_report(obj, path),
-                   lambda: kernel.window_values(obj, path, 0, 9)):
+                   lambda: kernel.objective_values(obj, path, 9),
+                   lambda: tk.newton_euler_solve(obj, tk.SolveSpec(horizon=9, guess=path))):
         with pytest.raises(InputError, match="dimension"):
             engine()

@@ -116,6 +116,9 @@ def _mutated(stem, keys, value):
 
 
 NAN, INF = float("nan"), float("inf")
+# a continuous objective whose partials and values overflow on a constant path
+_OVERFLOWING_JETS = {"objective": {"expr": "1e307 * x0 * x1 + 1e307 * x0 * x2"}, "order": 2,
+                     "path": {"constant": 100.0}}
 COMMANDS = ("euler", "tvc", "assume", "solve", "correspond")
 
 
@@ -433,22 +436,50 @@ class TestCliExitCodes:
         assert capsys.readouterr().err.endswith(
             "numerical failure: derivative stencil produced a non-finite bracket\n")
 
-    @pytest.mark.parametrize("command, line", [
-        ("euler", "numerical failure: derivative stencil produced a non-finite residual\n"),
-        ("tvc", "numerical failure: derivative stencil produced a non-finite bracket\n"),
-        ("assume", "numerical failure: expression evaluated to NaN\n")],
-        ids=("euler", "tvc", "assume"))
-    def test_overflow_stderr_is_the_error_line(self, tmp_path, capsys, command, line):
-        # the load-time gradient check's stencil overflows: no RuntimeWarning
-        # goes to stderr before the error line
-        data = _mutated("continuous-counterexample", ("objective",),
-                        {"expr": "1e307 * x0 * x1 + 1e307 * x0 * x2"})
-        data.update(order=2, path={"constant": 100.0})
+    @pytest.mark.parametrize("sign", ["", "-"], ids=("plus", "minus"))
+    def test_non_finite_discrete_rows_exit_3(self, tmp_path, capsys, sign):
+        # the discrete twin: the Euler rows and the tail overflow to +-inf,
+        # numerical failures, not an input error or a verdict
+        data = minimal_scenario(
+            objective={"expr": f"{sign}1e307 * y0 * y1 {sign or '+'} 1e307 * y0 * y2"},
+            time={"kind": "discrete", "t_max": 10}, path={"constant": 100.0},
+            perturbation={"kind": "eventually-constant", "onset": 2, "value": 1.0})
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(data))
+        assert main(["euler", "--scenario", str(f), "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: objective partials produced a non-finite residual\n")
+        assert main(["tvc", "--scenario", str(f), "--quiet"]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: objective partials produced a non-finite tail\n")
+
+    @pytest.mark.parametrize("stem, update, argv, code, line", [
+        ("continuous-counterexample", _OVERFLOWING_JETS, ["euler"], 3,
+         "numerical failure: derivative stencil produced a non-finite residual\n"),
+        ("continuous-counterexample", _OVERFLOWING_JETS, ["tvc"], 3,
+         "numerical failure: derivative stencil produced a non-finite bracket\n"),
+        ("continuous-counterexample", _OVERFLOWING_JETS, ["assume"], 3,
+         "numerical failure: expression evaluated to NaN\n"),
+        ("discrete-counterexample", {}, ["assume", "--eps-grid", "1e300,0.5,0.1,0.01"], 3,
+         "numerical failure: objective quadlin-discrete returned inf at t=1, state 0\n"),
+        ("discrete-counterexample", {"path": {"constant": 1e308}}, ["euler"], 3,
+         "numerical failure: objective partials produced a non-finite residual\n"),
+        ("continuous-counterexample", {"path": {"constant": 1e308},
+                                       "time": {"kind": "continuous", "t_end": 1.0, "h": 0.1}},
+         ["euler"], 2, "input error: path values must all be finite\n")],
+        ids=("euler", "tvc", "assume", "quadlin-eps-grid", "quadlin-discrete-partials",
+             "quadlin-continuous-jets"))
+    def test_overflow_stderr_is_the_error_line(self, tmp_path, capsys, stem, update, argv,
+                                               code, line):
+        # a formula, a stencil or the load-time gradient check's stencil
+        # overflows: no RuntimeWarning goes to stderr before the error line
+        data = json.loads((SCENARIOS / f"{stem}.json").read_text())
+        data.update(update)
         f = tmp_path / "s.json"
         f.write_text(json.dumps(data))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main([command, "--scenario", str(f), "--quiet"]) == 3
+            assert main([argv[0], "--scenario", str(f), "--quiet"] + argv[1:]) == code
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == line
 

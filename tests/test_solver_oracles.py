@@ -108,7 +108,7 @@ def test_grouped_jacobian_equals_dense(seed, case, horizon):
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_layout_gathers_the_window_stack(data):
     """The gather table of _layout against kernel.window_stack and
-    kernel._flatten of the trajectories holding each vector: the same
+    kernel.flatten of the trajectories holding each vector: the same
     points, times and states, byte for byte, for any order, dimension, state
     count, t_lo and set of iterating states, with the trial, the stencil or
     both."""
@@ -135,7 +135,7 @@ def test_layout_gathers_the_window_stack(data):
     traj = out[:, owners]
     traj[t_lo : T + 1] = vectors.reshape(len(owners), -1, dim).transpose(1, 0, 2)
     j_lo = max(0, t_lo - n)
-    want = kernel._flatten(kernel.window_stack(traj, n, j_lo, T), np.arange(j_lo, T + 1), owners)
+    want = kernel.flatten(kernel.window_stack(traj, n, j_lo, T), np.arange(j_lo, T + 1), owners)
     got = (solvers._points(layout, x, h),) + layout[2:4]
     assert [(a.dtype, a.shape, a.tobytes()) for a in got] == [
         (a.dtype, a.shape, a.tobytes()) for a in want]

@@ -31,6 +31,21 @@ class TestDiscreteTail:
         for tprime in range(11, 40):
             assert tk.discrete_tvc_tail(quadlin_d, euler_path_50, q, tprime) == 0.0
 
+    @pytest.mark.parametrize("sign", ["", "-"], ids=("plus", "minus"))
+    def test_non_finite_tail_raises(self, space, sign):
+        # the slot partials overflow to +-inf: a numerical failure, neither a
+        # +inf input error nor a -inf tail that satisfies the liminf
+        obj = tk.dsl_discrete_objective(f"{sign}1e307 * y0 * y1 {sign or '+'} 1e307 * y0 * y2", 2)
+        dom = tk.TimeDomain.discrete(10)
+        path = tk.StochasticPath(dom, space, np.full((11, 2, 1), 100.0))
+        q = tk.eventually_constant_curve(dom, space, onset=2, value=1.0)
+        for engine in (lambda: tk.discrete_tvc_tail(obj, path, q, 5),
+                       lambda: tk.tvc_liminf_discrete(obj, path, q)):
+            with pytest.raises(NumericalError, match="non-finite tail"):
+                engine()
+        with pytest.raises(NumericalError, match="non-finite residual"):
+            tk.euler_report(obj, path)
+
     def test_horizon_guards(self, quadlin_d, dom50, space, euler_path_50):
         q = tk.zero_curve(dom50, space)
         with pytest.raises(HorizonError):
