@@ -210,7 +210,7 @@ def _cmd_euler(args):
     report["euler"] = {
         "verdict": rep.verdict, "max_abs_residual": rep.max_abs,
         "tolerance": rep.tolerance, "mode": rep.mode,
-        "indices": list(rep.indices), "expected_residuals": rep.expected,
+        "indices": rep.indices, "expected_residuals": rep.expected,
     }
     return report, EXIT_OK if rep.stationary else EXIT_VERDICT
 

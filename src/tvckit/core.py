@@ -57,7 +57,10 @@ def expectation(space: SampleSpace, z):
     """Exact expectation: sum_w probs(w) * z(w) along the first axis of z.
 
     -inf entries with positive mass propagate to -inf; zero-mass states are
-    ignored entirely.
+    ignored entirely.  The sum is one BLAS product, whose last bit at an
+    entry can depend on the operand's length and memory order: a subset of
+    entries is the full operand's bit for bit only at its own positions in
+    an operand of the same shape and order.
     """
     z = np.asarray(z, dtype=float)
     if z.shape[:1] != (space.m,):
@@ -270,6 +273,12 @@ def perturb(base: StochasticPath, curve: PerturbationCurve, eps: float) -> Stoch
     """The perturbed path base + eps * curve, entry by entry."""
     _check_same_shape(base, curve)
     return StochasticPath(base.domain, base.space, base.values + eps * curve.values)
+
+
+# grid rows a pass of derivatives reads on each side of a row it writes.  After
+# k passes over a window of the grid, a row at least k*STENCIL_REACH rows from
+# each window edge that is not a grid edge has the whole grid's bits
+STENCIL_REACH = 1
 
 
 def derivatives(values, h: float, k: int) -> list[np.ndarray]:

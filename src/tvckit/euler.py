@@ -51,7 +51,7 @@ class BoundaryMode:
 
 @dataclass(frozen=True)
 class EulerReport:
-    indices: tuple
+    indices: np.ndarray            # (nt,) grid rows (discrete) or times (continuous)
     residuals: np.ndarray          # (nt, m, dim)
     expected: np.ndarray           # (nt, dim)
     max_abs: float
@@ -70,6 +70,7 @@ def discrete_euler_residual(obj: DiscreteObjective, path: StochasticPath, t: int
 
     Sum over window starts j in [max(0, t-n), min(t, j_max)] of the slot-(t-j)
     partial of V at window j.  j_max defaults to the last window on the grid.
+    A non-finite row raises, as in euler_report.
     """
     n = obj.order
     last = max_window_start(path, n)
@@ -80,7 +81,14 @@ def discrete_euler_residual(obj: DiscreteObjective, path: StochasticPath, t: int
     j_hi = min(t, j_max)
     if j_hi < j_lo:
         raise HorizonError(f"no window touches index t={t} within the grid")
-    return euler_rows(window_partials(obj, path, j_lo, j_hi))[t - j_lo]
+    return _finite(euler_rows(window_partials(obj, path, j_lo, j_hi))[t - j_lo])
+
+
+def _finite(residuals: np.ndarray) -> np.ndarray:
+    """Discrete residual rows, refused when any is not finite."""
+    if not np.isfinite(residuals).all():
+        raise NumericalError("objective partials produced a non-finite residual")
+    return residuals
 
 
 def admissible_indices(path: StochasticPath, n: int, mode: BoundaryMode) -> range:
@@ -123,11 +131,9 @@ def euler_report(obj, path: StochasticPath, mode: BoundaryMode | None = None,
         idxs = admissible_indices(path, obj.order, mode)
         j_lo = max(0, idxs.start - obj.order)  # earlier windows touch no admissible row
         rows = euler_rows(window_partials(obj, path, j_lo, idxs.stop - 1))
-        residuals = rows[idxs.start - j_lo : idxs.stop - j_lo]
-        if not np.isfinite(residuals).all():
-            raise NumericalError("objective partials produced a non-finite residual")
+        residuals = _finite(rows[idxs.start - j_lo : idxs.stop - j_lo])
         default_tol = DEFAULT_TOL_ANALYTIC if obj.has_analytic_partials else DEFAULT_TOL_FD
-        indices = tuple(idxs)
+        indices = np.arange(idxs.start, idxs.stop)
     else:
         n = obj.order
         if mode.kind != "paper_literal":
@@ -137,7 +143,7 @@ def euler_report(obj, path: StochasticPath, mode: BoundaryMode | None = None,
                                f"for order {n} stencils")
         interior = slice(n, path.num_points - n)
         residuals = continuous_euler_residual_series(obj, path)[interior]
-        indices = tuple(path.domain.times()[interior])
+        indices = path.domain.times()[interior]
         default_tol = DEFAULT_TOL_FD  # grid stencils dominate the error budget
     tol = default_tol if tolerance is None else tolerance
     expected = expectation(space, residuals.swapaxes(0, 1))

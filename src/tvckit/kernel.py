@@ -2,8 +2,9 @@
 reductions the engines build from it.
 
 One batched call of the objective covers every (window, state) pair of a
-discrete path or every (time, state) pair of a continuous one, placed by a
-PointLayout that paths moved along a curve reuse.  Slot-partials
+discrete path or every (time, state) pair of a continuous one, or of the
+windows of a continuous path that an engine reads, placed by a PointLayout
+that paths moved along a curve reuse.  Slot-partials
 come back as one tensor P[j, k, w, :] (window or time j, slot k, state w).
 Discrete: an Euler row is a clipped diagonal sum of P, and the tail at a
 truncation T' is the rows past T' of the windows up to T'.  Continuous: the
@@ -79,19 +80,46 @@ def slot_major(partials: np.ndarray, shape) -> np.ndarray:
     return out.transpose(0, 2, 1, 3)
 
 
+def gather(series: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The rows of a (time, state, dim) series at a table index (rows, K)
+    whose columns each run over consecutive grid rows, the K columns side by
+    side; shape (rows, K*m, dim), a view of series when K = 1."""
+    rows, columns = index.shape
+    if columns == 1:
+        return series[index[0, 0] : index[0, 0] + rows]
+    return series[index].reshape((rows, columns * series.shape[1]) + series.shape[2:])
+
+
+def jet_windows(count: int, reach: int, rows) -> np.ndarray:
+    """Grid rows of one window of 2*reach + 1 rows around each of `rows`,
+    shifted to stay inside the grid 0..count-1 (the whole grid when it is
+    narrower), one window per column; shape (width, len(rows))."""
+    width = min(2 * reach + 1, count)
+    starts = np.minimum(np.maximum(np.asarray(rows, dtype=int) - reach, 0), count - width)
+    return starts + np.arange(width)[:, None]
+
+
 class PointLayout:
     """Where an objective is evaluated along the paths of one domain, sample
-    space and dimension: the windows j_lo..j_hi (PointLayout.windows) or the
-    jets at every grid time (PointLayout.jets), as one point buffer and its
-    (t, w) table, both built once.  values and partials write a (time, state,
-    dim) series' points into the buffer and make one batched call; a series
-    that is not finite, or whose jets are not, is refused as a path is."""
+    space and dimension: the windows j_lo..j_hi (PointLayout.windows), the
+    jets at every grid time (PointLayout.jets) or the jets on a stack of
+    equal-width windows (PointLayout.jet_windows).  A layout is a table of
+    grid rows and its time table, one entry per (row, column), each column
+    consecutive rows; its point buffer and (t, w) table are built once, with
+    every state of a column side by side.  values and partials write a
+    (time, state, dim) series' points into the buffer and make one batched
+    call; a series that is not finite, or whose jets inside the table are
+    not, is refused as a path is."""
 
-    def __init__(self, obj, path: StochasticPath, t_axis, first: int, h=None, rows=slice(None)):
-        m = path.space.m
-        self.obj, self._first, self._h, self._rows = obj, first, h, rows
-        self._stack = np.empty((len(t_axis), m, obj.order + 1, path.dim))
-        self._points, self._t, self._w = flatten(self._stack, t_axis, np.arange(m))
+    def __init__(self, obj, path: StochasticPath, index: np.ndarray, times: np.ndarray,
+                 h=None, rows=slice(None)):
+        m, cells = path.space.m, index.size
+        self.obj, self._index, self._h, self._rows = obj, index, h, rows
+        self._stack = np.empty((len(index), index.shape[1] * m, obj.order + 1, path.dim))
+        # flattened as one (time, state) row per (row, column) of the table
+        self._points, self._t, self._w = flatten(
+            self._stack.reshape((cells, m) + self._stack.shape[2:]), times.reshape(cells),
+            np.arange(m))
 
     @classmethod
     def windows(cls, obj, path: StochasticPath, j_lo: int, j_hi: int) -> "PointLayout":
@@ -99,26 +127,40 @@ class PointLayout:
         if path.domain.kind != "discrete":
             raise UnsupportedError("windows are defined on discrete domains only")
         _check_windows(obj.order, j_lo, j_hi, path.num_points)
-        return cls(obj, path, np.arange(j_lo, j_hi + 1), j_lo)
+        index = np.arange(j_lo, j_hi + 1)[:, None]
+        return cls(obj, path, index, index)
 
     @classmethod
     def jets(cls, obj, path: StochasticPath, last: int | None = None) -> "PointLayout":
         """The jets (x, x', ..., x^(n)) at every grid time and state, each
         evaluated (so a NaN anywhere raises); rows 0..last (all by default)."""
+        return cls.jet_windows(obj, path, np.arange(path.num_points)[:, None],
+                               slice(None if last is None else last + 1))
+
+    @classmethod
+    def jet_windows(cls, obj, path: StochasticPath, index: np.ndarray,
+                    rows=slice(None)) -> "PointLayout":
+        """The jets on the windows of a table of grid rows (kernel.jet_windows),
+        each window differentiated on its own: a row less than k passes from
+        a window edge that is not a grid edge has k-th derivatives unlike the
+        whole grid's; rows `rows` of the table."""
         if path.domain.kind != "continuous":
             raise UnsupportedError("time derivatives are defined on continuous domains only")
-        return cls(obj, path, path.domain.times(), 0, path.domain.h,
-                   slice(None if last is None else last + 1))
+        return cls(obj, path, index, index * path.domain.h, path.domain.h, rows)
 
     def _fill(self, series: np.ndarray) -> np.ndarray:
-        if not np.isfinite(series).all():
-            raise InputError("path values must all be finite")
-        n, count = self.obj.order, len(self._stack)
-        if self._h is None:
-            parts = [series[self._first + k : self._first + k + count] for k in range(n + 1)]
+        n = self.obj.order
+        if self._h is None:  # the windows j_lo..j_hi: one column
+            if not np.isfinite(series).all():
+                raise InputError("path values must all be finite")
+            first, count = int(self._index[0, 0]), len(self._index)
+            parts = [series[first + k : first + k + count] for k in range(n + 1)]
         else:
+            base = gather(series, self._index)
+            if not np.isfinite(base).all():
+                raise InputError("path values must all be finite")
             with np.errstate(over="ignore", invalid="ignore"):  # non-finite jets raise below
-                parts = derivatives(series, self._h, n)
+                parts = derivatives(base, self._h, n)
             if not all(np.isfinite(d).all() for d in parts[1:]):
                 raise InputError("path values must all be finite")
         for k, part in enumerate(parts):
@@ -132,13 +174,14 @@ class PointLayout:
         return out.copy() if np.may_share_memory(out, self._stack) else out
 
     def values(self, series: np.ndarray) -> np.ndarray:
-        """Objective values at the series' points; shape (rows, m)."""
+        """Objective values at the series' points; shape (rows, K*m)."""
         points = self._fill(series)
         return self._own(self.obj.values_batch(points, self._t, self._w)
                          .reshape(self._stack.shape[:2]))
 
     def partials(self, series: np.ndarray) -> np.ndarray:
-        """Slot-partials at the series' points as P[j, k, w, :]; shape (rows, n+1, m, dim)."""
+        """Slot-partials at the series' points as P[j, k, c, :] (column c
+        holding state c % m of window column c // m); shape (rows, n+1, K*m, dim)."""
         points = self._fill(series)
         return self._own(slot_major(self.obj.partials_batch(points, self._t, self._w),
                                     self._stack.shape))

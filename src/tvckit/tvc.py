@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PerturbationCurve, StochasticPath, _check_same_shape, derivatives,
-                   expectation, smoothstep_quintic)
+from .core import (STENCIL_REACH, PerturbationCurve, StochasticPath, _check_same_shape,
+                   derivatives, expectation, smoothstep_quintic)
 from .errors import DomainError, HorizonError, InputError, NumericalError, UnsupportedError
-from .kernel import (euler_rows, expected_running_sum, jet_partials, max_window_start, momenta,
-                     objective_layout, objective_values, tail_terms, window_partials)
+from .kernel import (PointLayout, euler_rows, expected_running_sum, gather, jet_windows,
+                     max_window_start, momenta, objective_layout, objective_values, tail_terms,
+                     window_partials)
 from .objectives import ContinuousObjective, DiscreteObjective
 
 DEFAULT_TOL_TVC_ANALYTIC = 1e-8
@@ -111,56 +112,94 @@ def tvc_liminf_discrete(obj: DiscreteObjective, path: StochasticPath,
 # ---------------------------------------------------------------------------
 # Continuous boundary bracket
 
+def _bracket_reach(n: int) -> int:
+    """Grid rows on each side of a row that its bracket reads: n passes of
+    core.derivatives for the jets' n-th derivatives, then n-1 more for the
+    momentum p_1 (kernel.momenta)."""
+    return STENCIL_REACH * max(2 * n - 1, 0)
+
+
 def boundary_bracket_series(obj: ContinuousObjective, path: StochasticPath,
-                            p: PerturbationCurve) -> np.ndarray:
-    """Expected bracket value at every grid time; shape (num_points,).
+                            p: PerturbationCurve, rows=None) -> np.ndarray:
+    """Expected bracket value at the grid rows `rows`, at every grid time by
+    default; shape (len(rows),) or (num_points,).
 
     bracket(t) = E sum_i sum_{j=0}^{n-1} p_i^(j)(t) * p_{j+1,i}(t)
 
     with p_{j+1} = v_{j+2} - (v_{j+3})' + ... the momenta of the sampled
-    partial series along the path (kernel.momenta).  Derivatives of p below
+    partial series along the path (kernel.momenta).  The jets are taken on
+    one window of 2 _bracket_reach(n) + 1 grid rows around each requested
+    row (kernel.jet_windows), or on one window spanning the grid by default,
+    and give the whole grid's bracket bit for bit.  Derivatives of p below
     the curve's validated head order are pinned to exactly zero at t=0, so
-    head-vanishing is honored structurally.  A non-finite bracket raises.
+    head-vanishing is honored structurally.  A non-finite bracket at a
+    requested row raises; so do non-finite jets inside the windows.
     """
     if path.domain.kind != "continuous":
         raise UnsupportedError("the boundary bracket needs a continuous domain")
     _check_same_shape(path, p)
-    n = obj.order
-    h = path.domain.h
-    coefs = momenta(jet_partials(obj, path)[:, 1:], h)  # p_1..p_n
+    count = path.num_points
+    if rows is None:
+        at = np.arange(count)
+        index, columns = at[:, None], np.zeros(count, dtype=int)
+    else:
+        at = np.array(sorted({int(row) for row in rows}), dtype=int)
+        if at.size and not (0 <= at[0] and at[-1] < count):
+            raise InputError(f"bracket rows must lie in 0..{count - 1}")
+        index, columns = jet_windows(count, _bracket_reach(obj.order), at), np.arange(len(at))
+    picked = _window_brackets(obj, path, p, index)[at - index[0, columns], columns]
+    if not np.isfinite(picked).all():
+        raise NumericalError("derivative stencil produced a non-finite bracket")
+    # the picked rows at their grid rows: expectation's last bit depends on
+    # its operand's length and memory order
+    per_time = np.zeros((count, path.space.m))
+    per_time[at] = picked
+    expected = np.atleast_1d(expectation(path.space, per_time.T))
+    return expected if rows is None else expected[np.asarray(rows, dtype=int)]
 
-    # derivatives of p up to order n-1, with structural zeros at t=0
-    pder = derivatives(p.values, h, n - 1)
+
+def _window_brackets(obj: ContinuousObjective, path: StochasticPath, p: PerturbationCurve,
+                     index: np.ndarray) -> np.ndarray:
+    """Per-state bracket at every row of the jet windows of a table of grid
+    rows (kernel.jet_windows); shape (width, windows, m).  A row is the
+    whole grid's where it lies _bracket_reach(n) rows or more from each
+    window edge that is not a grid edge.  Overflow passes: callers test
+    finiteness."""
+    n, h = obj.order, path.domain.h
+    coefs = momenta(PointLayout.jet_windows(obj, path, index).partials(path.values)[:, 1:],
+                    h)  # p_1..p_n
+
+    # derivatives of p up to order n-1, with structural zeros at grid row 0
+    pder = derivatives(gather(p.values, index), h, n - 1)
+    head = np.repeat(index[0] == 0, path.space.m)  # the columns of windows starting at row 0
     for j in range(min(p.vanishing_head, n)):
         pder[j] = pder[j].copy()
-        pder[j][0] = 0.0
+        pder[j][0, head] = 0.0
 
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite bracket raises below
-        bracket = np.zeros(path.values.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bracket = np.zeros(pder[0].shape)
         for j in range(n):
             bracket += pder[j] * coefs[j]
-        per_time = np.sum(bracket, axis=2)  # sum over state dimension i
-    if not np.isfinite(per_time).all():
-        raise NumericalError("derivative stencil produced a non-finite bracket")
-    return np.atleast_1d(expectation(path.space, per_time.T))
+        per_state = np.sum(bracket, axis=2)  # sum over state dimension i
+    return per_state.reshape(len(index), -1, path.space.m)
 
 
 def continuous_boundary_term(obj: ContinuousObjective, path: StochasticPath,
                              p: PerturbationCurve, t: float) -> float:
-    """Expected bracket at one grid time."""
-    idx = path.domain.index_of(t)
-    return float(boundary_bracket_series(obj, path, p)[idx])
+    """Expected bracket at one grid time, from the one window around it."""
+    return float(boundary_bracket_series(obj, path, p, [path.domain.index_of(t)])[0])
 
 
 def tvc_liminf_continuous(obj: ContinuousObjective, path: StochasticPath,
                           p: PerturbationCurve, t_list,
                           tolerance: float | None = None) -> TvcReport:
-    """bracket(T) - bracket(0) over the requested truncation times, with running infima."""
-    series = boundary_bracket_series(obj, path, p)
-    idxs = [path.domain.index_of(t) for t in t_list]
-    values = [series[i] - series[0] for i in idxs]
+    """bracket(T) - bracket(0) over the requested truncation times, with
+    running infima; the bracket is evaluated on the windows around t = 0
+    and those times only."""
+    rows = [0] + [path.domain.index_of(t) for t in t_list]
+    bracket = boundary_bracket_series(obj, path, p, rows)
     tol = DEFAULT_TOL_TVC_FD if tolerance is None else tolerance
-    return _liminf_report(list(t_list), values, tol, "continuous")
+    return _liminf_report(list(t_list), bracket[1:] - bracket[0], tol, "continuous")
 
 
 def scaled_path_curve(path: StochasticPath, abar: float) -> PerturbationCurve:

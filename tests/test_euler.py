@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import tvckit as tk
-from tvckit.errors import HorizonError, InputError, UnsupportedError
+from tvckit.errors import HorizonError, InputError, NumericalError, UnsupportedError
 from tvckit.objectives import fd_partial_slot
 from conftest import DISCOUNT, random_path
 
@@ -71,6 +71,13 @@ class TestDiscreteResidual:
         path = tk.StochasticPath.constant(dom, space, 1.0)
         with pytest.raises(HorizonError):
             tk.discrete_euler_residual(quadlin_d, path, 5, j_max=1)
+
+    def test_non_finite_row_raises(self, space):
+        # the partials overflow to inf: a numerical failure, as in euler_report
+        obj = tk.dsl_discrete_objective("1e307 * y0 * y1 + 1e307 * y0 * y2", 2)
+        path = tk.StochasticPath.constant(tk.TimeDomain.discrete(10), space, 100.0)
+        with pytest.raises(NumericalError, match="non-finite residual"):
+            tk.discrete_euler_residual(obj, path, 4)
 
     def test_horizon_too_short(self, quadlin_d, space):
         dom = tk.TimeDomain.discrete(1)

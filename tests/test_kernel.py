@@ -208,17 +208,17 @@ def test_jet_sampling_matches_reference(seed, case, h, m):
     assert_close(tk.objective_value(obj, path), np.trapezoid(per_time, dx=h))
 
 
-def _smooth_continuous_case(seed, n, m, h, ramp):
+def _smooth_continuous_case(seed, n, m, h, ramp, t_end=4.0):
     """A wall-free DSL objective of order n that reads every slot, a smooth
     random path and a smooth curve (a quintic ramp, or a cosine with no
-    vanishing head) on [0, 4]."""
+    vanishing head) on [0, t_end]."""
     rng = np.random.default_rng(seed)
     space = tk.SampleSpace(tuple(np.full(m, 1.0 / m)))
     names = ["a"] + [f"c{k}" for k in range(1, n + 1)]
     source = " + ".join(["a * x0^2", "exp(0.2 * x0)", f"0.1 * x{n}^2"]
                         + [f"c{k} * x{k - 1} * x{k}" for k in range(1, n + 1)])
     obj = tk.dsl_continuous_objective(source, n, _constants(rng, m, names))
-    dom = tk.TimeDomain.continuous(4.0, h)
+    dom = tk.TimeDomain.continuous(t_end, h)
     times = dom.times()[:, None]
     level, amp, freq, phase = (rng.uniform(lo, hi, size=m) for lo, hi in
                                ((0.5, 1.5), (-0.5, 0.5), (0.3, 1.5), (0.0, 3.0)))
@@ -248,6 +248,50 @@ def test_continuous_engines_match_their_loops(seed, n, m, h, ramp):
     assert matrix.all_finite
     assert np.array_equal(matrix.values, reference.a_grid_continuous(
         obj, path, curve, matrix.eps_grid, matrix.tprime_grid))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 3), m=st.integers(1, 3),
+       points=st.integers(3, 40), head=st.integers(0, 2),
+       extra=st.lists(st.integers(0, 10**6), max_size=6))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_windowed_bracket_matches_the_whole_grid(seed, n, m, points, head, extra):
+    """The bracket on one window around each requested row is the whole
+    grid's bit for bit: at rows 0, 1, N-2 and N-1, where windows overlap or
+    repeat, on grids narrower than one window, and with the curve's head
+    pinned to zero in every window holding row 0."""
+    h = 0.05
+    obj, path, _ = _smooth_continuous_case(seed, n, m, h, False, (points - 1) * h)
+    rng = np.random.default_rng(seed)
+    amp, freq = rng.uniform(-1.0, 1.0, m), rng.uniform(0.3, 1.5, m)
+    curve = tk.PerturbationCurve(path.domain, path.space,
+                                 amp * np.sin(freq * path.domain.times()[:, None]) ** 2,
+                                 vanishing_head=head)
+    rows = [0, 1, points - 2, points - 1] + [e % points for e in extra]
+    want = reference.boundary_bracket_series(obj, path, curve)
+    assert np.array_equal(tk.boundary_bracket_series(obj, path, curve, rows), want[rows])
+    assert np.array_equal(tk.boundary_bracket_series(obj, path, curve), want)
+    assert tk.continuous_boundary_term(obj, path, curve, rows[-1] * h) == want[rows[-1]]
+
+
+def test_tvc_bracket_work_count(monkeypatch):
+    """tvc_liminf_continuous makes one partials_batch call, on one window of
+    2(2n-1)+1 rows around t = 0 and each truncation, for every state."""
+    points = []
+    partials_batch = tk.objectives._Objective.partials_batch
+
+    def counted(self, pts, *args):
+        points.append(len(pts))
+        return partials_batch(self, pts, *args)
+
+    obj = tk.quadlin_continuous(_quadlin_params(np.random.default_rng(0), 2))
+    space = tk.SampleSpace((0.4, 0.6))
+    dom = tk.TimeDomain.continuous(10.0, 0.01)
+    path = tk.StochasticPath(dom, space, 1.0 + 0.1 * np.sin(dom.times()[:, None] + [0.0, 1.0]))
+    curve = tk.quintic_ramp_curve(dom, space, target=1.0)
+    truncations = [float(t) for t in range(2, 10)]
+    monkeypatch.setattr(tk.objectives._Objective, "partials_batch", counted)
+    tk.tvc_liminf_continuous(obj, path, curve, truncations)
+    assert points == [(1 + len(truncations)) * (2 * (2 * obj.order - 1) + 1) * space.m]
 
 
 # (name -> builder(rng, m) returning (objective, domain kind, path level, path

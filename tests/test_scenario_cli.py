@@ -436,6 +436,23 @@ class TestCliExitCodes:
         assert capsys.readouterr().err.endswith(
             "numerical failure: derivative stencil produced a non-finite bracket\n")
 
+    def test_non_finite_bracket_outside_windows_gets_a_verdict(self, tmp_path, capsys):
+        # the bracket overflows only on a bump at t = 2.5, which no window
+        # around t = 0 or a truncation 2..9 reaches: euler still fails, tvc
+        # gets a verdict
+        times = 0.01 * np.arange(1001)
+        x = 1.0 + 99.0 * np.exp(-((times - 2.5) / 0.05) ** 2)
+        data = _mutated("continuous-counterexample", ("objective",), {"expr": "1e307 * x0 * x1"})
+        data.update(order=1, path={"values": [[v, v] for v in x.tolist()]})
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps(data))
+        assert main(["euler", "--scenario", str(f), "--quiet"]) == 3
+        assert capsys.readouterr().err.endswith("non-finite residual\n")
+        out = tmp_path / "r.json"
+        assert main(["tvc", "--scenario", str(f), "--quiet", "--out", str(out)]) == 1
+        report = json.loads(out.read_text())["tvc"]
+        assert (report["verdict"], report["liminf_estimate"]) == ("VIOLATED", 1e307)
+
     @pytest.mark.parametrize("sign", ["", "-"], ids=("plus", "minus"))
     def test_non_finite_discrete_rows_exit_3(self, tmp_path, capsys, sign):
         # the discrete twin: the Euler rows and the tail overflow to +-inf,
