@@ -149,85 +149,74 @@ def _default_tprime_grid_discrete(curve, last):
 # ---------------------------------------------------------------------------
 # Iterated limits
 
-def _linear_fit(x, y):
-    """OLS slope, intercept and slope standard error."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+def _growth(tprimes, Y):
+    """Per row of Y (R, len(tprimes)): its OLS slope on T', the slope's
+    standard error and the divergence flag.  Every sum runs along a row, so
+    each row gets the bits of a fit of that row alone."""
+    x = np.asarray(tprimes, dtype=float)
     xbar = x.mean()
     sxx = float(np.sum((x - xbar) ** 2))
-    slope = float(np.sum((x - xbar) * (y - y.mean())) / sxx)
-    intercept = float(y.mean() - slope * xbar)
-    resid = y - (intercept + slope * x)
-    dof = max(len(x) - 2, 1)
-    stderr = math.sqrt(float(np.sum(resid**2)) / dof / sxx)
-    return slope, intercept, stderr
-
-
-def _slope_tol(y, span):
-    return 1e-12 * max(1.0, float(np.max(np.abs(y)))) / max(1.0, span)
+    ybar = Y.mean(axis=1)
+    slope = np.sum((x - xbar) * (Y - ybar[:, None]), axis=1) / sxx
+    resid = Y - ((ybar - slope * xbar)[:, None] + slope[:, None] * x)
+    stderr = np.sqrt(np.sum(resid**2, axis=1) / max(len(x) - 2, 1) / sxx)
+    tol = 1e-12 * np.maximum(1.0, np.max(np.abs(Y), axis=1)) / max(1.0, float(x[-1] - x[0]))
+    return slope, stderr, slope > 10.0 * stderr + tol
 
 
 def growth_slope(tprimes, col):
     """Fitted linear growth slope of A(., eps) in T' and its divergence flag."""
-    slope, _, stderr = _linear_fit(tprimes, col)
-    span = float(tprimes[-1] - tprimes[0])
-    diverges = slope > 10.0 * stderr + _slope_tol(col, span)
-    return slope, stderr, diverges
+    slope, stderr, diverges = _growth(tprimes, np.asarray(col, dtype=float)[None])
+    return float(slope[0]), float(stderr[0]), bool(diverges[0])
 
 
 def _richardson_eps(eps_asc, vals_asc):
-    """Linear-in-eps extrapolation to eps=0 from the two smallest eps, with an
-    error estimate from the next pair (iterated_limits passes at least 4)."""
+    """Linear-in-eps extrapolation to eps=0 of each row of vals_asc (eps
+    ascending along it) from the two smallest eps, with an error estimate
+    from the next pair (iterated_limits passes at least 4)."""
     e1, e2, e3 = eps_asc[:3]
-    v1, v2, v3 = vals_asc[:3]
+    v1, v2, v3 = vals_asc[:, 0], vals_asc[:, 1], vals_asc[:, 2]
     extrap = v1 - e1 * (v2 - v1) / (e2 - e1)
     alt = v2 - e2 * (v3 - v2) / (e3 - e2)
-    return float(extrap), float(abs(extrap - alt))
+    return extrap, np.abs(extrap - alt)
 
 
 def iterated_limits(matrix: DiagnosticMatrix) -> IteratedLimits:
-    """Estimate lim_{eps->0} lim_{T'->inf} A and lim_{T'->inf} lim_{eps->0} A."""
+    """Estimate lim_{eps->0} lim_{T'->inf} A and lim_{T'->inf} lim_{eps->0} A.
+
+    Every eps column and the eps-extrapolated T' row are fitted in one pass,
+    each as a row of one matrix, and every T' row is extrapolated at once."""
     if len(matrix.eps_grid) < 4 or len(matrix.tprime_grid) < 4:
         raise InputError("need at least 4 points per axis for iterated limits")
     if not matrix.all_finite:
         raise NumericalError("iterated limits need an all-finite matrix")
     tprimes = np.asarray(matrix.tprime_grid, dtype=float)
-    eps_desc = np.asarray(matrix.eps_grid)
+    eps_asc = np.asarray(matrix.eps_grid)[::-1]
+    count = len(eps_asc)
 
-    per_eps_limits = []
-    per_eps_slopes = []
-    for ie in range(len(eps_desc)):
-        col = matrix.values[:, ie]
-        slope, _, diverges = growth_slope(tprimes, col)
-        per_eps_slopes.append(slope)
-        per_eps_limits.append(DIVERGES if diverges else float(col[-1]))
+    # rows 0..count-1: the eps columns; row count: each T' row taken to eps -> 0
+    fitted = np.empty((count + 1, len(tprimes)))
+    fitted[:count] = matrix.values.T
+    extrap, row_errs = _richardson_eps(eps_asc, matrix.values[:, ::-1])
+    fitted[count] = extrap
+    slopes, _, diverges = _growth(tprimes, fitted)
 
-    if any(v == DIVERGES for v in per_eps_limits):
+    last = matrix.values[-1].tolist()
+    per_eps_limits = [DIVERGES if d else v for d, v in zip(diverges[:count].tolist(), last)]
+    per_tprime, errs = extrap.tolist(), row_errs.tolist()
+    if diverges[:count].any():
         eps_then_T, e1_err = DIVERGES, math.inf
-    else:
-        # outer limit eps->0 of the inner T'-limits
-        eps_asc = eps_desc[::-1]
-        vals_asc = np.asarray(per_eps_limits, dtype=float)[::-1]
-        eps_then_T, e1_err = _richardson_eps(eps_asc, vals_asc)
-
-    eps_asc = eps_desc[::-1]
-    per_tprime = []
-    row_errs = []
-    for it in range(len(tprimes)):
-        row_asc = matrix.values[it, ::-1]
-        extrap, err = _richardson_eps(eps_asc, row_asc)
-        per_tprime.append(extrap)
-        row_errs.append(err)
-    slope, _, diverges = growth_slope(tprimes, np.asarray(per_tprime))
-    if diverges:
+    else:  # outer limit eps->0 of the inner T'-limits: the last row's extrapolation
+        eps_then_T, e1_err = per_tprime[-1], errs[-1]
+    if diverges[count]:
         T_then_eps, e2_err = DIVERGES, math.inf
     else:
-        T_then_eps, e2_err = float(per_tprime[-1]), float(max(row_errs))
+        T_then_eps, e2_err = per_tprime[-1], max(errs)
 
     return IteratedLimits(eps_then_T=eps_then_T, T_then_eps=T_then_eps,
                           eps_then_T_error=e1_err, T_then_eps_error=e2_err,
                           per_eps_limits=tuple(per_eps_limits),
-                          per_eps_slopes=tuple(per_eps_slopes),
+                          per_eps_slopes=tuple(slopes[:count].tolist()),
                           per_tprime_limits=tuple(per_tprime))
 
 

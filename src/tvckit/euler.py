@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StochasticPath, expectation
+from .core import STENCIL_REACH, StochasticPath, expectation
 from .errors import HorizonError, InputError, NumericalError, UnsupportedError
-from .kernel import euler_rows, jet_partials, max_window_start, momenta, window_partials
+from .kernel import (PointLayout, euler_rows, jet_windows, max_window_start, momenta,
+                     window_partials)
 from .objectives import ContinuousObjective, DiscreteObjective
 
 DEFAULT_TOL_ANALYTIC = 1e-8
@@ -103,23 +104,41 @@ def admissible_indices(path: StochasticPath, n: int, mode: BoundaryMode) -> rang
 def continuous_euler_residual_series(obj: ContinuousObjective,
                                      path: StochasticPath) -> np.ndarray:
     """Residual sampled on the whole grid; shape (num_points, m, dim)."""
+    return _continuous_rows(obj, path, np.arange(path.num_points)[:, None], slice(None))
+
+
+def _continuous_rows(obj, path: StochasticPath, index: np.ndarray, rows) -> np.ndarray:
+    """Rows `rows` of the residual p_0 on the jets of the windows of a table
+    of grid rows (kernel.jet_windows), each window differentiated on its
+    own; refused when any is not finite."""
     if path.domain.kind != "continuous":
         raise UnsupportedError("continuous residuals need a continuous domain")
-    out = momenta(jet_partials(obj, path), path.domain.h)[0]
+    P = PointLayout.jet_windows(obj, path, index).partials(path.values)
+    out = momenta(P, path.domain.h)[0][rows]
     if not np.isfinite(out).all():
         raise NumericalError("derivative stencil produced a non-finite residual")
     return out
 
 
+def _residual_reach(n: int) -> int:
+    """Grid rows on each side of a row that its residual reads: n passes of
+    core.derivatives for the jets' n-th derivatives, then n more for p_0's
+    (v_{n+1})^(n) (kernel.momenta)."""
+    return STENCIL_REACH * 2 * n
+
+
 def continuous_euler_residual(obj: ContinuousObjective, path: StochasticPath,
                               t: float) -> np.ndarray:
-    """Residual at a single grid time, per state; shape (m, dim)."""
+    """Residual at a single grid time, per state; shape (m, dim): the whole
+    grid's row bit for bit, from the jets on one window of
+    2 _residual_reach(n) + 1 grid rows around it (kernel.jet_windows)."""
     n = obj.order
     idx = path.domain.index_of(t)
     margin = n  # points needed on each side for the k-th difference stencils
     if idx < margin or idx > path.num_points - 1 - margin:
         raise InputError(f"t={t} too close to the grid edges for order {n} stencils")
-    return continuous_euler_residual_series(obj, path)[idx]
+    index = jet_windows(path.num_points, _residual_reach(n), [idx])
+    return _continuous_rows(obj, path, index, idx - index[0, 0])
 
 
 def euler_report(obj, path: StochasticPath, mode: BoundaryMode | None = None,

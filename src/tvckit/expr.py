@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvalError, ExprSyntaxError, InputError
-from .objectives import ContinuousObjective, DiscreteObjective
+from .objectives import ContinuousObjective, DiscreteObjective, _bindable
 
 NEG_INF = float("-inf")
 
@@ -335,12 +335,12 @@ def _power(base, c: float):
     base = np.asarray(base, dtype=float)
     out = np.power(np.abs(base) if c != math.floor(c) else base, c)
     if math.isfinite(c):
-        finite = np.isfinite(base)
         if c < 0.0 and (base == 0.0).any():
             raise EvalError("power failed: 0.0 cannot be raised to a negative power")
-        if c != math.floor(c) and (finite & (base < 0.0)).any():
+        if c != math.floor(c) and (np.isfinite(base) & (base < 0.0)).any():
             raise EvalError(f"negative base ^ {c} has no real value")
-        if (finite & np.isinf(out)).any():
+        # an infinite entry is an overflow unless its base is infinite too
+        if np.isinf(out).any() and (np.isfinite(base) & np.isinf(out)).any():
             raise EvalError(f"power ^ {c} overflows")
     return out
 
@@ -525,26 +525,30 @@ def _build_objective(source: str, order: int, constants: dict, continuous: bool)
     compiled = compile_ast(ast)
     compiled_partials = [compile_ast(symbolic_partial(ast, s)) for s in slots]
 
-    def batch_env(points, t, w):
-        env = {s: points[:, k, 0] for k, s in enumerate(slots)}
-        env["t"] = np.asarray(t, dtype=float)
+    def bind(t, w):
+        fixed = {"t": np.asarray(t, dtype=float)}
         for cname in const_rows:
-            env[cname] = constant_at(cname, w)
-        return env
+            fixed[cname] = constant_at(cname, w)
 
-    def ev_batch(points, t, w):
-        return np.broadcast_to(compiled(batch_env(points, t, w)), len(points))
+        def env(points):
+            out = {s: points[:, k, 0] for k, s in enumerate(slots)}
+            out.update(fixed)
+            return out
 
-    def partials_batch(points, t, w):
-        env = batch_env(points, t, w)
-        out = np.empty((len(points), order + 1, 1))
-        for k, fn in enumerate(compiled_partials):
-            out[:, k, 0] = fn(env)
-        return out
+        def values(points):
+            return np.broadcast_to(compiled(env(points)), len(points))
+
+        def partials(points):
+            at = env(points)
+            out = np.empty((len(points), order + 1, 1))
+            for k, fn in enumerate(compiled_partials):
+                out[:, k, 0] = fn(at)
+            return out
+
+        return values, partials
 
     cls = ContinuousObjective if continuous else DiscreteObjective
-    return cls(order=order, name=f"dsl:{source}", batch_eval_fn=ev_batch,
-               batch_partials_fn=partials_batch)
+    return cls(order=order, name=f"dsl:{source}", **_bindable(bind))
 
 
 def dsl_discrete_objective(source: str, order: int,

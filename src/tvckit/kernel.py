@@ -106,10 +106,11 @@ class PointLayout:
     equal-width windows (PointLayout.jet_windows).  A layout is a table of
     grid rows and its time table, one entry per (row, column), each column
     consecutive rows; its point buffer and (t, w) table are built once, with
-    every state of a column side by side.  values and partials write a
-    (time, state, dim) series' points into the buffer and make one batched
-    call; a series that is not finite, or whose jets inside the table are
-    not, is refused as a path is."""
+    every state of a column side by side, and the objective is bound to the
+    table once (_Objective.bind).  values and partials write a (time, state,
+    dim) series' points into the buffer and make one call of the bound
+    objective; a series that is not finite, or whose jets inside the table
+    are not, is refused as a path is."""
 
     def __init__(self, obj, path: StochasticPath, index: np.ndarray, times: np.ndarray,
                  h=None, rows=slice(None)):
@@ -117,9 +118,10 @@ class PointLayout:
         self.obj, self._index, self._h, self._rows = obj, index, h, rows
         self._stack = np.empty((len(index), index.shape[1] * m, obj.order + 1, path.dim))
         # flattened as one (time, state) row per (row, column) of the table
-        self._points, self._t, self._w = flatten(
+        self._points, t, w = flatten(
             self._stack.reshape((cells, m) + self._stack.shape[2:]), times.reshape(cells),
             np.arange(m))
+        self._bound = obj.bind(t, w)
 
     @classmethod
     def windows(cls, obj, path: StochasticPath, j_lo: int, j_hi: int) -> "PointLayout":
@@ -176,25 +178,18 @@ class PointLayout:
     def values(self, series: np.ndarray) -> np.ndarray:
         """Objective values at the series' points; shape (rows, K*m)."""
         points = self._fill(series)
-        return self._own(self.obj.values_batch(points, self._t, self._w)
-                         .reshape(self._stack.shape[:2]))
+        return self._own(self._bound.values(points).reshape(self._stack.shape[:2]))
 
     def partials(self, series: np.ndarray) -> np.ndarray:
         """Slot-partials at the series' points as P[j, k, c, :] (column c
         holding state c % m of window column c // m); shape (rows, n+1, K*m, dim)."""
         points = self._fill(series)
-        return self._own(slot_major(self.obj.partials_batch(points, self._t, self._w),
-                                    self._stack.shape))
+        return self._own(slot_major(self._bound.partials(points), self._stack.shape))
 
 
 def window_partials(obj, path: StochasticPath, j_lo: int, j_hi: int) -> np.ndarray:
     """P over windows j_lo..j_hi; shape (J, n+1, m, dim)."""
     return PointLayout.windows(obj, path, j_lo, j_hi).partials(path.values)
-
-
-def jet_partials(obj, path: StochasticPath) -> np.ndarray:
-    """P along the path's jets, time-major; shape (num_points, n+1, m, dim)."""
-    return PointLayout.jets(obj, path).partials(path.values)
 
 
 def objective_layout(obj, path: StochasticPath, last: int | None = None) -> PointLayout:

@@ -7,7 +7,9 @@ are analytic when supplied and five-point finite differences otherwise.
 An objective holds its formula once: batched over N points (the built-in and
 DSL objectives, in numpy) or per point (plain callables, which a loop
 adapter runs).  Every engine and oracle evaluates whole batches of points;
-value and partial_slot are those batches at one point.
+value and partial_slot are those batches at one point.  bind(t, w) fixes the
+times and states of a batch, and a bound objective evaluates any number of
+point sets on them: what depends on (t, w) alone is computed once per bind.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ class _Objective:
     and, optionally, partial_fns, one callable per slot with the same
     signature returning a scalar or a (dim,) vector; values_batch and
     partials_batch loop over them.  Without either partials, partials_batch
-    takes fd_partials of values_batch.
+    takes fd_partials of values_batch.  values_batch and partials_batch are
+    bind(t, w).values(points) and .partials(points).
     """
 
     order: int
@@ -80,37 +83,90 @@ class _Objective:
     def has_analytic_partials(self) -> bool:
         return self.partial_fns is not None or self.batch_partials_fn is not None
 
+    def bind(self, t, w) -> "BoundObjective":
+        """The objective bound to the times t and states w, shape (N,), of
+        N points: what depends on (t, w) alone is computed here, once, not
+        per call.  household_log and the DSL objectives bind their own
+        tables (_bindable); any other objective, or one whose batch
+        functions were replaced, binds to closures over its batch or
+        per-point functions."""
+        t, w = np.asarray(t), np.asarray(w)
+        own = getattr(self.batch_eval_fn, "bind", None)
+        if own is not None and getattr(self.batch_partials_fn, "bind", None) is own:
+            return BoundObjective(self, t, w, *own(t, w))
+        if self.batch_eval_fn is not None:
+            values = lambda points: self.batch_eval_fn(points, t, w)
+            partials = (None if self.batch_partials_fn is None
+                        else lambda points: self.batch_partials_fn(points, t, w))
+            return BoundObjective(self, t, w, values, partials)
+        times, states = t.tolist(), w.tolist()
+        values = lambda points: np.array([float(self.eval_fn(p, ti, wi)) for p, ti, wi
+                                          in zip(points, times, states)], dtype=float)
+        partials = None if self.partial_fns is None else lambda points: np.array(
+            [[np.atleast_1d(np.asarray(fn(p, ti, wi), dtype=float)) for fn in self.partial_fns]
+             for p, ti, wi in zip(points, times, states)])
+        return BoundObjective(self, t, w, values, partials)
+
     def value(self, point, t, w) -> float:
         """values_batch at one point."""
         return float(self.values_batch(_as_point(point)[None], [t], [w])[0])
 
     def values_batch(self, points, t, w) -> np.ndarray:
         """The objective at each of N points; shape (N,).  NaN and +inf raise."""
-        points, t, w = np.asarray(points, dtype=float), np.asarray(t), np.asarray(w)
-        if self.batch_eval_fn is not None:
-            out = np.asarray(self.batch_eval_fn(points, t, w), dtype=float)
-        else:
-            out = np.array([float(self.eval_fn(p, ti, wi))
-                            for p, ti, wi in zip(points, t.tolist(), w.tolist())], dtype=float)
-        allowed = out < math.inf  # False at nan and +inf
-        if not allowed.all():
-            i = int(np.argmin(allowed))
-            raise NumericalError(f"objective {self.name or '<anonymous>'} returned {out[i]}"
-                                 f" at t={t[i]}, state {w[i]}")
-        return out
+        return self.bind(t, w).values(points)
 
     def partials_batch(self, points, t, w) -> np.ndarray:
         """Every slot-partial at each of N points; shape (N, order+1, dim)."""
-        points, t, w = np.asarray(points, dtype=float), np.asarray(t), np.asarray(w)
-        if self.batch_partials_fn is not None:
-            return np.asarray(self.batch_partials_fn(points, t, w), dtype=float)
+        return self.bind(t, w).partials(points)
+
+
+class BoundObjective:
+    """An objective bound to the times t and states w of N points
+    (_Objective.bind): values(points) and partials(points) at points of
+    shape (N, order+1, dim), as values_batch and partials_batch give them."""
+
+    __slots__ = ("obj", "t", "w", "_values", "_partials")
+
+    def __init__(self, obj: _Objective, t: np.ndarray, w: np.ndarray,
+                 values: Callable, partials: Callable | None):
+        self.obj, self.t, self.w, self._values, self._partials = obj, t, w, values, partials
+
+    def values(self, points) -> np.ndarray:
+        """The objective at each point; shape (N,).  NaN and +inf raise."""
+        out = np.asarray(self._values(np.asarray(points, dtype=float)), dtype=float)
+        allowed = out < math.inf  # False at nan and +inf
+        if not allowed.all():
+            i = int(np.argmin(allowed))
+            raise NumericalError(f"objective {self.obj.name or '<anonymous>'} returned {out[i]}"
+                                 f" at t={self.t[i]}, state {self.w[i]}")
+        return out
+
+    def partials(self, points) -> np.ndarray:
+        """Every slot-partial at each point; shape (N, order+1, dim): the
+        analytic ones, else fd_partials, where an unresolved slot raises."""
+        points, obj = np.asarray(points, dtype=float), self.obj
+        if obj.batch_partials_fn is not None:
+            return np.asarray(self._partials(points), dtype=float)
         if len(points) == 0:
-            return np.empty((0, self.order + 1, self.dim))
-        if self.partial_fns is None:
-            return _fd_or_raise(self, points, t, w)
-        return np.array([[np.atleast_1d(np.asarray(fn(p, ti, wi), dtype=float))
-                          for fn in self.partial_fns]
-                         for p, ti, wi in zip(points, t.tolist(), w.tolist())])
+            return np.empty((0, obj.order + 1, obj.dim))
+        if self._partials is None:
+            return _fd_or_raise(obj, points, self.t, self.w)
+        return self._partials(points)
+
+
+def _bindable(bind: Callable) -> dict:
+    """The batch_eval_fn and batch_partials_fn of an objective whose
+    bind(t, w) returns its (values(points), partials(points)): each batch
+    function binds once per call, and _Objective.bind calls bind itself
+    while the objective holds both."""
+    def values(points, t, w):
+        return bind(t, w)[0](points)
+
+    def partials(points, t, w):
+        return bind(t, w)[1](points)
+
+    values.bind = partials.bind = bind
+    return {"batch_eval_fn": values, "batch_partials_fn": partials}
 
 
 @dataclass(frozen=True)
@@ -306,7 +362,11 @@ class QuadLinParams:
 
 
 def _quadlin(params: QuadLinParams, cls, name: str):
-    """(p0 - alpha(w))^2 + beta(w) p1 + gamma(w) p2 over a window or a jet p."""
+    """(p0 - alpha(w))^2 + beta(w) p1 + gamma(w) p2 over a window or a jet p.
+
+    It gathers alpha(w), beta(w) and gamma(w) per call and keeps the default
+    bind: gathers held for a layout's life cost more in page faults than
+    they save (measured on 10 002-point continuous layouts)."""
     A, B, G = (np.asarray(v) for v in (params.alpha, params.beta, params.gamma))
 
     # overflow passes without a warning: callers test finiteness
@@ -359,37 +419,42 @@ def household_log(discount: float, n: int, zero_head: bool = True) -> DiscreteOb
     if n < 1:
         raise InputError("lag order n must be >= 1")
 
-    def ev_batch(points, t, w):
-        c = _lagged_consumption(points, n)
-        positive = c > 0.0
-        vals = np.log(c, out=np.full(c.shape, NEG_INF), where=positive)
-        # discount^t may underflow to 0, so the wall keeps its -inf untouched
-        np.multiply(discount**t, vals, out=vals, where=positive)
-        return np.where(t > n - 1, vals, 0.0) if zero_head else vals
+    def bind(t, w):
+        growth = discount**t
+        live = t > n - 1 if zero_head else None  # the rows zero_head keeps
 
-    def partials_batch(points, t, w):
-        c = _lagged_consumption(points, n)
-        wall = c <= 0.0
-        if zero_head:
-            live = t > n - 1
-            wall &= live
-        if wall.any():
-            i = int(np.argmax(wall))
-            # + 0.0: a sum of -0.0 slots is -0.0 here, +0.0 in np.sum
-            raise DomainError(f"consumption {c[i] + 0.0} <= 0 at t={t[i]}, state {w[i]}")
-        with np.errstate(divide="ignore"):  # pinned rows may have c == 0
-            scale = discount**t / c
-        last = -scale
-        if zero_head:
-            scale, last = np.where(live, scale, 0.0), np.where(live, last, 0.0)
-        out = np.empty((len(points), n + 1, 1))
-        out[:, :n, 0] = scale[:, None]
-        out[:, n, 0] = last
-        return out
+        def values(points):
+            c = _lagged_consumption(points, n)
+            positive = c > 0.0
+            vals = np.log(c, out=np.full(c.shape, NEG_INF), where=positive)
+            # discount^t may underflow to 0, so the wall keeps its -inf untouched
+            np.multiply(growth, vals, out=vals, where=positive)
+            return np.where(live, vals, 0.0) if zero_head else vals
+
+        def partials(points):
+            c = _lagged_consumption(points, n)
+            wall = c <= 0.0
+            if zero_head:
+                wall &= live
+            if wall.any():
+                i = int(np.argmax(wall))
+                # + 0.0: a sum of -0.0 slots is -0.0 here, +0.0 in np.sum
+                raise DomainError(f"consumption {c[i] + 0.0} <= 0 at t={t[i]}, state {w[i]}")
+            with np.errstate(divide="ignore"):  # pinned rows may have c == 0
+                scale = growth / c
+            last = -scale
+            if zero_head:
+                scale, last = np.where(live, scale, 0.0), np.where(live, last, 0.0)
+            out = np.empty((len(points), n + 1, 1))
+            out[:, :n, 0] = scale[:, None]
+            out[:, n, 0] = last
+            return out
+
+        return values, partials
 
     return DiscreteObjective(order=n,
                              name="household-log" if zero_head else "household-log-live-head",
-                             batch_eval_fn=ev_batch, batch_partials_fn=partials_batch)
+                             **_bindable(bind))
 
 
 # ---------------------------------------------------------------------------

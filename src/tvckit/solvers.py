@@ -108,15 +108,15 @@ class NewtonReport:
     mode: str
 
 
-def _layout(out, states, t_lo, n, member=None, trial=True):
+def _layout(obj, out, states, t_lo, n, member=None, trial=True):
     """Gather tables for evaluating, per given state, its trial (if trial)
     and, if member (G, N) is given, its stencil: each group's columns moved
-    by +h, then by -h.  Returns (out.ravel(), points, t, w, offset, shape,
+    by +h, then by -h.  Returns (out.ravel(), points, bound, offset, shape,
     blocks): kernel.flatten of the windows j_lo..T of every vector, j_lo =
-    max(0, t_lo - n), as source indices (see _points) with their times and
-    states; t_lo - j_lo, the index of row t_lo in the kernel.euler_rows of
-    their partials; (K, V, N); and the slices of V holding each block, the
-    trial then the stencil."""
+    max(0, t_lo - n), as source indices (see _points); obj bound to their
+    times and states (_Objective.bind); t_lo - j_lo, the index of row t_lo
+    in the kernel.euler_rows of their partials; (K, V, N); and the slices of
+    V holding each block, the trial then the stencil."""
     T, dim = len(out) - 1 - n, out.shape[2]
     size = (T + 1 - t_lo) * dim
     # per state, where each entry t_lo..T of a vector is read: 0 the trial, 1 +h, 2 -h
@@ -130,7 +130,7 @@ def _layout(out, states, t_lo, n, member=None, trial=True):
     j_lo = max(0, t_lo - n)
     points, t, w = flatten(window_stack(traj, n, j_lo, T), np.arange(j_lo, T + 1), owners)
     blocks = [slice(1)] * trial + ([] if member is None else [slice(int(trial), None)])
-    return out.ravel(), points, t, w, t_lo - j_lo, shape, blocks
+    return out.ravel(), points, obj.bind(t, w), t_lo - j_lo, shape, blocks
 
 
 def _points(layout, x, h=None):
@@ -139,23 +139,25 @@ def _points(layout, x, h=None):
                           axis=None).take(layout[1])
 
 
-def _residuals(obj, layout, x, h=None):
+def _residuals(layout, x, h=None):
     """Rows t_lo..T of the stationarity system at the vectors of a _layout
     around the trials x (K, N) with steps h: one values call, then one
-    partials call on the vectors with finite windows, and the rows are the
+    partials call on the vectors with finite windows (bound to their own
+    table when a wall leaves some out), and the rows are the
     kernel.euler_rows of those partials.  Returns rows (K, V, N) and faults:
     None when every block resolves, else per state and block of the layout
     None or the DomainError that evaluating the block alone gives (see
     _faults).  A faulting block's rows are meaningless."""
-    points, (t, w, offset, shape) = _points(layout, x, h), layout[2:6]
+    points, (bound, offset, shape) = _points(layout, x, h), layout[2:5]
     vectors = shape[0] * shape[1]
-    walled, live = obj.values_batch(points, t, w) == NEG_INF, slice(None)
+    walled, live, live_bound = bound.values(points) == NEG_INF, slice(None), bound
     if walled.any():  # no partials at the windows of vectors with a -inf window
         windows = walled.reshape(-1, vectors)
         live = np.tile(~windows.any(axis=0), len(windows))
         if not live.any():  # every vector walled: no partials call
             return np.full(shape, np.nan), _faults(layout, walled, None, live)
-    P, unresolved = _partials_unresolved(obj, points[live], t[live], w[live])
+        live_bound = bound.obj.bind(bound.t[live], bound.w[live])
+    P, unresolved = _partials_unresolved(live_bound, points[live])
     if len(P) < len(points):  # zeros at the windows of walled vectors
         P, kept = np.zeros((len(points),) + P.shape[1:]), P
         P[live] = kept
@@ -173,7 +175,7 @@ def _faults(layout, walled, unresolved, live):
     (window, vector, slot) order whose partial fd_partials leaves
     unresolved.  walled marks the points with a -inf value, and unresolved
     the (point, slot)s left unresolved among the live points (None: none)."""
-    t, w, (K, V, _), blocks = layout[2], layout[3], layout[5], layout[6]
+    t, w, (K, V, _), blocks = layout[2].t, layout[2].w, layout[4], layout[5]
     bad = np.zeros((len(walled), layout[1].shape[1]), dtype=bool)
     if unresolved is not None:
         bad[live] = unresolved
@@ -279,20 +281,21 @@ def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
         x, states = trial[every], going.tolist()
         h = JAC_FD_STEP * np.maximum(1.0, np.abs(x))
         if states != layout_of:
-            layout, layout_of = _layout(out, going, t_lo, n, member), states
+            layout, layout_of = _layout(obj, out, going, t_lo, n, member), states
             # per state, its band in jacs, and pick in the pass's rows and h
             bands = going[:, None] * size**2 + band
             picks = pick[:, None] + np.arange(len(states))[:, None] * np.reshape(
                 [(1 + 2 * len(member)) * size] * 2 + [size], (3, 1, 1))
         try:
-            rows, faults = _residuals(obj, layout, x, h)
+            rows, faults = _residuals(layout, x, h)
         except ToolkitError:  # each state's trial, then its stencil, alone
-            rows, faults = np.full(layout[5], np.nan), [[] for _ in states]
+            rows, faults = np.full(layout[4], np.nan), [[] for _ in states]
             for i, s in enumerate(states):
-                for block, alone in ((slice(1), _layout(out, [s], t_lo, n)),
-                                     (slice(1, None), _layout(out, [s], t_lo, n, member, False))):
+                for block, alone in ((slice(1), _layout(obj, out, [s], t_lo, n)),
+                                     (slice(1, None),
+                                      _layout(obj, out, [s], t_lo, n, member, False))):
                     try:
-                        rows[i, block], fault = _residuals(obj, alone, x[i : i + 1], h[i : i + 1])
+                        rows[i, block], fault = _residuals(alone, x[i : i + 1], h[i : i + 1])
                         faults[i].append(None if fault is None else fault[0][0])
                     except ToolkitError as exc:
                         faults[i].append(exc)
@@ -528,13 +531,13 @@ def discrete_to_continuous(V: DiscreteObjective) -> CorrespondencePair:
     return CorrespondencePair(discrete=V, continuous=v)
 
 
-def _partials_unresolved(obj, points, t, w):
-    """Slot-partials of obj at points where it is finite, and per (point, slot)
-    whether fd_partials left them unresolved: None for analytic partials,
-    which leave none."""
-    if obj.has_analytic_partials:
-        return obj.partials_batch(points, t, w), None
-    return fd_partials(obj, points, t, w)
+def _partials_unresolved(bound, points):
+    """Slot-partials of a bound objective at points where it is finite, and
+    per (point, slot) whether fd_partials left them unresolved: None for
+    analytic partials, which leave none."""
+    if bound.obj.has_analytic_partials:
+        return bound.partials(points), None
+    return fd_partials(bound.obj, points, bound.t, bound.w)
 
 
 @dataclass(frozen=True)
@@ -588,7 +591,7 @@ def correspondence_check(pair: CorrespondencePair, segments) -> CorrespondenceRe
 
     # V's partials on windows 0..2: (a) reads every slot of window 0, (b) the
     # slots 2, 1, 0 of windows 0, 1, 2
-    PV, unresolved = _partials_unresolved(V, win.reshape(-1, 3, dim), times.ravel(), states)
+    PV, unresolved = _partials_unresolved(V.bind(times.ravel(), states), win.reshape(-1, 3, dim))
     PV = PV.reshape((live, 3) + PV.shape[1:])
     fd, fd_unresolved = fd_partials(v, jets[:, 0], t, w)
     fv = v.values_batch(jets.reshape(-1, 3, dim), times.ravel(), states).reshape(live, 3)
@@ -596,8 +599,8 @@ def correspondence_check(pair: CorrespondencePair, segments) -> CorrespondenceRe
     if unresolved is not None:
         unresolved = unresolved.reshape(live, 3, 3)
         ok &= ~(unresolved[:, 0].any(axis=1) | unresolved[:, 1, 1] | unresolved[:, 2, 0])
-    Pv, unresolved = _partials_unresolved(v, jets[ok].reshape(-1, 3, dim), times[ok].ravel(),
-                                          np.repeat(w[ok], 3))
+    Pv, unresolved = _partials_unresolved(v.bind(times[ok].ravel(), np.repeat(w[ok], 3)),
+                                          jets[ok].reshape(-1, 3, dim))
     fine = np.ones(len(Pv) // 3, dtype=bool) if unresolved is None else ~(
         unresolved.reshape(-1, 3, 3) & _JET_SLOTS).any(axis=(1, 2))
     checked = int(fine.sum())

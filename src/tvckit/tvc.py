@@ -238,7 +238,8 @@ def variation_decomposition_check(obj: DiscreteObjective, path: StochasticPath,
                                   q: PerturbationCurve,
                                   tprime: int | None = None) -> float:
     """Absolute discrepancy between the direct eps-derivative of the truncated
-    expected objective and its Euler-rows + tail decomposition."""
+    expected objective and its Euler-rows + tail decomposition, all read
+    from one layout of the windows 0..T'."""
     n = obj.order
     if tprime is None:
         tprime = max_window_start(path, n)
@@ -248,9 +249,12 @@ def variation_decomposition_check(obj: DiscreteObjective, path: StochasticPath,
     plus, minus = (_truncated_sum(path, layout.values(path.values + step * q.values))
                    for step in (+eps, -eps))
     direct = (plus - minus) / (2.0 * eps)
-    P = window_partials(obj, path, 0, tprime)
+    if not isinstance(obj, DiscreteObjective):  # the layout holds jets
+        raise UnsupportedError("windows are defined on discrete domains only")
+    P = layout.partials(path.values)
     weighted = np.sum(euler_rows(P)[: tprime + 1] * q.values[: tprime + 1], axis=2)
     rows_total = float(expected_running_sum(path, weighted)[-1])
     _check_truncation(tprime, n)
-    tail = float(expectation(path.space, tail_terms(P, q.values, [tprime])[0]))
+    first = max(0, tprime - n + 1)  # the windows the tail reads, as in discrete_tvc_tail
+    tail = float(expectation(path.space, tail_terms(P[first:], q.values, [tprime], first)[0]))
     return abs(direct - (rows_total + tail))

@@ -15,7 +15,9 @@ batched formula and every engine was a reduction over batched calls:
 - the continuous engines with their own composed np.gradient chains and
   quadratures: the residual's per-term sum and the bracket's triple loop;
 - the A(T', eps) grid on both domains with one perturbed path per eps and
-  one loop per T', walls and cell status included;
+  one loop per T', walls and cell status included, and its iterated limits
+  with one least-squares fit per eps column and one extrapolation per T'
+  row;
 - the report text the CLI wrote through json.dumps, one value at a time.
 
 The kernel, objective, solver and CLI tests hold the library to them.
@@ -29,16 +31,16 @@ import sys
 import numpy as np
 
 import tvckit as tk
-from tvckit.diagnostics import (DOMINATION_N_EPS, STATUS_DIVERGING, STATUS_DOMAIN_ERROR,
-                                STATUS_FINITE, DominationEntry, DominationReport)
+from tvckit.diagnostics import (DIVERGES, DOMINATION_N_EPS, STATUS_DIVERGING,
+                                STATUS_DOMAIN_ERROR, STATUS_FINITE, DominationEntry,
+                                DominationReport, IteratedLimits)
 from tvckit.errors import (DomainError, EvalError, HorizonError, InputError,
                            NumericalError, UnsupportedError)
 from tvckit.euler import max_window_start
 from tvckit.expr import Call, Const, Neg, Var, parse_source, symbolic_partial
 from tvckit.objectives import (FD_AGREEMENT, FD_STEPS, GRADIENT_REL_TOL,
                                GradientCheckReport, _as_point)
-from tvckit.kernel import (euler_rows, jet_partials, partials_at, values_at,
-                           window_stack)
+from tvckit.kernel import PointLayout, euler_rows, partials_at, values_at, window_stack
 from tvckit.solvers import JAC_FD_STEP, BruteForceResult, CorrespondenceReport, NewtonReport
 
 NEG_INF = float("-inf")
@@ -404,6 +406,11 @@ def _gradient(series, h, k):
     return series
 
 
+def jet_partials(obj, path):
+    """P along the path's jets, time-major; shape (num_points, n+1, m, dim)."""
+    return PointLayout.jets(obj, path).partials(path.values)
+
+
 def continuous_euler_residual_series(obj, path):
     """v_1 - (v_2)' + ... + (-1)^n (v_{n+1})^(n), one term at a time."""
     P = jet_partials(obj, path)
@@ -471,6 +478,70 @@ def a_grid(obj, path, curve, eps_grid, tprime_grid):
 def a_grid_continuous(obj, path, curve, eps_grid, tprime_grid):
     """The values of a_grid on a continuous domain."""
     return a_grid(obj, path, curve, eps_grid, tprime_grid)[0]
+
+
+def _linear_fit(x, y):
+    """OLS slope, intercept and slope standard error."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    xbar = x.mean()
+    sxx = float(np.sum((x - xbar) ** 2))
+    slope = float(np.sum((x - xbar) * (y - y.mean())) / sxx)
+    intercept = float(y.mean() - slope * xbar)
+    resid = y - (intercept + slope * x)
+    dof = max(len(x) - 2, 1)
+    stderr = math.sqrt(float(np.sum(resid**2)) / dof / sxx)
+    return slope, intercept, stderr
+
+
+def growth_slope(tprimes, col):
+    """Fitted linear growth slope of one column in T' and its divergence flag."""
+    slope, _, stderr = _linear_fit(tprimes, col)
+    span = float(tprimes[-1] - tprimes[0])
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(col)))) / max(1.0, span)
+    return slope, stderr, slope > 10.0 * stderr + tol
+
+
+def _richardson_eps(eps_asc, vals_asc):
+    e1, e2, e3 = eps_asc[:3]
+    v1, v2, v3 = vals_asc[:3]
+    extrap = v1 - e1 * (v2 - v1) / (e2 - e1)
+    alt = v2 - e2 * (v3 - v2) / (e3 - e2)
+    return float(extrap), float(abs(extrap - alt))
+
+
+def iterated_limits(matrix):
+    """One fit per eps column, then one extrapolation per T' row and a fit
+    of the extrapolated row."""
+    tprimes = np.asarray(matrix.tprime_grid, dtype=float)
+    eps_desc = np.asarray(matrix.eps_grid)
+    per_eps_limits, per_eps_slopes = [], []
+    for ie in range(len(eps_desc)):
+        col = matrix.values[:, ie]
+        slope, _, diverges = growth_slope(tprimes, col)
+        per_eps_slopes.append(slope)
+        per_eps_limits.append(DIVERGES if diverges else float(col[-1]))
+    eps_asc = eps_desc[::-1]
+    if any(v == DIVERGES for v in per_eps_limits):
+        eps_then_T, e1_err = DIVERGES, math.inf
+    else:
+        eps_then_T, e1_err = _richardson_eps(eps_asc,
+                                             np.asarray(per_eps_limits, dtype=float)[::-1])
+    per_tprime, row_errs = [], []
+    for it in range(len(tprimes)):
+        extrap, err = _richardson_eps(eps_asc, matrix.values[it, ::-1])
+        per_tprime.append(extrap)
+        row_errs.append(err)
+    _, _, diverges = growth_slope(tprimes, np.asarray(per_tprime))
+    if diverges:
+        T_then_eps, e2_err = DIVERGES, math.inf
+    else:
+        T_then_eps, e2_err = float(per_tprime[-1]), float(max(row_errs))
+    return IteratedLimits(eps_then_T=eps_then_T, T_then_eps=T_then_eps,
+                          eps_then_T_error=e1_err, T_then_eps_error=e2_err,
+                          per_eps_limits=tuple(per_eps_limits),
+                          per_eps_slopes=tuple(per_eps_slopes),
+                          per_tprime_limits=tuple(per_tprime))
 
 
 def domination_check(obj, path, curve, eps_bar, sample_times):

@@ -276,6 +276,32 @@ def test_one_constant_fold():
     assert sites == {("expr", "_rewrite")}
 
 
+def _sites(tree, match, scope=()):
+    """The dotted names of the innermost functions enclosing each node of
+    tree that match(node) accepts ("" at module level)."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        inner = scope + (node.name,) if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else scope
+        if match(node):
+            found.add(".".join(inner))
+        found |= _sites(node, match, inner)
+    return found
+
+
+def test_table_work_stays_in_bind():
+    """What an objective computes from its (t, w) table alone is computed
+    in its bind, once per table, never per call: discount ** only inside
+    household's bind and constant_at calls only inside the DSL's."""
+    root = Path(tk.__file__).resolve().parent
+    objectives, expr = (ast.parse((root / f"{stem}.py").read_text())
+                        for stem in ("objectives", "expr"))
+    assert _sites(objectives, lambda node: isinstance(node, ast.BinOp)
+                  and isinstance(node.op, ast.Pow)
+                  and ast.unparse(node.left) == "discount") == {"household_log.bind"}
+    assert _sites(expr, lambda node: isinstance(node, ast.Call)
+                  and ast.unparse(node.func) == "constant_at") == {"_build_objective.bind"}
+
+
 class TestPerturbationCurve:
     def test_head_validation_discrete(self, space):
         dom = tk.TimeDomain.discrete(10)

@@ -2,7 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 import tvckit as tk
 import tvckit.diagnostics
 from tvckit.diagnostics import (DIVERGES, STATUS_DOMAIN_ERROR, STATUS_FINITE,
@@ -138,6 +141,41 @@ class TestIteratedLimits:
         assert v.verdict == "INCONCLUSIVE"
         with pytest.raises(InputError):
             tk.iterated_limits(m)
+
+
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(4, 12), cols=st.integers(4, 10),
+       kinds=st.lists(st.sampled_from(["flat", "noisy", "linear", "geometric", "eps-linear"]),
+                      min_size=1, max_size=10))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_one_pass_limits_match_per_column_fits(seed, rows, cols, kinds):
+    """iterated_limits fits every eps column and the extrapolated T' row in
+    one pass and extrapolates every row at once; each field has the repr of
+    the per-column and per-row loop in tests/reference.py, with columns
+    flat, noisy, growing linearly in T' (DIVERGES), settling geometrically
+    or growing in T' at a rate set by eps (a diverging extrapolated row)."""
+    rng = np.random.default_rng(seed)
+    tprimes = np.cumsum(rng.integers(1, 40, size=rows)) + int(rng.integers(0, 10))
+    eps = np.sort(10.0 ** -rng.uniform(0.5, 7.0, size=cols))[::-1]
+    if len(set(eps.tolist())) < cols:
+        return
+    t = tprimes.astype(float)[:, None]
+    level = rng.uniform(-5.0, 5.0, size=cols)
+    columns = {
+        "flat": np.broadcast_to(level, (rows, cols)),
+        "noisy": level + 1e-10 * rng.standard_normal((rows, cols)),
+        "linear": level + rng.uniform(0.01, 3.0, size=cols) * t,
+        "geometric": level + rng.uniform(-2.0, 2.0, size=cols) * 0.7 ** (t / t[-1] * 10),
+        "eps-linear": level + (1.0 + eps) * t * rng.uniform(0.1, 1.0),
+    }
+    pick = np.array([kinds[i % len(kinds)] for i in range(cols)])
+    values = np.empty((rows, cols))
+    for kind, table in columns.items():
+        values[:, pick == kind] = table[:, pick == kind]
+    matrix = DiagnosticMatrix(tuple(eps.tolist()), tuple(tprimes.tolist()), values,
+                              np.full(values.shape, STATUS_FINITE, dtype=object))
+    got, want = tk.iterated_limits(matrix), reference.iterated_limits(matrix)
+    for field in dataclasses.fields(want):
+        assert repr(getattr(got, field.name)) == repr(getattr(want, field.name)), field.name
 
 
 class TestDomination:

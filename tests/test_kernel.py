@@ -134,7 +134,7 @@ def test_discrete_engines_match_reference(seed, case, horizon, m):
                         outcome(reference.discrete_euler_residual, ref, path, t, j_max))
     w = int(rng.integers(0, m))
     t_lo = int(rng.integers(0, last + 1))
-    got = outcome(lambda: _valid_rows(*_residuals(obj, _layout(path.values, [w], t_lo, n),
+    got = outcome(lambda: _valid_rows(*_residuals(_layout(obj, path.values, [w], t_lo, n),
                                                   path.values[t_lo : last + 1, w].reshape(1, -1))))
     want = outcome(lambda: np.array([reference.discrete_euler_residual(ref, path, t)[w]
                                      for t in range(t_lo, last + 1)]).ravel())
@@ -190,7 +190,7 @@ def test_jet_sampling_matches_reference(seed, case, h, m):
                              level + amp * np.sin(freq * times[:, None]))
     jets = reference.jet_paths(path, n)
 
-    P = kernel.jet_partials(obj, path)
+    P = kernel.PointLayout.jets(obj, path).partials(path.values)
     series = [reference.partial_series(ref, k, jets, times, m, 1) for k in range(n + 1)]
     for k in range(n + 1):
         assert_close(P[:, k], series[k])
@@ -273,15 +273,35 @@ def test_windowed_bracket_matches_the_whole_grid(seed, n, m, points, head, extra
     assert tk.continuous_boundary_term(obj, path, curve, rows[-1] * h) == want[rows[-1]]
 
 
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), m=st.integers(1, 3),
+       points=st.integers(3, 40), extra=st.lists(st.integers(0, 10**6), max_size=6))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_windowed_residual_matches_the_whole_grid(seed, n, m, points, extra):
+    """continuous_euler_residual on one window of 2(2n)+1 rows around its
+    row is the whole grid's row bit for bit: at the first and last rows the
+    stencils admit and their neighbours, on grids narrower than one window;
+    a row closer to an edge is refused as before."""
+    h = 0.05
+    obj, path, _ = _smooth_continuous_case(seed, n, m, h, False, (points - 1) * h)
+    want = tk.continuous_euler_residual_series(obj, path)
+    edges = [n - 1, n, n + 1, points - 2 - n, points - 1 - n, points - n]
+    for row in [r for r in edges if 0 <= r < points] + [e % points for e in extra]:
+        if n <= row <= points - 1 - n:
+            assert np.array_equal(tk.continuous_euler_residual(obj, path, row * h), want[row])
+        else:
+            with pytest.raises(InputError, match="too close to the grid edges"):
+                tk.continuous_euler_residual(obj, path, row * h)
+
+
 def test_tvc_bracket_work_count(monkeypatch):
-    """tvc_liminf_continuous makes one partials_batch call, on one window of
+    """tvc_liminf_continuous makes one partials call, on one window of
     2(2n-1)+1 rows around t = 0 and each truncation, for every state."""
     points = []
-    partials_batch = tk.objectives._Objective.partials_batch
+    partials = tk.objectives.BoundObjective.partials
 
-    def counted(self, pts, *args):
+    def counted(self, pts):
         points.append(len(pts))
-        return partials_batch(self, pts, *args)
+        return partials(self, pts)
 
     obj = tk.quadlin_continuous(_quadlin_params(np.random.default_rng(0), 2))
     space = tk.SampleSpace((0.4, 0.6))
@@ -289,7 +309,7 @@ def test_tvc_bracket_work_count(monkeypatch):
     path = tk.StochasticPath(dom, space, 1.0 + 0.1 * np.sin(dom.times()[:, None] + [0.0, 1.0]))
     curve = tk.quintic_ramp_curve(dom, space, target=1.0)
     truncations = [float(t) for t in range(2, 10)]
-    monkeypatch.setattr(tk.objectives._Objective, "partials_batch", counted)
+    monkeypatch.setattr(tk.objectives.BoundObjective, "partials", counted)
     tk.tvc_liminf_continuous(obj, path, curve, truncations)
     assert points == [(1 + len(truncations)) * (2 * (2 * obj.order - 1) + 1) * space.m]
 
@@ -359,32 +379,79 @@ def test_a_grid_matches_per_eps_reference(seed, case, horizon, m, wide):
     assert (got[1].status == status).all()
 
 
-@pytest.mark.parametrize("case", ["dsl-log", "quadlin-c", "dsl-ln-wall"])
+class _CountingFloat(float):
+    """A float that counts the powers taken of it."""
+
+    def __pow__(self, other):
+        self.powers += 1
+        return float(self) ** other
+
+
+def _count_calls(monkeypatch, calls, cls, name):
+    """Count the calls of cls.name in calls[name]."""
+    method = getattr(cls, name)
+
+    def counted(self, *args):
+        calls[name] += 1
+        return method(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+
+
+@pytest.mark.parametrize("case", ["household", "dsl-log", "quadlin", "quadlin-c", "dsl-ln-wall"])
 def test_a_grid_work_count(case, monkeypatch):
-    """One a_grid call makes one values_batch call for the base and one per
-    eps, and builds no path; variation_decomposition_check's +-eps pair makes
-    two and builds none either."""
-    calls = {"values": 0, "paths": 0}
-    values_batch = tk.objectives._Objective.values_batch
-    post_init = tk.StochasticPath.__post_init__
-
-    def counted_values(self, *args):
-        calls["values"] += 1
-        return values_batch(self, *args)
-
-    def counted_paths(self):
-        calls["paths"] += 1
-        post_init(self)
-
+    """One a_grid call binds the objective once (its one PointLayout) and
+    makes one values call for the base and one per eps, and builds no path;
+    variation_decomposition_check reads its +-eps pair and its partials
+    from one layout, one bind.  household takes discount**t once per bind,
+    and the DSL gathers its constants in its bind alone
+    (test_table_work_stays_in_bind)."""
+    calls = {"bind": 0, "values": 0, "partials": 0, "__post_init__": 0}
     obj, path, q, eps_grid, tprimes = _a_grid_case(case, 7, 20, 2, False)
-    monkeypatch.setattr(tk.objectives._Objective, "values_batch", counted_values)
-    monkeypatch.setattr(tk.StochasticPath, "__post_init__", counted_paths)
+    discount = _CountingFloat(0.9)
+    discount.powers = 0
+    if case == "household":
+        obj = tk.household_log(discount, 2)
+    _count_calls(monkeypatch, calls, tk.objectives._Objective, "bind")
+    for name in ("values", "partials"):
+        _count_calls(monkeypatch, calls, tk.objectives.BoundObjective, name)
+    _count_calls(monkeypatch, calls, tk.StochasticPath, "__post_init__")
     tk.a_grid(obj, path, q, eps_grid, tprimes)
-    assert calls == {"values": 1 + len(eps_grid), "paths": 0}
+    assert calls == {"bind": 1, "values": 1 + len(eps_grid), "partials": 0, "__post_init__": 0}
     if path.domain.kind == "discrete":
-        calls["values"] = 0
         tk.variation_decomposition_check(obj, path, q)
-        assert calls == {"values": 2, "paths": 0}
+        assert calls == {"bind": 2, "values": 3 + len(eps_grid), "partials": 1,
+                         "__post_init__": 0}
+    assert discount.powers == (calls["bind"] if case == "household" else 0)
+
+
+def test_newton_binds_once_per_layout(monkeypatch):
+    """Newton binds the objective once per _layout, that is once per set of
+    iterating states (state 1 stops two passes before state 0 here, so two
+    layouts), plus once for the guess check, and household takes
+    discount**t once per bind; with no wall no other bind is made."""
+    calls = {"bind": 0, "_layout": 0}
+    discount = _CountingFloat(0.9)
+    discount.powers = 0
+    obj = tk.household_log(discount, 2, zero_head=False)
+    _count_calls(monkeypatch, calls, tk.objectives._Objective, "bind")
+    layout = tk.solvers._layout
+
+    def counted_layout(*args):
+        calls["_layout"] += 1
+        return layout(*args)
+
+    monkeypatch.setattr(tk.solvers, "_layout", counted_layout)
+    space = tk.SampleSpace((0.5, 0.5))
+    gv = np.interp(np.arange(43.0), [0, 1, 41, 42], [1.0, 1.0, 0.2, 0.1])
+    guess = tk.StochasticPath(tk.TimeDomain.discrete(42), space,
+                              np.stack([gv, np.full(43, 1.0)], axis=1))
+    spec = tk.SolveSpec(horizon=40, guess=guess, mode="fixed", head=np.ones((2, 2)),
+                        tail=np.array([[0.2, 0.5], [0.1, 0.5]]))
+    _, rep = tk.newton_euler_solve(obj, spec)
+    assert rep.converged and rep.iterations == (24, 22)
+    assert calls == {"bind": 1 + 2, "_layout": 2}
+    assert discount.powers == calls["bind"]
 
 
 DOMINATION_CASES = {

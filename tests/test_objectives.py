@@ -415,3 +415,66 @@ def test_value_and_partial_slot_are_the_batch_at_one_point(case, seed):
         got, want = one[1], per_point[1]
         with np.errstate(invalid="ignore"):  # -inf - -inf
             assert ((got == want) | (np.abs(got - want) <= REL * np.maximum(1.0, np.abs(want)))).all()
+
+
+def _per_call(obj):
+    """obj with its batch functions wrapped, so that bind falls back to
+    closures that call them, and each call binds its own table."""
+    def wrap(fn):
+        return lambda points, t, w: fn(points, t, w)
+    return dataclasses.replace(obj, batch_eval_fn=wrap(obj.batch_eval_fn),
+                               batch_partials_fn=wrap(obj.batch_partials_fn))
+
+
+def _described(fn):
+    """("ok", bytes) of fn's array, or ("raised", type, message)."""
+    try:
+        return "ok", np.asarray(fn()).tobytes()
+    except tk.ToolkitError as exc:
+        return "raised", type(exc), str(exc)
+
+
+# (name -> (builder, point range, state count the table may name)); the
+# "dsl-short" constants have no value for state 2
+BIND_CASES = {
+    "quadlin-discrete": (lambda: tk.quadlin_discrete(PARAMS), (-2.0, 4.0), 2),
+    "quadlin-continuous": (lambda: tk.quadlin_continuous(PARAMS), (-2.0, 4.0), 2),
+    "household": (lambda: tk.household_log(0.9, 2), (0.2, 1.5), 2),
+    "household-live-n3": (lambda: tk.household_log(0.8, 3, zero_head=False), (0.2, 1.5), 2),
+    "household-walled-n1": (lambda: tk.household_log(0.95, 1, zero_head=False), (0.0, 1.0), 2),
+    "dsl-discrete": (lambda: tk.dsl_discrete_objective(
+        "a * ln(y0 + y1 - y2) + sqrt(y0) - b * y2 ^ 2 * t", 2, {"a": (1.0, 0.5), "b": 0.3}),
+        (-0.2, 1.5), 2),
+    "dsl-continuous": (lambda: tk.dsl_continuous_objective(
+        "(x0 - a)^2 + b * x1 + x2 ^ 2 / 2 + ln(x0) * exp(0 - t)", 2,
+        {"a": (1.0, 2.0), "b": (0.5, 0.4)}), (-0.5, 2.0), 2),
+    "dsl-short": (lambda: tk.dsl_discrete_objective("c * y0 + y1", 1, {"c": (1.0, 2.0)}),
+                  (-1.0, 1.0), 3),
+}
+
+
+@given(case=st.sampled_from(sorted(BIND_CASES)), seed=st.integers(0, 2**32 - 1),
+       size=st.integers(0, 12), whole=st.booleans())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_bound_objective_is_the_batch_per_call(case, seed, size, whole):
+    """One bind(t, w) evaluated on three point sets gives, call by call, the
+    bits of the same objective binding afresh at every call (its batch
+    functions wrapped), and the same errors with the same messages: -inf
+    walls, zero_head's pinned rows, whole or non-integer times, EvalError,
+    DomainError and a constant with no value for a state."""
+    build, (lo, hi), states = BIND_CASES[case]
+    obj = build()
+    fresh = _per_call(obj)
+    rng = np.random.default_rng(seed)
+    t = (rng.integers(0, 8, size=size) if whole else rng.uniform(0.0, 8.0, size=size))
+    w = rng.integers(0, states, size=size)
+    sets = [rng.uniform(lo, hi, size=(size, obj.order + 1, 1)) for _ in range(3)]
+    try:
+        bound = obj.bind(t, w)
+    except tk.ToolkitError as exc:
+        bound, failed = None, ("raised", type(exc), str(exc))
+    for points in sets:
+        for name in ("values", "partials"):
+            want = _described(lambda: getattr(fresh, f"{name}_batch")(points, t, w))
+            got = failed if bound is None else _described(lambda: getattr(bound, name)(points))
+            assert got == want, (name, got, want)

@@ -88,14 +88,14 @@ def test_grouped_jacobian_equals_dense(seed, case, horizon):
     t_lo, w = int(rng.integers(0, horizon + 1)), int(rng.integers(0, M))
 
     def residuals(U):
-        rows, faults = solvers._residuals(obj, solvers._layout(out, np.full(len(U), w), t_lo, n), U)
+        rows, faults = solvers._residuals(solvers._layout(obj, out, np.full(len(U), w), t_lo, n), U)
         assert faults is None
         return rows[:, 0]
 
     u = out[t_lo : horizon + 1, w].ravel()
     member, band, pick = solvers._stencil_layout(u.size, n, dim)
     h = solvers.JAC_FD_STEP * np.maximum(1.0, np.abs(u[None]))
-    rows, faults = solvers._residuals(obj, solvers._layout(out, [w], t_lo, n, member), u[None], h)
+    rows, faults = solvers._residuals(solvers._layout(obj, out, [w], t_lo, n, member), u[None], h)
     assert faults is None
     got = np.zeros((u.size, u.size))
     got.reshape(-1)[band] = solvers._jacobians(rows, h, pick[:, None])[0]
@@ -124,7 +124,8 @@ def test_layout_gathers_the_window_stack(data):
     if stencil:
         member = solvers._stencil_layout(size, n, dim)[0]
         h = solvers.JAC_FD_STEP * np.maximum(1.0, np.abs(x))
-    layout = solvers._layout(out, states, t_lo, n, member, trial)
+    obj = tk.DiscreteObjective(order=n, dim=dim, batch_eval_fn=lambda p, t, w: p[:, 0, 0])
+    layout = solvers._layout(obj, out, states, t_lo, n, member, trial)
     # each state's trial, then each group's columns moved by +h, then by -h
     vectors = [x[:, None]] * trial
     if stencil:
@@ -136,10 +137,10 @@ def test_layout_gathers_the_window_stack(data):
     traj[t_lo : T + 1] = vectors.reshape(len(owners), -1, dim).transpose(1, 0, 2)
     j_lo = max(0, t_lo - n)
     want = kernel.flatten(kernel.window_stack(traj, n, j_lo, T), np.arange(j_lo, T + 1), owners)
-    got = (solvers._points(layout, x, h),) + layout[2:4]
+    got = solvers._points(layout, x, h), layout[2].t, layout[2].w
     assert [(a.dtype, a.shape, a.tobytes()) for a in got] == [
         (a.dtype, a.shape, a.tobytes()) for a in want]
-    assert layout[5] == (len(states), vectors.shape[1], size)
+    assert layout[4] == (len(states), vectors.shape[1], size)
 
 
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 6), rotate=st.booleans(),
@@ -411,16 +412,17 @@ def test_residual_faults_equal_the_loop(seed, case, horizon, gap):
     def described(faults):
         return [None if f is None else (type(f), str(f)) for f in faults]
 
-    alone = [solvers._layout(out, [w], t_lo, n), solvers._layout(out, [w], t_lo, n, member, False)]
+    alone = [solvers._layout(obj, out, [w], t_lo, n),
+             solvers._layout(obj, out, [w], t_lo, n, member, False)]
     for layout, fault in zip(alone, want):
         try:
-            faults = solvers._residuals(obj, layout, x, h)[1]
+            faults = solvers._residuals(layout, x, h)[1]
         except ToolkitError as exc:
             assert (type(exc), str(exc)) == fault
         else:
             assert described((faults or [[None]])[0]) == [fault]
     try:
-        rows, faults = solvers._residuals(obj, solvers._layout(out, [w], t_lo, n, member), x, h)
+        rows, faults = solvers._residuals(solvers._layout(obj, out, [w], t_lo, n, member), x, h)
     except ToolkitError as exc:  # the batched call raises what one of the blocks raises
         assert (type(exc), str(exc)) in want
         return
@@ -443,7 +445,7 @@ def test_first_unresolved_partial_is_window_major():
     x = out[:4, 0].reshape(1, -1)
     member = solvers._stencil_layout(x.size, 1, 1)[0]
     h = solvers.JAC_FD_STEP * np.maximum(1.0, np.abs(x))
-    faults = solvers._residuals(obj, solvers._layout(out, [0], 0, 1, member), x, h)[1]
+    faults = solvers._residuals(solvers._layout(obj, out, [0], 0, 1, member), x, h)[1]
     stencil = np.concatenate([np.where(member, x + h, x), np.where(member, x - h, x)])
     with pytest.raises(DomainError) as exc:
         reference.trial_residuals(obj, out[:, 0], stencil, 0, 1, 0)
