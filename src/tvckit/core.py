@@ -281,7 +281,7 @@ def perturb(base: StochasticPath, curve: PerturbationCurve, eps: float) -> Stoch
 STENCIL_REACH = 1
 
 
-def derivatives(values, h: float, k: int) -> list[np.ndarray]:
+def derivatives(values, h: float, k: int, out=None) -> list[np.ndarray]:
     """[x, x', ..., x^(k)] of a series sampled with step h along axis 0.
 
     Each derivative is one more composed pass of central differences on the
@@ -289,22 +289,24 @@ def derivatives(values, h: float, k: int) -> list[np.ndarray]:
     smooth data).  Every time derivative in the toolkit is taken here.  A pass
     is np.gradient(..., axis=0, edge_order=2)'s arithmetic operation for
     operation, so its bits are np.gradient's, without np.gradient's per-call
-    set-up.
+    set-up.  Given out, k float arrays shaped like values (a point buffer's
+    slots, say), pass i is written into out[i-1]; otherwise into a fresh
+    array in np.gradient's memory order.
     """
-    out = [values]
+    chain = [values]
     if k >= 1 and len(values) < 3:
         raise InputError(f"a time derivative needs at least 3 grid points, got {len(values)}")
     left, right = (-1.5 / h, 2.0 / h, -0.5 / h), (0.5 / h, -2.0 / h, 1.5 / h)
-    for _ in range(k):
-        f = out[-1]
-        d = np.empty_like(f, dtype=float)  # np.gradient's allocation, so its memory order
+    for i in range(k):
+        f = chain[-1]
+        d = np.empty_like(f, dtype=float) if out is None else out[i]
         inner = d[1:-1]
         np.subtract(f[2:], f[:-2], out=inner)
         np.divide(inner, 2.0 * h, out=inner)
         d[0] = left[0] * f[0] + left[1] * f[1] + left[2] * f[2]
         d[-1] = right[0] * f[-3] + right[1] * f[-2] + right[2] * f[-1]
-        out.append(d)
-    return out
+        chain.append(d)
+    return chain
 
 
 def running_sum(domain: TimeDomain, series) -> np.ndarray:

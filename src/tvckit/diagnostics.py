@@ -95,7 +95,8 @@ def a_grid(obj, path: StochasticPath, curve: PerturbationCurve,
     trapezoid rule.  A time at which the base or the perturbed value is -inf
     in any state adds 0, and every cell from that time on is a domain error.
     The base and each base + eps * curve are evaluated on one
-    kernel.objective_layout, one values call each.
+    kernel.objective_layout, one values call each, every perturbed path
+    formed in one buffer.
     """
     _check_same_shape(path, curve)
     if path.domain.kind == "discrete":
@@ -120,8 +121,10 @@ def a_grid(obj, path: StochasticPath, curve: PerturbationCurve,
     layout = objective_layout(obj, path, int(idx.max()))
     base = layout.values(path.values)
     base_wall = np.isneginf(base)
+    moved = np.empty(path.values.shape)  # path + eps * curve, one eps at a time
     for ie, eps in enumerate(eps_grid):
-        shifted = layout.values(path.values + eps * curve.values)
+        np.multiply(eps, curve.values, out=moved)
+        shifted = layout.values(np.add(path.values, moved, out=moved))
         with np.errstate(invalid="ignore"):  # -inf - -inf at walled times
             diff = shifted - base
         wall = base_wall | np.isneginf(shifted)

@@ -59,16 +59,24 @@ def _check_dim(obj, stack):
                          f"objective {obj.name or '<anonymous>'} has dimension {obj.dim}")
 
 
+def bind_at(obj, stack, t_axis, states):
+    """(points, bound) of a stack: its flattened points and the objective
+    bound to their (t, w) table (flatten)."""
+    _check_dim(obj, stack)
+    points, t, w = flatten(stack, t_axis, states)
+    return points, obj.bind(t, w)
+
+
 def values_at(obj, stack, t_axis, states) -> np.ndarray:
     """Objective values at every point of a stack; shape (J, m)."""
-    _check_dim(obj, stack)
-    return obj.values_batch(*flatten(stack, t_axis, states)).reshape(stack.shape[:2])
+    points, bound = bind_at(obj, stack, t_axis, states)
+    return bound.values(points).reshape(stack.shape[:2])
 
 
 def partials_at(obj, stack, t_axis, states) -> np.ndarray:
     """Slot-partials at every point of a stack as P[j, k, w, :]; shape (J, n+1, m, dim)."""
-    _check_dim(obj, stack)
-    return slot_major(obj.partials_batch(*flatten(stack, t_axis, states)), stack.shape)
+    points, bound = bind_at(obj, stack, t_axis, states)
+    return slot_major(bound.partials(points), stack.shape)
 
 
 def slot_major(partials: np.ndarray, shape) -> np.ndarray:
@@ -107,21 +115,27 @@ class PointLayout:
     grid rows and its time table, one entry per (row, column), each column
     consecutive rows; its point buffer and (t, w) table are built once, with
     every state of a column side by side, and the objective is bound to the
-    table once (_Objective.bind).  values and partials write a (time, state,
-    dim) series' points into the buffer and make one call of the bound
-    objective; a series that is not finite, or whose jets inside the table
-    are not, is refused as a path is."""
+    table once (_Objective.bind).  The buffer is slot-major, shape (n+1,
+    rows, K*m, dim): slot k of every point is one contiguous block, and the
+    bound objective gets the points as its read-only (N, n+1, dim) transpose,
+    which is not C-contiguous.  values and partials write a (time, state,
+    dim) series' points into the buffer (a jet's derivatives straight into
+    their slots) and make one call of the bound objective; a series that is
+    not finite, or whose jets inside the table are not, is refused as a
+    path is."""
 
     def __init__(self, obj, path: StochasticPath, index: np.ndarray, times: np.ndarray,
                  h=None, rows=slice(None)):
-        m, cells = path.space.m, index.size
+        m, slots = path.space.m, obj.order + 1
         self.obj, self._index, self._h, self._rows = obj, index, h, rows
-        self._stack = np.empty((len(index), index.shape[1] * m, obj.order + 1, path.dim))
-        # flattened as one (time, state) row per (row, column) of the table
-        self._points, t, w = flatten(
-            self._stack.reshape((cells, m) + self._stack.shape[2:]), times.reshape(cells),
-            np.arange(m))
-        self._bound = obj.bind(t, w)
+        self._slots = np.empty((slots, len(index), index.shape[1] * m, path.dim))
+        # one (time, state) point per (row, column, state) of the table; the
+        # partials come back in the point order of a (rows, K*m, n+1, dim) stack
+        self._shape = self._slots.shape[1:3] + (slots, path.dim)
+        self._points = self._slots.reshape(slots, -1, path.dim).transpose(1, 0, 2)
+        self._points.flags.writeable = False
+        self._bound = obj.bind(np.repeat(times.reshape(index.size), m),
+                               np.tile(np.arange(m), index.size))
 
     @classmethod
     def windows(cls, obj, path: StochasticPath, j_lo: int, j_hi: int) -> "PointLayout":
@@ -151,40 +165,42 @@ class PointLayout:
         return cls(obj, path, index, index * path.domain.h, path.domain.h, rows)
 
     def _fill(self, series: np.ndarray) -> np.ndarray:
-        n = self.obj.order
+        slots = self._slots
         if self._h is None:  # the windows j_lo..j_hi: one column
-            if not np.isfinite(series).all():
-                raise InputError("path values must all be finite")
+            _check_finite(series)
             first, count = int(self._index[0, 0]), len(self._index)
-            parts = [series[first + k : first + k + count] for k in range(n + 1)]
+            for k, slot in enumerate(slots):
+                slot[...] = series[first + k : first + k + count]
         else:
-            base = gather(series, self._index)
-            if not np.isfinite(base).all():
-                raise InputError("path values must all be finite")
+            slots[0] = gather(series, self._index)
+            if len(slots[0]) < 3:  # too short to differentiate: refused after this check
+                _check_finite(slots[0])
             with np.errstate(over="ignore", invalid="ignore"):  # non-finite jets raise below
-                parts = derivatives(base, self._h, n)
-            if not all(np.isfinite(d).all() for d in parts[1:]):
-                raise InputError("path values must all be finite")
-        for k, part in enumerate(parts):
-            self._stack[:, :, k] = part
-        _check_dim(self.obj, self._stack)
+                derivatives(slots[0], self._h, len(slots) - 1, out=slots[1:])
+            _check_finite(slots)
+        _check_dim(self.obj, slots)
         return self._points
 
     def _own(self, out: np.ndarray) -> np.ndarray:
         """out, copied when it is a view of the buffer the next series overwrites."""
         out = out[self._rows]
-        return out.copy() if np.may_share_memory(out, self._stack) else out
+        return out.copy() if np.may_share_memory(out, self._slots) else out
 
     def values(self, series: np.ndarray) -> np.ndarray:
         """Objective values at the series' points; shape (rows, K*m)."""
         points = self._fill(series)
-        return self._own(self._bound.values(points).reshape(self._stack.shape[:2]))
+        return self._own(self._bound.values(points).reshape(self._shape[:2]))
 
     def partials(self, series: np.ndarray) -> np.ndarray:
         """Slot-partials at the series' points as P[j, k, c, :] (column c
         holding state c % m of window column c // m); shape (rows, n+1, K*m, dim)."""
         points = self._fill(series)
-        return self._own(slot_major(self._bound.partials(points), self._stack.shape))
+        return self._own(slot_major(self._bound.partials(points), self._shape))
+
+
+def _check_finite(values: np.ndarray):
+    if not np.isfinite(values).all():
+        raise InputError("path values must all be finite")
 
 
 def window_partials(obj, path: StochasticPath, j_lo: int, j_hi: int) -> np.ndarray:
@@ -215,9 +231,10 @@ def expected_running_sum(path: StochasticPath, values: np.ndarray) -> np.ndarray
     return running_sum(path.domain, expectation(path.space, values.T))
 
 
-def momenta(P: np.ndarray, h: float) -> list[np.ndarray]:
-    """Ostrogradsky momenta [p_0, ..., p_n] of a time-major jet-partial
-    series P (slot k holds v_{k+1}), each shaped like P[:, 0]:
+def momenta(P: np.ndarray, h: float, last: int | None = None) -> list[np.ndarray]:
+    """Ostrogradsky momenta [p_0, ..., p_last] (through p_n by default) of a
+    time-major jet-partial series P (slot k holds v_{k+1}), each shaped like
+    P[:, 0]:
 
         p_k = v_{k+1} - (v_{k+2})' + ... + (-1)^(n-k) (v_{n+1})^(n-k).
 
@@ -230,7 +247,7 @@ def momenta(P: np.ndarray, h: float) -> list[np.ndarray]:
         # slot k is differentiated at most k times, in p_0
         chains = [derivatives(P[:, k], h, k) for k in range(n + 1)]
         out = []
-        for k in range(n + 1):
+        for k in range(n + 1 if last is None else last + 1):
             p = np.zeros(P[:, 0].shape)
             for s in range(n - k + 1):
                 p += (-1) ** s * chains[k + s][s]

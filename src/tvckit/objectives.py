@@ -54,7 +54,10 @@ class _Objective:
     signature returning a scalar or a (dim,) vector; values_batch and
     partials_batch loop over them.  Without either partials, partials_batch
     takes fd_partials of values_batch.  values_batch and partials_batch are
-    bind(t, w).values(points) and .partials(points).
+    bind(t, w).values(points) and .partials(points).  The engines pass the
+    batch functions a read-only view of a slot-major point buffer
+    (kernel.PointLayout), which is not C-contiguous: they read points and
+    neither write into it nor rely on its memory order.
     """
 
     order: int

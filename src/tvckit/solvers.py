@@ -18,7 +18,7 @@ import numpy as np
 from .core import StochasticPath
 from .errors import (DomainError, InputError, NumericalError, ToolkitError, UnsupportedError)
 from .euler import BoundaryMode
-from .kernel import (euler_rows, expected_running_sum, flatten, max_window_start,
+from .kernel import (bind_at, euler_rows, expected_running_sum, flatten, max_window_start,
                      objective_values, slot_major, values_at, window_stack)
 from .objectives import (ContinuousObjective, DiscreteObjective, fd_partials, rel_gap,
                          stack_samples, unresolved_fault)
@@ -407,7 +407,8 @@ def brute_force_solve(obj: DiscreteObjective, base: StochasticPath,
     values inside it (its footprint), so one batched objective call per slab
     scores each window once per combination of its footprint, and a slab's
     totals are the broadcast sum of those tables, the base windows first and
-    then by increasing window index.  The first strict maximum wins."""
+    then by increasing window index.  The objective is bound once per state
+    and slab size.  The first strict maximum wins."""
     free_indices = list(free_indices)
     if base.dim != 1:
         raise UnsupportedError("brute_force_solve handles scalar states only")
@@ -454,6 +455,7 @@ def brute_force_solve(obj: DiscreteObjective, base: StochasticPath,
             fixed_windows = values_w[np.asarray(fixed)[:, None] + np.arange(n + 1)]
             base_part = sum(values_at(obj, fixed_windows[:, None, :, None], fixed, [w])[:, 0])
         best_val, best_at, start = NEG_INF, None, 0
+        bounds = {}  # slab sizes -> the objective bound to their (t, w) table
         for lead in np.ndindex(shape[:s]):
             for a0 in range(0, shape[s], run):
                 axes = ([g[i : i + 1] for g, i in zip(grids, lead)] + [grids[s][a0 : a0 + run]]
@@ -462,7 +464,10 @@ def brute_force_solve(obj: DiscreteObjective, base: StochasticPath,
                           for j, foot in zip(touched, footprints)]
                 sizes = [table[..., 0].size for table in tables]
                 points = np.concatenate([table.reshape(-1, 1, n + 1, 1) for table in tables])
-                vals = values_at(obj, points, np.repeat(touched, sizes), [w])[:, 0]
+                key = tuple(sizes)
+                if key not in bounds:  # the first slab, and the last when it is short
+                    bounds[key] = bind_at(obj, points, np.repeat(touched, sizes), [w])[1]
+                vals = bounds[key].values(points[:, 0])
                 total, at = base_part, 0
                 for table, size in zip(tables, sizes):  # by increasing window index
                     total = total + vals[at : at + size].reshape(table.shape[:-1])

@@ -406,6 +406,42 @@ def _gradient(series, h, k):
     return series
 
 
+def layout_evaluation(obj, series, index, h, name):
+    """values (rows, K*m) or partials (rows, n+1, K*m, dim), by name, of a
+    kernel.PointLayout on a table of grid rows index (rows, K), one point at
+    a time in (row, column, state) order: the windows at the rows of its one
+    column when h is None, else the jets on each column's rows, each column
+    differentiated alone by np.gradient chains.  A series that is not
+    finite, or whose jets in the table are not, raises as a path does."""
+    n, (m, dim), (rows, columns) = obj.order, series.shape[1:], index.shape
+    if h is None:
+        _finite(series)
+        first = index[0, 0]
+        points = np.stack([series[first + k : first + k + rows] for k in range(n + 1)])[:, :, None]
+        times = index
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            points = np.stack([_gradient(series[index], h, k) for k in range(n + 1)])
+        _finite(points)
+        times = index * h
+    # points: (slot, row, column, state, dim)
+    out = np.empty((rows, columns * m) if name == "values" else (rows, n + 1, columns * m, dim))
+    for r in range(rows):
+        for c in range(columns):
+            for w in range(m):
+                point, t = points[:, r, c, w], times[r, c]
+                if name == "values":
+                    out[r, c * m + w] = obj.value(point, t, w)
+                else:
+                    out[r, :, c * m + w] = obj.partials_batch(point[None], [t], [w])[0]
+    return out
+
+
+def _finite(values):
+    if not np.isfinite(values).all():
+        raise InputError("path values must all be finite")
+
+
 def jet_partials(obj, path):
     """P along the path's jets, time-major; shape (num_points, n+1, m, dim)."""
     return PointLayout.jets(obj, path).partials(path.values)

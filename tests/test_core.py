@@ -188,22 +188,31 @@ class TestTimeAxis:
 
     @given(seed=st.integers(0, 2**32 - 1), points=st.integers(3, 60), m=st.integers(1, 3),
            dim=st.integers(1, 2), k=st.integers(0, 4), slot=st.integers(-1, 2),
-           h=st.floats(1e-4, 10.0))
+           h=st.floats(1e-4, 10.0), into=st.sampled_from([None, "slots", "interleaved"]))
     @settings(max_examples=150, deadline=None, derandomize=True)
-    def test_derivatives_are_gradient_bits(self, seed, points, m, dim, k, slot, h):
+    def test_derivatives_are_gradient_bits(self, seed, points, m, dim, k, slot, h, into):
         """Each pass is np.gradient(edge_order=2)'s arithmetic: the same bits
         and the same memory order, on contiguous series and on slot views
-        P[:, k] of a (time, slot, state, dim) stack (slot -1)."""
+        P[:, k] of a (time, slot, state, dim) stack (slot -1).  Passes
+        written into a given buffer have the same bits, whether its slots
+        are contiguous blocks (a slot-major (k, time, state, dim) buffer) or
+        strided views of a time-major one."""
         rng = np.random.default_rng(seed)
         P = rng.normal(size=(points, 3, m, dim)) * 10.0 ** rng.integers(-4, 5, size=(1, 3, m, 1))
         x = P[:, 0].copy() if slot < 0 else P[:, slot]
         want = [x]
         for _ in range(k):
             want.append(np.gradient(want[-1], h, axis=0, edge_order=2))
-        got = derivatives(x, h, k)
+        out = {None: None, "slots": np.full((k,) + x.shape, np.nan),
+               "interleaved": np.full((points, k, m, dim), np.nan).transpose(1, 0, 2, 3)}[into]
+        got = derivatives(x, h, k, out=out)
         assert len(got) == k + 1 and got[0] is x
-        for g, w in zip(got[1:], want[1:]):
-            assert np.array_equal(g, w) and g.strides == w.strides
+        for i, (g, w) in enumerate(zip(got[1:], want[1:])):
+            assert np.array_equal(g, w)
+            if out is None:
+                assert g.strides == w.strides
+            else:  # pass i + 1 is slot i of the buffer
+                assert g.__array_interface__ == out[i].__array_interface__
 
     def test_derivatives_need_three_points(self):
         assert len(derivatives(np.ones(2), 0.5, 0)) == 1

@@ -9,6 +9,8 @@ per-point twin of each objective: the builtins' per-point formulas and the
 DSL interpreter, so the numpy formulas are held to them too.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 import reference
 import tvckit as tk
+from test_objectives import _described
 from tvckit import kernel
 from tvckit.errors import InputError, ToolkitError
 from tvckit.solvers import _layout, _residuals
@@ -314,6 +317,80 @@ def test_tvc_bracket_work_count(monkeypatch):
     assert points == [(1 + len(truncations)) * (2 * (2 * obj.order - 1) + 1) * space.m]
 
 
+def _recording(obj, seen):
+    """obj with its batch functions wrapped to record, at each call, whether
+    the points are writeable, whether more than one are C-contiguous and
+    whether each slot points[:, k] is."""
+    def wrap(fn):
+        def recorded(points, t, w):
+            seen.append((points.flags.writeable, points.flags.c_contiguous and len(points) > 1,
+                         all(points[:, k].flags.c_contiguous for k in range(points.shape[1]))))
+            return fn(points, t, w)
+        return recorded
+    return dataclasses.replace(obj, batch_eval_fn=wrap(obj.batch_eval_fn),
+                               batch_partials_fn=wrap(obj.batch_partials_fn))
+
+
+@pytest.mark.parametrize("kind", ["windows", "jets", "jet_windows-1", "jet_windows-3"])
+@pytest.mark.parametrize("broken", [None, "nan", "overflow"])
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 3))
+@settings(max_examples=8, deadline=None, derandomize=True)
+def test_layout_hands_out_slot_blocks(kind, broken, seed, m):
+    """The bound objective gets a layout's points as a read-only view that
+    is not C-contiguous, each slot points[:, k] one C-contiguous block, on
+    windows, jets and jet windows (one column or three).  values and
+    partials are the per-point evaluation's bits (tests/reference.py), -inf
+    walls and DomainErrors included, and a series with a NaN or an
+    overflowing jet in the table raises the same error with the same text."""
+    rng = np.random.default_rng(seed)
+    space, points = _space(rng, m), int(rng.integers(8, 30))
+    if kind == "windows":  # c = y0 + y1 - y2 <= 0 somewhere: a wall
+        obj = tk.household_log(0.9, 2, zero_head=False)
+        domain = tk.TimeDomain.discrete(points - 1)
+        j_lo = int(rng.integers(0, points - 3))
+        j_hi = int(rng.integers(j_lo, points - 2))
+        index, h = np.arange(j_lo, j_hi + 1)[:, None], None
+    else:  # ln(x0) is -inf at x0 <= 0
+        obj = tk.dsl_continuous_objective("ln(x0) + a * x1 + x2 ^ 2 / 2", 2,
+                                          _constants(rng, m, "a"))
+        domain = tk.TimeDomain.continuous((points - 1) * 0.05, 0.05)
+        h = domain.h
+        index = (np.arange(points)[:, None] if kind == "jets" else
+                 kernel.jet_windows(points, 3, rng.integers(0, points, size=int(kind[-1]))))
+    values = rng.uniform(-0.3, 1.5, size=(points, m, 1))
+    path = tk.StochasticPath(domain, space, values)
+    series = values.copy()
+    row, state = int(index[rng.integers(len(index)), rng.integers(index.shape[1])]), rng.integers(m)
+    if broken == "nan":
+        series[row, state] = np.nan
+    elif broken == "overflow":  # finite values whose differences overflow
+        series[row, state], series[row - 1 if row else 1, state] = 1.7e308, -1.7e308
+    for name in ("values", "partials"):
+        seen = []
+        recorded = _recording(obj, seen)
+        layout = (kernel.PointLayout.windows(recorded, path, j_lo, j_hi) if kind == "windows"
+                  else kernel.PointLayout.jet_windows(recorded, path, index))
+        with np.errstate(over="ignore"):  # household's c = y0 + y1 - y2 may overflow
+            got = _described(lambda: getattr(layout, name)(series))
+            want = _described(lambda: reference.layout_evaluation(obj, series, index, h, name))
+        assert got == want, (name, got[:1] + got[2:], want[:1] + want[2:])
+        assert set(seen) <= {(False, False, True)}
+        assert seen or got[0] == "raised"
+
+
+def test_short_grid_refuses_a_non_finite_series_first():
+    """On a grid too short to differentiate, a jet layout refuses a series
+    that is not finite before it refuses the grid, as the path would be."""
+    obj = tk.quadlin_continuous(tk.QuadLinParams((1.0,), (0.5,), (0.2,)))
+    path = tk.StochasticPath(tk.TimeDomain.continuous(0.5, 0.5), tk.SampleSpace((1.0,)),
+                             [[1.0], [2.0]])
+    layout = kernel.PointLayout.jets(obj, path)
+    with pytest.raises(InputError, match="path values must all be finite"):
+        layout.values(np.array([[[1.0]], [[np.inf]]]))
+    with pytest.raises(InputError, match="at least 3 grid points, got 2"):
+        layout.values(path.values)
+
+
 # (name -> builder(rng, m) returning (objective, domain kind, path level, path
 # slope)): a path level + slope * t + noise, walled where the objective is
 # -inf; "view" objectives return a view of the points they are given
@@ -451,6 +528,24 @@ def test_newton_binds_once_per_layout(monkeypatch):
     _, rep = tk.newton_euler_solve(obj, spec)
     assert rep.converged and rep.iterations == (24, 22)
     assert calls == {"bind": 1 + 2, "_layout": 2}
+    assert discount.powers == calls["bind"]
+
+
+def test_brute_force_binds_once_per_slab_size(monkeypatch):
+    """brute_force_solve binds the objective once per state and slab size:
+    41^3 combinations run in slabs of 9, 9, 9, 9 and 5 values of the first
+    grid, so two binds per state, plus objective_value's; every window
+    touches a free index, so no base-part bind.  household takes discount**t
+    once per bind."""
+    calls = {"bind": 0}
+    discount = _CountingFloat(0.9)
+    discount.powers = 0
+    obj = tk.household_log(discount, 2)
+    _count_calls(monkeypatch, calls, tk.objectives._Objective, "bind")
+    base = tk.StochasticPath.constant(tk.TimeDomain.discrete(6), tk.SampleSpace((0.5, 0.5)), 1.0)
+    tk.brute_force_solve(obj, base, [2, 3, 4], [np.linspace(0.5, 1.5, 41)] * 3)
+    assert tk.solvers.BRUTE_FORCE_CHUNK // 41**2 == 9
+    assert calls == {"bind": 2 * 2 + 1}
     assert discount.powers == calls["bind"]
 
 
