@@ -73,6 +73,18 @@ def expectation(space: SampleSpace, z):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def as_index(value, what: str) -> int:
+    """A discrete time index: an integer, or a float with an integral value;
+    anything else raises InputError naming the value."""
+    try:
+        index = int(value)
+    except (TypeError, ValueError, OverflowError):
+        index = None
+    if index is None or index != value:
+        raise InputError(f"{what}={value} is not an integer")
+    return index
+
+
 @dataclass(frozen=True)
 class TimeDomain:
     """Discrete index set 0..t_max, or a uniform continuous grid t_k = k*h."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PerturbationCurve, StochasticPath, _check_same_shape, perturb
+from .core import PerturbationCurve, StochasticPath, _check_same_shape, as_index, perturb
 from .errors import HorizonError, InputError, NumericalError, UnsupportedError
 from .kernel import expected_running_sum, max_window_start, objective_layout, values_at
 from .objectives import ContinuousObjective
@@ -99,11 +99,15 @@ def a_grid(obj, path: StochasticPath, curve: PerturbationCurve,
     formed in one buffer.
     """
     _check_same_shape(path, curve)
+    if not len(eps_grid):
+        raise InputError("eps grid is empty")
+    if tprime_grid is not None and not len(tprime_grid):
+        raise InputError("T' grid is empty")
     if path.domain.kind == "discrete":
         last = max_window_start(path, obj.order)
         if tprime_grid is None:
             tprime_grid = _default_tprime_grid_discrete(curve, last)
-        tprime_grid = [int(t) for t in tprime_grid]
+        tprime_grid = [as_index(t, "T'") for t in tprime_grid]
         if max(tprime_grid) > last:
             raise HorizonError(f"T'={max(tprime_grid)} beyond the last full window {last}")
         if min(tprime_grid) < 0:
@@ -299,7 +303,7 @@ def domination_check(obj, path: StochasticPath, curve: PerturbationCurve,
         raise UnsupportedError("domination_check covers discrete objectives; "
                                "sample the induced jets for continuous models")
     eps_grid = tuple(eps_bar * 10.0 ** (-k) for k in range(DOMINATION_N_EPS))
-    times = [int(t) for t in sample_times]
+    times = [as_index(t, "sample time") for t in sample_times]
     if not times:
         return DominationReport((), eps_grid, "bounded on tested grid")
     paths = [path] + [perturb(path, curve, eps) for eps in eps_grid]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import STENCIL_REACH, StochasticPath, expectation
+from .core import STENCIL_REACH, StochasticPath, as_index, expectation
 from .errors import HorizonError, InputError, NumericalError, UnsupportedError
 from .kernel import (PointLayout, euler_rows, jet_windows, max_window_start, momenta,
                      window_partials)
@@ -74,10 +74,9 @@ def discrete_euler_residual(obj: DiscreteObjective, path: StochasticPath, t: int
     A non-finite row raises, as in euler_report.
     """
     n = obj.order
+    t = as_index(t, "t")
     last = max_window_start(path, n)
-    if j_max is None:
-        j_max = last
-    j_max = min(j_max, last)
+    j_max = last if j_max is None else min(as_index(j_max, "j_max"), last)
     j_lo = max(0, t - n)
     j_hi = min(t, j_max)
     if j_hi < j_lo:

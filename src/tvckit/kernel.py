@@ -47,7 +47,9 @@ def flatten(stack, t_axis, states):
     once per state, the states repeated once per time."""
     grid = stack.shape[:2]
     points = stack.reshape((grid[0] * grid[1],) + stack.shape[2:])
-    t = np.repeat(np.asarray(t_axis), grid[1])
+    t = np.asarray(t_axis)
+    # np.repeat copies one element at a time, slow where a copy would do
+    t = np.repeat(t, grid[1]) if grid[1] > 1 else t.copy()
     return points, t, np.repeat(np.asarray(states)[None], grid[0], axis=0).reshape(-1)
 
 
@@ -71,12 +73,6 @@ def values_at(obj, stack, t_axis, states) -> np.ndarray:
     """Objective values at every point of a stack; shape (J, m)."""
     points, bound = bind_at(obj, stack, t_axis, states)
     return bound.values(points).reshape(stack.shape[:2])
-
-
-def partials_at(obj, stack, t_axis, states) -> np.ndarray:
-    """Slot-partials at every point of a stack as P[j, k, w, :]; shape (J, n+1, m, dim)."""
-    points, bound = bind_at(obj, stack, t_axis, states)
-    return slot_major(bound.partials(points), stack.shape)
 
 
 def slot_major(partials: np.ndarray, shape) -> np.ndarray:

@@ -372,6 +372,19 @@ def _quadlin(params: QuadLinParams, cls, name: str):
     they save (measured on 10 002-point continuous layouts)."""
     A, B, G = (np.asarray(v) for v in (params.alpha, params.beta, params.gamma))
 
+    def gathered(fn):
+        """fn, where a gather at a state past the parameters raises InputError:
+        the IndexError is caught, so a call in range pays nothing."""
+        def call(points, t, w):
+            try:
+                return fn(points, t, w)
+            except IndexError:
+                if np.max(w) < len(A):
+                    raise
+                raise InputError(f"{name} has parameters for {len(A)} states, "
+                                 f"none for state {int(np.max(w))}") from None
+        return call
+
     # overflow passes without a warning: callers test finiteness
     def ev_batch(points, t, w):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -385,7 +398,8 @@ def _quadlin(params: QuadLinParams, cls, name: str):
         out[:, 2, 0] = G[w]
         return out
 
-    return cls(order=2, name=name, batch_eval_fn=ev_batch, batch_partials_fn=partials_batch)
+    return cls(order=2, name=name, batch_eval_fn=gathered(ev_batch),
+               batch_partials_fn=gathered(partials_batch))
 
 
 def quadlin_continuous(params: QuadLinParams) -> ContinuousObjective:
@@ -423,7 +437,12 @@ def household_log(discount: float, n: int, zero_head: bool = True) -> DiscreteOb
         raise InputError("lag order n must be >= 1")
 
     def bind(t, w):
-        growth = discount**t
+        # one power per time 0..max(t) where that table is no longer than t
+        # (every layout's table), else one per point: the same pow either way
+        if t.dtype.kind in "iu" and t.size and t.min() >= 0 and (top := t.max()) < t.size:
+            growth = (discount ** np.arange(top + 1))[t]
+        else:
+            growth = discount**t
         live = t > n - 1 if zero_head else None  # the rows zero_head keeps
 
         def values(points):

@@ -384,15 +384,37 @@ class BruteForceResult:
     grid_resolution: float               # largest grid spacing over all free variables
 
 
-def _footprint_windows(window, foot, axes):
-    """A window's values at every combination of the free values it reads;
-    foot maps grid axis -> slot.  Axis a of the result spans axes[a] where
-    the window reads it and has length 1 elsewhere; shape (..., n+1)."""
-    table = np.empty(tuple(len(g) if a in foot else 1 for a, g in enumerate(axes)) + window.shape)
-    table[...] = window
-    for a, k in foot.items():
-        table[..., k] = axes[a].reshape((-1,) + (1,) * (len(axes) - 1 - a))
-    return table
+def _slab_points(obj, values_w, touched, footprints, axes, w):
+    """The point buffer of a slab spanning the grid axes `axes` in state w,
+    slot-major as a PointLayout's: one block per touched window of shape
+    (n+1, ...), whose axis 1+a spans axes[a] where the window reads it (its
+    footprint maps axis -> slot) and has length 1 elsewhere, its pinned and
+    free slots written (_write_free).  Returns (points, blocks, the objective
+    bound to the buffer's (t, w) table); points is the buffer's read-only
+    (N, n+1, 1) transpose."""
+    n = obj.order
+    shapes = [tuple(len(g) if a in foot else 1 for a, g in enumerate(axes)) for foot in footprints]
+    sizes = [math.prod(shape) for shape in shapes]
+    slots, blocks, at = np.empty((n + 1, sum(sizes))), [], 0
+    for j, foot, shape, size in zip(touched, footprints, shapes, sizes):
+        block = slots[:, at : at + size].reshape((n + 1,) + shape)
+        for k in set(range(n + 1)) - set(foot.values()):
+            block[k] = values_w[j + k]
+        blocks.append(block)
+        at += size
+    _write_free(blocks, footprints, axes, len(axes) - 1)
+    points, bound = bind_at(obj, slots.T[:, None, :, None], np.repeat(touched, sizes), [w])
+    points.flags.writeable = False
+    return points, blocks, bound
+
+
+def _write_free(blocks, footprints, axes, last):
+    """Each block's free slots reading axes 0..last: slot k of a window
+    reading axis a spans axes[a]."""
+    for block, foot in zip(blocks, footprints):
+        for a, k in foot.items():
+            if a <= last:
+                block[k] = axes[a].reshape((-1,) + (1,) * (len(axes) - 1 - a))
 
 
 def brute_force_solve(obj: DiscreteObjective, base: StochasticPath,
@@ -407,8 +429,10 @@ def brute_force_solve(obj: DiscreteObjective, base: StochasticPath,
     values inside it (its footprint), so one batched objective call per slab
     scores each window once per combination of its footprint, and a slab's
     totals are the broadcast sum of those tables, the base windows first and
-    then by increasing window index.  The objective is bound once per state
-    and slab size.  The first strict maximum wins."""
+    then by increasing window index.  Each state and slab size has one point
+    buffer, holding those tables side by side, and one bind of the
+    objective; a slab writes its free values into the buffer in place.  The
+    first strict maximum wins."""
     free_indices = list(free_indices)
     if base.dim != 1:
         raise UnsupportedError("brute_force_solve handles scalar states only")
@@ -455,22 +479,22 @@ def brute_force_solve(obj: DiscreteObjective, base: StochasticPath,
             fixed_windows = values_w[np.asarray(fixed)[:, None] + np.arange(n + 1)]
             base_part = sum(values_at(obj, fixed_windows[:, None, :, None], fixed, [w])[:, 0])
         best_val, best_at, start = NEG_INF, None, 0
-        bounds = {}  # slab sizes -> the objective bound to their (t, w) table
+        slabs = {}  # slab length -> its point buffer, blocks and bound objective
         for lead in np.ndindex(shape[:s]):
             for a0 in range(0, shape[s], run):
                 axes = ([g[i : i + 1] for g, i in zip(grids, lead)] + [grids[s][a0 : a0 + run]]
                         + grids[s + 1:])
-                tables = [_footprint_windows(values_w[j : j + n + 1], foot, axes)
-                          for j, foot in zip(touched, footprints)]
-                sizes = [table[..., 0].size for table in tables]
-                points = np.concatenate([table.reshape(-1, 1, n + 1, 1) for table in tables])
-                key = tuple(sizes)
-                if key not in bounds:  # the first slab, and the last when it is short
-                    bounds[key] = bind_at(obj, points, np.repeat(touched, sizes), [w])[1]
-                vals = bounds[key].values(points[:, 0])
+                length = len(axes[s])
+                if length not in slabs:  # the first slab, and the last when it is short
+                    slabs[length] = _slab_points(obj, values_w, touched, footprints, axes, w)
+                else:  # the grids after axis s are in place already
+                    _write_free(slabs[length][1], footprints, axes, s)
+                points, blocks, bound = slabs[length]
+                vals = bound.values(points)
                 total, at = base_part, 0
-                for table, size in zip(tables, sizes):  # by increasing window index
-                    total = total + vals[at : at + size].reshape(table.shape[:-1])
+                for block in blocks:  # by increasing window index
+                    size = block[0].size
+                    total = total + vals[at : at + size].reshape(block.shape[1:])
                     at += size
                 total = total.reshape(-1)
                 i = int(np.argmax(total))  # the slab's first maximum

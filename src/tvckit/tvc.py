@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (STENCIL_REACH, PerturbationCurve, StochasticPath, _check_same_shape,
-                   derivatives, expectation, smoothstep_quintic)
+                   as_index, derivatives, expectation, smoothstep_quintic)
 from .errors import DomainError, HorizonError, InputError, NumericalError, UnsupportedError
 from .kernel import (PointLayout, euler_rows, expected_running_sum, gather, jet_windows,
                      max_window_start, momenta, objective_layout, objective_values, tail_terms,
@@ -56,6 +56,7 @@ def discrete_tvc_tail(obj: DiscreteObjective, path: StochasticPath,
     """
     _check_same_shape(path, q)
     n = obj.order
+    tprime = as_index(tprime, "T'")
     _check_truncation(tprime, n)
     if tprime + n > path.domain.t_max:
         raise HorizonError(f"T'={tprime} needs values through index {tprime + n}")
@@ -67,8 +68,8 @@ def discrete_tvc_tail(obj: DiscreteObjective, path: StochasticPath,
 
 
 def _check_truncation(tprime: int, n: int):
-    if tprime < n - 1:
-        raise HorizonError(f"T'={tprime} below the first admissible truncation {n - 1}")
+    if tprime < max(n - 1, 0):
+        raise HorizonError(f"T'={tprime} below the first admissible truncation {max(n - 1, 0)}")
 
 
 def _suffix_extrema(values: np.ndarray):
@@ -222,6 +223,9 @@ def truncated_objective(obj: DiscreteObjective, path: StochasticPath,
                         tprime: int) -> float:
     """sum_{t=0}^{T'} E V(window(path, t)); an expected sum of -inf raises a
     domain error naming the first such t."""
+    tprime = as_index(tprime, "T'")
+    if tprime < 0:
+        raise HorizonError(f"T'={tprime} is below 0")
     return _truncated_sum(path, objective_values(obj, path, tprime))
 
 
@@ -241,8 +245,8 @@ def variation_decomposition_check(obj: DiscreteObjective, path: StochasticPath,
     expected objective and its Euler-rows + tail decomposition, all read
     from one layout of the windows 0..T'."""
     n = obj.order
-    if tprime is None:
-        tprime = max_window_start(path, n)
+    tprime = max_window_start(path, n) if tprime is None else as_index(tprime, "T'")
+    _check_truncation(tprime, n)
     _check_same_shape(path, q)
     eps = DECOMPOSITION_EPS
     layout = objective_layout(obj, path, tprime)
@@ -254,7 +258,6 @@ def variation_decomposition_check(obj: DiscreteObjective, path: StochasticPath,
     P = layout.partials(path.values)
     weighted = np.sum(euler_rows(P)[: tprime + 1] * q.values[: tprime + 1], axis=2)
     rows_total = float(expected_running_sum(path, weighted)[-1])
-    _check_truncation(tprime, n)
     first = max(0, tprime - n + 1)  # the windows the tail reads, as in discrete_tvc_tail
     tail = float(expectation(path.space, tail_terms(P[first:], q.values, [tprime], first)[0]))
     return abs(direct - (rows_total + tail))

@@ -40,7 +40,8 @@ from tvckit.euler import max_window_start
 from tvckit.expr import Call, Const, Neg, Var, parse_source, symbolic_partial
 from tvckit.objectives import (FD_AGREEMENT, FD_STEPS, GRADIENT_REL_TOL,
                                GradientCheckReport, _as_point)
-from tvckit.kernel import PointLayout, euler_rows, partials_at, values_at, window_stack
+from tvckit.kernel import (PointLayout, bind_at, euler_rows, slot_major, values_at,
+                           window_stack)
 from tvckit.solvers import JAC_FD_STEP, BruteForceResult, CorrespondenceReport, NewtonReport
 
 NEG_INF = float("-inf")
@@ -633,6 +634,12 @@ def fd_jacobian(residual, u):
         um[col] -= h
         jac[:, col] = (residual(up) - residual(um)) / (2.0 * h)
     return jac
+
+
+def partials_at(obj, stack, t_axis, states):
+    """Slot-partials at every point of a stack as P[j, k, w, :]; shape (J, n+1, m, dim)."""
+    points, bound = bind_at(obj, stack, t_axis, states)
+    return slot_major(bound.partials(points), stack.shape)
 
 
 def trial_residuals(obj, values_w, U, t_lo, n, w):

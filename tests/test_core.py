@@ -1,5 +1,9 @@
 import ast
 import math
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +13,7 @@ from hypothesis import strategies as st
 
 import tvckit as tk
 from tvckit.core import GRID_BUDGET, derivatives, running_sum
-from tvckit.errors import HorizonError, InputError, UnsupportedError
+from tvckit.errors import HorizonError, InputError, ToolkitError, UnsupportedError
 
 
 class TestSampleSpace:
@@ -309,6 +313,78 @@ def test_table_work_stays_in_bind():
                   and ast.unparse(node.left) == "discount") == {"household_log.bind"}
     assert _sites(expr, lambda node: isinstance(node, ast.Call)
                   and ast.unparse(node.func) == "constant_at") == {"_build_objective.bind"}
+
+
+def test_library_never_imports_scipy():
+    """scipy is not a declared dependency: importing the library and its CLI
+    loads no scipy module, and no library file imports it."""
+    code = ("import sys, tvckit, tvckit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(tk.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "[]"
+    root = Path(tk.__file__).resolve().parent
+    importing = [f.name for f in root.glob("*.py")
+                 if re.search(r"^\s*(import|from)\s+scipy\b", f.read_text(), re.MULTILINE)]
+    assert importing == []
+
+
+_DOM, _SPACE = tk.TimeDomain.discrete(12), tk.SampleSpace((0.5, 0.5))
+_PATH = tk.StochasticPath.constant(_DOM, _SPACE, 1.0)
+_CURVE = tk.eventually_constant_curve(_DOM, _SPACE, 1, 1.0)
+_CDOM = tk.TimeDomain.continuous(1.0, 0.1)
+_ONE_STATE = tk.QuadLinParams((1.0,), (0.5,), (0.25,))
+_HOUSEHOLD = tk.household_log(0.9, 2, zero_head=False)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: tk.euler_report(tk.quadlin_discrete(_ONE_STATE), _PATH), InputError,
+     "parameters for 1 states, none for state 1"),
+    (lambda: tk.euler_report(tk.quadlin_continuous(_ONE_STATE),
+                             tk.StochasticPath.constant(_CDOM, _SPACE, 1.0)), InputError,
+     "none for state 1"),
+    (lambda: tk.a_grid(tk.quadlin_discrete(_ONE_STATE), _PATH, _CURVE), InputError,
+     "none for state 1"),
+    (lambda: tk.truncated_objective(_HOUSEHOLD, _PATH, -1), HorizonError, "T'=-1"),
+    (lambda: tk.truncated_objective(_HOUSEHOLD, _PATH, 2.5), InputError, "T'=2.5"),
+    (lambda: tk.variation_decomposition_check(_HOUSEHOLD, _PATH, _CURVE, -1), HorizonError,
+     "T'=-1"),
+    (lambda: tk.variation_decomposition_check(_HOUSEHOLD, _PATH, _CURVE, 4.5), InputError,
+     "T'=4.5"),
+    (lambda: tk.discrete_tvc_tail(_HOUSEHOLD, _PATH, _CURVE, 2.5), InputError, "T'=2.5"),
+    (lambda: tk.discrete_euler_residual(_HOUSEHOLD, _PATH, 2.5), InputError, "t=2.5"),
+    (lambda: tk.discrete_euler_residual(_HOUSEHOLD, _PATH, 3, 2.5), InputError, "j_max=2.5"),
+    (lambda: tk.a_grid(_HOUSEHOLD, _PATH, _CURVE, tprime_grid=[]), InputError, "T' grid"),
+    (lambda: tk.a_grid(_HOUSEHOLD, _PATH, _CURVE, eps_grid=()), InputError, "eps grid"),
+    (lambda: tk.a_grid(_HOUSEHOLD, _PATH, _CURVE, tprime_grid=[2.2, 2.7, 4, 5]), InputError,
+     "T'=2.2"),
+    (lambda: tk.domination_check(_HOUSEHOLD, _PATH, _CURVE, 0.1, [2.5]), InputError,
+     "sample time=2.5"),
+], ids=["euler-quadlin-state", "euler-quadlin-continuous-state", "a_grid-quadlin-state",
+        "truncated-negative", "truncated-fractional", "decomposition-negative",
+        "decomposition-fractional", "tail-fractional", "residual-fractional",
+        "residual-fractional-j_max", "a_grid-empty-tprimes", "a_grid-empty-eps",
+        "a_grid-fractional-tprime", "domination-fractional-time"])
+def test_entry_points_raise_toolkit_errors(call, error, match):
+    """Bad inputs to the public entry points raise the ToolkitError of their
+    kind, never a bare IndexError or ValueError."""
+    with pytest.raises(ToolkitError, match=re.escape(match)) as caught:
+        call()
+    assert type(caught.value) is error
+
+
+def test_integral_float_indices_read_as_integers():
+    q = _CURVE
+    assert tk.discrete_tvc_tail(_HOUSEHOLD, _PATH, q, 3.0) == tk.discrete_tvc_tail(
+        _HOUSEHOLD, _PATH, q, 3)
+    assert (tk.discrete_euler_residual(_HOUSEHOLD, _PATH, 3.0, 5.0)
+            == tk.discrete_euler_residual(_HOUSEHOLD, _PATH, 3, 5)).all()
+    assert tk.truncated_objective(_HOUSEHOLD, _PATH, 4.0) == tk.truncated_objective(
+        _HOUSEHOLD, _PATH, 4)
+    assert tk.domination_check(_HOUSEHOLD, _PATH, q, 0.1, [3.0]) == tk.domination_check(
+        _HOUSEHOLD, _PATH, q, 0.1, [3])
 
 
 class TestPerturbationCurve:

@@ -130,6 +130,88 @@ class TestHousehold:
             assert (np.abs(got - want) <= REL * np.maximum(1.0, np.abs(want))).all()
 
 
+class _PowerSizes(float):
+    """A discount that records the number of exponents of each power taken of it."""
+
+    def __pow__(self, other):
+        self.sizes.append(np.size(other))
+        return float(self) ** other
+
+
+def _time_table(kind, rng, m):
+    """(t, w) of one kind of time table."""
+    if kind == "windows":  # PointLayout.windows: each window's time once per state
+        j_lo = int(rng.integers(0, 6))
+        t = np.repeat(np.arange(j_lo, j_lo + int(rng.integers(1, 30))), m)
+        return t, np.tile(np.arange(m), len(t) // m)
+    if kind == "brute-force":  # one block per touched window, one state
+        touched = np.sort(rng.choice(8, size=int(rng.integers(1, 5)), replace=False))
+        t = np.repeat(touched, rng.integers(1, 40, size=len(touched)))
+        return t, np.full(len(t), int(rng.integers(0, m)))
+    size = int(rng.integers(1, 80))
+    t = {"unsorted": lambda: rng.integers(0, size, size),
+         "negative": lambda: rng.integers(-6, size, size),
+         "floats": lambda: rng.integers(0, size, size).astype(float),
+         "sparse-huge": lambda: np.array([10**7])}[kind]()
+    return t, rng.integers(0, m, len(t))
+
+
+@given(seed=st.integers(0, 2**32 - 1), discount=st.floats(0.05, 0.999), n=st.integers(1, 4),
+       m=st.integers(1, 3), zero_head=st.booleans(),
+       kind=st.sampled_from(["windows", "brute-force", "unsorted", "negative", "floats",
+                             "sparse-huge"]))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_household_bind_is_per_point(seed, discount, n, m, zero_head, kind):
+    """household_log bound to any time table (one power per distinct time
+    when the table allows it) gives each point the bits of the same
+    objective bound to that point alone, where the power is taken per
+    point, and takes one power per bind, of no more exponents than points.
+    Against the per-point formula of tests/reference.py: the same -inf
+    points and DomainError text, values and partials within REL (numpy's
+    vectorised pow and log may round apart from libm's)."""
+    rng = np.random.default_rng(seed)
+    t, w = _time_table(kind, rng, m)
+    power = _PowerSizes(discount)
+    power.sizes = []
+    obj, twin = tk.household_log(power, n, zero_head), reference.household_log(discount, n,
+                                                                                 zero_head)
+    bound = obj.bind(t, w)
+    assert len(power.sizes) == 1 and power.sizes[0] <= len(t)
+    points = rng.uniform(0.1, 1.5, size=(len(t), n + 1, 1))
+    near = rng.random(len(t)) < 1 / 3  # on, next to or past the wall
+    points[near, n, 0] = (points[near, :n, 0].sum(axis=1)
+                          - rng.choice([-1e-9, 0.0, 1e-12, 1e-3], near.sum()))
+    live = rng.uniform(0.5, 1.5, size=points.shape)
+    live[:, n, 0] = rng.uniform(0.1, 0.4, size=len(t))  # consumption > 0
+    values, partials = bound.values(points), bound.partials(live)
+    alone = [obj.bind(t[i : i + 1], w[i : i + 1]) for i in range(len(t))]
+    assert values.tobytes() == np.concatenate(
+        [b.values(points[i : i + 1]) for i, b in enumerate(alone)]).tobytes()
+    assert partials.tobytes() == np.concatenate(
+        [b.partials(live[i : i + 1]) for i, b in enumerate(alone)]).tobytes()
+
+    times, states = t.tolist(), w.tolist()
+    for p, ti, wi, value in zip(points, times, states, values):
+        want = twin.value(p, ti, wi)
+        assert value == want or abs(value - want) <= REL * max(1.0, abs(want))
+    for p, ti, wi, got in zip(live, times, states, partials[:, :, 0]):
+        want = np.array([fn(p, ti, wi) for fn in twin.partial_fns])
+        assert (np.abs(got - want) <= REL * np.maximum(1.0, np.abs(want))).all()
+    first = None
+    for p, ti, wi in zip(points, times, states):
+        try:
+            [fn(p, ti, wi) for fn in twin.partial_fns]
+        except DomainError as exc:
+            first = str(exc)
+            break
+    if first is None:
+        assert bound.partials(points).shape == points.shape
+    else:
+        with pytest.raises(DomainError) as got:
+            bound.partials(points)
+        assert str(got.value) == first
+
+
 class TestPartialSlot:
     def test_fd_matches_analytic(self, quadlin_d):
         rng = np.random.default_rng(7)

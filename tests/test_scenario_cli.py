@@ -308,6 +308,23 @@ class TestCliExitCodes:
         assert main(["assume", "--scenario", str(f), "--assert-uniform",
                      "--quiet"]) == 1
 
+    @pytest.mark.parametrize("grid, value", [([2.5, 3, 4, 5], 2.5), ([2.2, 2.7, 4, 5], 2.2),
+                                             ([2.0, 3, 4, 5], None)])
+    def test_assume_discrete_fractional_tprime(self, tmp_path, capsys, grid, value):
+        """A fractional discrete T' is refused by name (it was truncated to an
+        integer); an integral float is read as that integer."""
+        data = json.loads((SCENARIOS / "discrete-counterexample.json").read_text())
+        data["diagnostics"] = {"tprime_grid": grid}
+        f, out = tmp_path / "s.json", tmp_path / "r.json"
+        f.write_text(json.dumps(data))
+        code = main(["assume", "--scenario", str(f), "--out", str(out)])
+        if value is None:
+            assert code == 0
+            assert json.loads(out.read_text())["assume"]["tprime_grid"] == [2, 3, 4, 5]
+        else:
+            assert code == 2
+            assert capsys.readouterr().err == f"input error: T'={value} is not an integer\n"
+
     @pytest.mark.parametrize("start, slope, code, verdict", [
         (1.0, -0.3, 0, "INCONCLUSIVE"),  # the base path reaches the ln wall at t = 10/3
         (-1.0, 1.0, 3, None),            # the base path starts behind the wall
