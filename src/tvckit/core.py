@@ -325,11 +325,12 @@ def running_sum(domain: TimeDomain, series) -> np.ndarray:
     """Running sums of a per-time series along axis 0: the partial sums over
     windows on a discrete domain (from +0.0), the cumulative trapezoid rule
     (0 at t = 0) on a continuous one.  Every sum over time in the toolkit is
-    taken here."""
+    taken here; an overflow passes without a warning, for callers to test."""
     e = np.asarray(series, dtype=float)
-    if domain.kind == "discrete":
-        return np.cumsum(e, axis=0) + 0.0
-    steps = np.cumsum((e[1:] + e[:-1]) * 0.5 * domain.h, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if domain.kind == "discrete":
+            return np.cumsum(e, axis=0) + 0.0
+        steps = np.cumsum((e[1:] + e[:-1]) * 0.5 * domain.h, axis=0)
     return np.concatenate([np.zeros((1,) + e.shape[1:]), steps])
 
 

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PerturbationCurve, StochasticPath, _check_same_shape, as_index, perturb
+from .core import PerturbationCurve, StochasticPath, _check_same_shape, as_index
 from .errors import HorizonError, InputError, NumericalError, UnsupportedError
-from .kernel import expected_running_sum, max_window_start, objective_layout, values_at
+from .kernel import PointLayout, expected_running_sum, max_window_start, objective_layout
 from .objectives import ContinuousObjective
 
 DIVERGES = "DIVERGES"
@@ -126,19 +126,19 @@ def a_grid(obj, path: StochasticPath, curve: PerturbationCurve,
     base = layout.values(path.values)
     base_wall = np.isneginf(base)
     moved = np.empty(path.values.shape)  # path + eps * curve, one eps at a time
-    for ie, eps in enumerate(eps_grid):
-        np.multiply(eps, curve.values, out=moved)
-        shifted = layout.values(np.add(path.values, moved, out=moved))
-        with np.errstate(invalid="ignore"):  # -inf - -inf at walled times
+    with np.errstate(over="ignore", invalid="ignore"):  # -inf - -inf at walls; cells diverge
+        for ie, eps in enumerate(eps_grid):
+            np.multiply(eps, curve.values, out=moved)
+            shifted = layout.values(np.add(path.values, moved, out=moved))
             diff = shifted - base
-        wall = base_wall | np.isneginf(shifted)
-        walled = wall.any(axis=1) if wall.any() else None  # reduced per time only at a wall
-        if walled is not None:
-            diff[walled] = 0.0
-        values[:, ie] = expected_running_sum(path, diff)[idx] / eps
-        status[~np.isfinite(values[:, ie]), ie] = STATUS_DIVERGING
-        if walled is not None:
-            status[np.maximum.accumulate(walled)[idx], ie] = STATUS_DOMAIN_ERROR
+            wall = base_wall | np.isneginf(shifted)
+            walled = wall.any(axis=1) if wall.any() else None  # reduced per time only at a wall
+            if walled is not None:
+                diff[walled] = 0.0
+            values[:, ie] = expected_running_sum(path, diff)[idx] / eps
+            status[~np.isfinite(values[:, ie]), ie] = STATUS_DIVERGING
+            if walled is not None:
+                status[np.maximum.accumulate(walled)[idx], ie] = STATUS_DOMAIN_ERROR
     if (status == STATUS_DOMAIN_ERROR).all():
         raise NumericalError("every diagnostic cell hit the -inf domain boundary")
     return DiagnosticMatrix(tuple(eps_grid), tuple(tprime_grid), values, status)
@@ -169,12 +169,6 @@ def _growth(tprimes, Y):
     stderr = np.sqrt(np.sum(resid**2, axis=1) / max(len(x) - 2, 1) / sxx)
     tol = 1e-12 * np.maximum(1.0, np.max(np.abs(Y), axis=1)) / max(1.0, float(x[-1] - x[0]))
     return slope, stderr, slope > 10.0 * stderr + tol
-
-
-def growth_slope(tprimes, col):
-    """Fitted linear growth slope of A(., eps) in T' and its divergence flag."""
-    slope, stderr, diverges = _growth(tprimes, np.asarray(col, dtype=float)[None])
-    return float(slope[0]), float(stderr[0]), bool(diverges[0])
 
 
 def _richardson_eps(eps_asc, vals_asc):
@@ -294,8 +288,8 @@ def domination_check(obj, path: StochasticPath, curve: PerturbationCurve,
     On a finite state set the dominated-convergence hypothesis reduces to this
     boundedness; the sup is reported as a candidate envelope, never asserted as
     a proof.  An entry whose window is -inf at the base path or at any eps is
-    flagged instead.  One batched call evaluates every sampled window of the
-    base path and of each perturbed path.
+    flagged instead.  The sampled windows are one PointLayout, evaluated by
+    one values call for the base path and one for each base + eps * curve.
     """
     if eps_bar <= 0.0:
         raise InputError("eps_bar must be positive")
@@ -306,10 +300,10 @@ def domination_check(obj, path: StochasticPath, curve: PerturbationCurve,
     times = [as_index(t, "sample time") for t in sample_times]
     if not times:
         return DominationReport((), eps_grid, "bounded on tested grid")
-    paths = [path] + [perturb(path, curve, eps) for eps in eps_grid]
-    windows = np.stack([p.window(t, obj.order).swapaxes(0, 1) for p in paths for t in times])
-    vals = values_at(obj, windows, times * len(paths), np.arange(path.space.m))
-    vals = vals.reshape(len(paths), len(times), path.space.m)
+    _check_same_shape(path, curve)
+    layout = PointLayout.windows(obj, path, np.array([times]))
+    series = [path.values] + [path.values + eps * curve.values for eps in eps_grid]
+    vals = np.stack([layout.values(s) for s in series]).reshape(len(series), len(times), -1)
     base, shifted = vals[0], vals[1:]
     flagged = np.isneginf(vals).any(axis=0)
     with np.errstate(invalid="ignore"):  # -inf - -inf on flagged entries

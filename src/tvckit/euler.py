@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import STENCIL_REACH, StochasticPath, as_index, expectation
+from .core import StochasticPath, as_index, expectation
 from .errors import HorizonError, InputError, NumericalError, UnsupportedError
-from .kernel import (PointLayout, euler_rows, jet_windows, max_window_start, momenta,
-                     window_partials)
+from .kernel import PointLayout, euler_rows, max_window_start, momenta, window_partials
 from .objectives import ContinuousObjective, DiscreteObjective
 
 DEFAULT_TOL_ANALYTIC = 1e-8
@@ -65,30 +64,27 @@ class EulerReport:
         return self.verdict == "STATIONARY"
 
 
-def discrete_euler_residual(obj: DiscreteObjective, path: StochasticPath, t: int,
-                            j_max: int | None = None) -> np.ndarray:
+def discrete_euler_residual(obj: DiscreteObjective, path: StochasticPath, t: int) -> np.ndarray:
     """Row t of the stationarity system, per state; shape (m, dim).
 
-    Sum over window starts j in [max(0, t-n), min(t, j_max)] of the slot-(t-j)
-    partial of V at window j.  j_max defaults to the last window on the grid.
-    A non-finite row raises, as in euler_report.
+    Sum over window starts j in [max(0, t-n), min(t, last window)] of the
+    slot-(t-j) partial of V at window j.  A non-finite row raises, as in
+    euler_report.
     """
-    n = obj.order
-    t = as_index(t, "t")
-    last = max_window_start(path, n)
-    j_max = last if j_max is None else min(as_index(j_max, "j_max"), last)
-    j_lo = max(0, t - n)
-    j_hi = min(t, j_max)
+    n, t = obj.order, as_index(t, "t")
+    j_lo, j_hi = max(0, t - n), min(t, max_window_start(path, n))
     if j_hi < j_lo:
         raise HorizonError(f"no window touches index t={t} within the grid")
-    return _finite(euler_rows(window_partials(obj, path, j_lo, j_hi))[t - j_lo])
+    return _checked_rows(window_partials(obj, path, j_lo, j_hi), t - j_lo)
 
 
-def _finite(residuals: np.ndarray) -> np.ndarray:
-    """Discrete residual rows, refused when any is not finite."""
-    if not np.isfinite(residuals).all():
+def _checked_rows(P: np.ndarray, picked) -> np.ndarray:
+    """Rows `picked` of kernel.euler_rows(P), refused when any is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row raises below
+        rows = euler_rows(P)[picked]
+    if not np.isfinite(rows).all():
         raise NumericalError("objective partials produced a non-finite residual")
-    return residuals
+    return rows
 
 
 def admissible_indices(path: StochasticPath, n: int, mode: BoundaryMode) -> range:
@@ -103,41 +99,23 @@ def admissible_indices(path: StochasticPath, n: int, mode: BoundaryMode) -> rang
 def continuous_euler_residual_series(obj: ContinuousObjective,
                                      path: StochasticPath) -> np.ndarray:
     """Residual sampled on the whole grid; shape (num_points, m, dim)."""
-    return _continuous_rows(obj, path, np.arange(path.num_points)[:, None], slice(None))
-
-
-def _continuous_rows(obj, path: StochasticPath, index: np.ndarray, rows) -> np.ndarray:
-    """Rows `rows` of the residual p_0 on the jets of the windows of a table
-    of grid rows (kernel.jet_windows), each window differentiated on its
-    own; refused when any is not finite."""
     if path.domain.kind != "continuous":
         raise UnsupportedError("continuous residuals need a continuous domain")
-    P = PointLayout.jet_windows(obj, path, index).partials(path.values)
-    out = momenta(P, path.domain.h, last=0)[0][rows]
+    P = PointLayout.jets(obj, path).partials(path.values)
+    out = momenta(P, path.domain.h, last=0)[0]
     if not np.isfinite(out).all():
         raise NumericalError("derivative stencil produced a non-finite residual")
     return out
 
 
-def _residual_reach(n: int) -> int:
-    """Grid rows on each side of a row that its residual reads: n passes of
-    core.derivatives for the jets' n-th derivatives, then n more for p_0's
-    (v_{n+1})^(n) (kernel.momenta)."""
-    return STENCIL_REACH * 2 * n
-
-
 def continuous_euler_residual(obj: ContinuousObjective, path: StochasticPath,
                               t: float) -> np.ndarray:
-    """Residual at a single grid time, per state; shape (m, dim): the whole
-    grid's row bit for bit, from the jets on one window of
-    2 _residual_reach(n) + 1 grid rows around it (kernel.jet_windows)."""
-    n = obj.order
-    idx = path.domain.index_of(t)
-    margin = n  # points needed on each side for the k-th difference stencils
-    if idx < margin or idx > path.num_points - 1 - margin:
+    """Residual at a single grid time, per state; shape (m, dim): the row of
+    continuous_euler_residual_series."""
+    n, idx = obj.order, path.domain.index_of(t)
+    if idx < n or idx > path.num_points - 1 - n:  # n points on each side for the stencils
         raise InputError(f"t={t} too close to the grid edges for order {n} stencils")
-    index = jet_windows(path.num_points, _residual_reach(n), [idx])
-    return _continuous_rows(obj, path, index, idx - index[0, 0])
+    return continuous_euler_residual_series(obj, path)[idx]
 
 
 def euler_report(obj, path: StochasticPath, mode: BoundaryMode | None = None,
@@ -148,8 +126,8 @@ def euler_report(obj, path: StochasticPath, mode: BoundaryMode | None = None,
     if isinstance(obj, DiscreteObjective):
         idxs = admissible_indices(path, obj.order, mode)
         j_lo = max(0, idxs.start - obj.order)  # earlier windows touch no admissible row
-        rows = euler_rows(window_partials(obj, path, j_lo, idxs.stop - 1))
-        residuals = _finite(rows[idxs.start - j_lo : idxs.stop - j_lo])
+        residuals = _checked_rows(window_partials(obj, path, j_lo, idxs.stop - 1),
+                                 slice(idxs.start - j_lo, idxs.stop - j_lo))
         default_tol = DEFAULT_TOL_ANALYTIC if obj.has_analytic_partials else DEFAULT_TOL_FD
         indices = np.arange(idxs.start, idxs.stop)
     else:

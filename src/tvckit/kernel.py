@@ -2,10 +2,11 @@
 reductions the engines build from it.
 
 One batched call of the objective covers every (window, state) pair of a
-discrete path or every (time, state) pair of a continuous one, or of the
-windows of a continuous path that an engine reads, placed by a PointLayout
-that paths moved along a curve reuse.  Slot-partials
-come back as one tensor P[j, k, w, :] (window or time j, slot k, state w).
+discrete path that an engine reads or every (time, state) pair of a
+continuous one, or of the windows of a continuous path that an engine
+reads, placed by a PointLayout that paths moved along a curve reuse.
+Slot-partials come back as one tensor P[j, k, w, :] (window or time j,
+slot k, state w).
 Discrete: an Euler row is a clipped diagonal sum of P, and the tail at a
 truncation T' is the rows past T' of the windows up to T'.  Continuous: the
 Euler residual and the boundary coefficients are the momenta of P.
@@ -42,15 +43,19 @@ def _check_windows(n: int, j_lo: int, j_hi: int, count: int):
         raise HorizonError(f"windows [{j_lo}, {j_hi + n}] fall off the grid 0..{count - 1}")
 
 
-def flatten(stack, t_axis, states):
-    """(points, t, w) of a stack, window- or time-major: each time repeated
-    once per state, the states repeated once per time."""
-    grid = stack.shape[:2]
-    points = stack.reshape((grid[0] * grid[1],) + stack.shape[2:])
-    t = np.asarray(t_axis)
+def _point_table(times, states):
+    """(t, w) of the points of a time table and a state list: each time
+    repeated once per state, the states repeated once per time."""
+    times, states = np.asarray(times).reshape(-1), np.asarray(states)
     # np.repeat copies one element at a time, slow where a copy would do
-    t = np.repeat(t, grid[1]) if grid[1] > 1 else t.copy()
-    return points, t, np.repeat(np.asarray(states)[None], grid[0], axis=0).reshape(-1)
+    t = np.repeat(times, len(states)) if len(states) > 1 else times.copy()
+    return t, np.repeat(states[None], len(times), axis=0).reshape(-1)
+
+
+def flatten(stack, t_axis, states):
+    """(points, t, w) of a stack, window- or time-major (_point_table)."""
+    points = stack.reshape((stack.shape[0] * stack.shape[1],) + stack.shape[2:])
+    return (points,) + _point_table(t_axis, states)
 
 
 def _check_dim(obj, stack):
@@ -105,20 +110,20 @@ def jet_windows(count: int, reach: int, rows) -> np.ndarray:
 
 class PointLayout:
     """Where an objective is evaluated along the paths of one domain, sample
-    space and dimension: the windows j_lo..j_hi (PointLayout.windows), the
-    jets at every grid time (PointLayout.jets) or the jets on a stack of
-    equal-width windows (PointLayout.jet_windows).  A layout is a table of
-    grid rows and its time table, one entry per (row, column), each column
-    consecutive rows; its point buffer and (t, w) table are built once, with
-    every state of a column side by side, and the objective is bound to the
-    table once (_Objective.bind).  The buffer is slot-major, shape (n+1,
-    rows, K*m, dim): slot k of every point is one contiguous block, and the
-    bound objective gets the points as its read-only (N, n+1, dim) transpose,
-    which is not C-contiguous.  values and partials write a (time, state,
-    dim) series' points into the buffer (a jet's derivatives straight into
-    their slots) and make one call of the bound objective; a series that is
-    not finite, or whose jets inside the table are not, is refused as a
-    path is."""
+    space and dimension: the windows starting at a table of grid rows
+    (PointLayout.windows), the jets at every grid time (PointLayout.jets) or
+    the jets on a stack of equal-width windows (PointLayout.jet_windows).  A
+    layout is a table of grid rows and its time table, one entry per (row,
+    column), each column consecutive rows; its point buffer and (t, w) table
+    are built once, with every state of a column side by side, and the
+    objective is bound to the table once (_Objective.bind).  The buffer is
+    slot-major, shape (n+1, rows, K*m, dim): slot k of every point is one
+    contiguous block, and the bound objective gets the points as its
+    read-only (N, n+1, dim) transpose, which is not C-contiguous.  values
+    and partials write a (time, state, dim) series' points into the buffer
+    (a jet's derivatives straight into their slots) and make one call of the
+    bound objective; a series that is not finite, or whose jets inside the
+    table are not, is refused as a path is."""
 
     def __init__(self, obj, path: StochasticPath, index: np.ndarray, times: np.ndarray,
                  h=None, rows=slice(None)):
@@ -130,16 +135,15 @@ class PointLayout:
         self._shape = self._slots.shape[1:3] + (slots, path.dim)
         self._points = self._slots.reshape(slots, -1, path.dim).transpose(1, 0, 2)
         self._points.flags.writeable = False
-        self._bound = obj.bind(np.repeat(times.reshape(index.size), m),
-                               np.tile(np.arange(m), index.size))
+        self._bound = obj.bind(*_point_table(times, np.arange(m)))
 
     @classmethod
-    def windows(cls, obj, path: StochasticPath, j_lo: int, j_hi: int) -> "PointLayout":
-        """The windows j_lo..j_hi of every state; rows j_lo..j_hi."""
+    def windows(cls, obj, path: StochasticPath, index: np.ndarray) -> "PointLayout":
+        """The windows of every state starting at a table of grid rows (rows,
+        K), each column running up from its row 0 one row at a time."""
         if path.domain.kind != "discrete":
             raise UnsupportedError("windows are defined on discrete domains only")
-        _check_windows(obj.order, j_lo, j_hi, path.num_points)
-        index = np.arange(j_lo, j_hi + 1)[:, None]
+        _check_windows(obj.order, min(index[0]), max(index[-1]), path.num_points)
         return cls(obj, path, index, index)
 
     @classmethod
@@ -162,11 +166,10 @@ class PointLayout:
 
     def _fill(self, series: np.ndarray) -> np.ndarray:
         slots = self._slots
-        if self._h is None:  # the windows j_lo..j_hi: one column
+        if self._h is None:  # windows: slot k of the window at row j is row j + k
             _check_finite(series)
-            first, count = int(self._index[0, 0]), len(self._index)
-            for k, slot in enumerate(slots):
-                slot[...] = series[first + k : first + k + count]
+            for k in range(len(slots)):
+                slots[k] = gather(series[k:], self._index)
         else:
             slots[0] = gather(series, self._index)
             if len(slots[0]) < 3:  # too short to differentiate: refused after this check
@@ -201,7 +204,8 @@ def _check_finite(values: np.ndarray):
 
 def window_partials(obj, path: StochasticPath, j_lo: int, j_hi: int) -> np.ndarray:
     """P over windows j_lo..j_hi; shape (J, n+1, m, dim)."""
-    return PointLayout.windows(obj, path, j_lo, j_hi).partials(path.values)
+    index = np.arange(j_lo, j_hi + 1)[:, None]
+    return PointLayout.windows(obj, path, index).partials(path.values)
 
 
 def objective_layout(obj, path: StochasticPath, last: int | None = None) -> PointLayout:
@@ -209,8 +213,8 @@ def objective_layout(obj, path: StochasticPath, last: int | None = None) -> Poin
     type: the windows of a discrete objective (through the last full window
     by default), the jets of a continuous one (every grid time by default)."""
     if isinstance(obj, DiscreteObjective):
-        return PointLayout.windows(obj, path, 0, max_window_start(path, obj.order)
-                                   if last is None else last)
+        last = max_window_start(path, obj.order) if last is None else last
+        return PointLayout.windows(obj, path, np.arange(last + 1)[:, None])
     if isinstance(obj, ContinuousObjective):
         return PointLayout.jets(obj, path, last)
     raise UnsupportedError(f"unsupported objective type {type(obj).__name__}")

@@ -372,8 +372,11 @@ def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
 def objective_value(obj, path: StochasticPath) -> float:
     """Total expected objective along the path: a sum over full windows in the
     discrete case, a trapezoid integral of the expected sampled value in the
-    continuous case.  -inf is an admissible result; +inf is not."""
-    return float(expected_running_sum(path, objective_values(obj, path))[-1])
+    continuous case.  -inf is an admissible result; +inf is not, and raises."""
+    total = float(expected_running_sum(path, objective_values(obj, path))[-1])
+    if total == math.inf:
+        raise NumericalError("the expected objective sum overflowed to +inf")
+    return total
 
 
 @dataclass(frozen=True)

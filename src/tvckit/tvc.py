@@ -8,6 +8,7 @@ sequence and a finite-horizon caveat flag next to its verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,9 +16,9 @@ import numpy as np
 from .core import (STENCIL_REACH, PerturbationCurve, StochasticPath, _check_same_shape,
                    as_index, derivatives, expectation, smoothstep_quintic)
 from .errors import DomainError, HorizonError, InputError, NumericalError, UnsupportedError
-from .kernel import (PointLayout, euler_rows, expected_running_sum, gather, jet_windows,
-                     max_window_start, momenta, objective_layout, objective_values, tail_terms,
-                     window_partials)
+from .euler import _checked_rows
+from .kernel import (PointLayout, expected_running_sum, gather, jet_windows, max_window_start,
+                     momenta, objective_layout, objective_values, tail_terms, window_partials)
 from .objectives import ContinuousObjective, DiscreteObjective
 
 DEFAULT_TOL_TVC_ANALYTIC = 1e-8
@@ -61,10 +62,21 @@ def discrete_tvc_tail(obj: DiscreteObjective, path: StochasticPath,
     if tprime + n > path.domain.t_max:
         raise HorizonError(f"T'={tprime} needs values through index {tprime + n}")
     first = max(0, tprime - n + 1)  # slot 0 of a window never reaches past T'
-    tail = tail_terms(window_partials(obj, path, first, tprime), q.values, [tprime], first)[0]
-    if not np.isfinite(tail).all():
+    return _expected_tail(path, window_partials(obj, path, first, tprime), q, tprime, first)
+
+
+def _expected_tail(path: StochasticPath, P, q: PerturbationCurve, tprimes, first: int = 0):
+    """Expected tail (kernel.tail_terms), P[0] being window `first`: at the
+    truncations tprimes, or a float at the one truncation tprimes, an int.
+    A non-finite per-state tail raises."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite tail raises below
+        tails = tail_terms(P, q.values, np.atleast_1d(tprimes), first)
+    if not np.isfinite(tails).all():
         raise NumericalError("objective partials produced a non-finite tail")
-    return float(expectation(path.space, tail))
+    # one truncation's own (m,) operand: expectation's last bit depends on its shape
+    if isinstance(tprimes, int):
+        return float(expectation(path.space, tails[0]))
+    return expectation(path.space, tails.T)
 
 
 def _check_truncation(tprime: int, n: int):
@@ -72,17 +84,12 @@ def _check_truncation(tprime: int, n: int):
         raise HorizonError(f"T'={tprime} below the first admissible truncation {max(n - 1, 0)}")
 
 
-def _suffix_extrema(values: np.ndarray):
-    running_inf = np.minimum.accumulate(values[::-1])[::-1]
-    running_sup = np.maximum.accumulate(values[::-1])[::-1]
-    return running_inf, running_sup
-
-
 def _liminf_report(truncations, values, tol, kind) -> TvcReport:
     values = np.asarray(values, dtype=float)
     if len(values) < MIN_TAIL_SAMPLES:
         raise HorizonError(f"need at least {MIN_TAIL_SAMPLES} tail values, got {len(values)}")
-    running_inf, running_sup = _suffix_extrema(values)
+    running_inf = np.minimum.accumulate(values[::-1])[::-1]
+    running_sup = np.maximum.accumulate(values[::-1])[::-1]
     stable = len(values) - MIN_TAIL_SAMPLES  # largest T with >= 5 samples remaining
     liminf_estimate = float(running_inf[stable])
     limsup_estimate = float(running_sup[stable])
@@ -98,16 +105,12 @@ def tvc_liminf_discrete(obj: DiscreteObjective, path: StochasticPath,
                         q: PerturbationCurve, tolerance: float | None = None) -> TvcReport:
     """Tail values for every admissible T', running infima, liminf estimate."""
     _check_same_shape(path, q)
-    n = obj.order
-    last = max_window_start(path, n)
-    tprimes = range(max(n - 1, 0), last + 1)
-    tol = tolerance
-    if tol is None:
-        tol = DEFAULT_TOL_TVC_ANALYTIC if obj.has_analytic_partials else DEFAULT_TOL_TVC_FD
-    tails = tail_terms(window_partials(obj, path, 0, last), q.values, tprimes)
-    if not np.isfinite(tails).all():
-        raise NumericalError("objective partials produced a non-finite tail")
-    return _liminf_report(tprimes, expectation(path.space, tails.T), tol, "discrete")
+    first, last = max(obj.order - 1, 0), max_window_start(path, obj.order)
+    default = DEFAULT_TOL_TVC_ANALYTIC if obj.has_analytic_partials else DEFAULT_TOL_TVC_FD
+    tol = default if tolerance is None else tolerance
+    P = window_partials(obj, path, 0, last)
+    tails = _expected_tail(path, P, q, np.arange(first, last + 1))
+    return _liminf_report(range(first, last + 1), tails, tol, "discrete")
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +233,15 @@ def truncated_objective(obj: DiscreteObjective, path: StochasticPath,
 
 
 def _truncated_sum(path: StochasticPath, values: np.ndarray) -> float:
-    """truncated_objective from per-time values at times 0..T'."""
+    """truncated_objective from per-time values at times 0..T'; +inf raises."""
     sums = expected_running_sum(path, values)
     walled = np.isneginf(sums)
     if walled.any():
         raise DomainError(f"objective is -inf inside the truncated sum at t={int(np.argmax(walled))}")
-    return float(sums[-1]) if len(sums) else 0.0
+    total = float(sums[-1])
+    if total == math.inf:
+        raise NumericalError("the expected objective sum overflowed to +inf")
+    return total
 
 
 def variation_decomposition_check(obj: DiscreteObjective, path: StochasticPath,
@@ -256,8 +262,7 @@ def variation_decomposition_check(obj: DiscreteObjective, path: StochasticPath,
     if not isinstance(obj, DiscreteObjective):  # the layout holds jets
         raise UnsupportedError("windows are defined on discrete domains only")
     P = layout.partials(path.values)
-    weighted = np.sum(euler_rows(P)[: tprime + 1] * q.values[: tprime + 1], axis=2)
+    weighted = np.sum(_checked_rows(P, slice(tprime + 1)) * q.values[: tprime + 1], axis=2)
     rows_total = float(expected_running_sum(path, weighted)[-1])
     first = max(0, tprime - n + 1)  # the windows the tail reads, as in discrete_tvc_tail
-    tail = float(expectation(path.space, tail_terms(P[first:], q.values, [tprime], first)[0]))
-    return abs(direct - (rows_total + tail))
+    return abs(direct - (rows_total + _expected_tail(path, P[first:], q, tprime, first)))

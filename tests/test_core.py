@@ -289,6 +289,20 @@ def test_one_constant_fold():
     assert sites == {("expr", "_rewrite")}
 
 
+def test_paths_move_only_in_core():
+    """perturb and StochasticPath.window are called nowhere in the library
+    outside core.py: the engines read the windows of a moved path through a
+    kernel.PointLayout, the moved series formed in one array."""
+    sites = set()
+    for path in sorted(Path(tk.__file__).resolve().parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:  # a function, a class or a statement
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in (
+                        "perturb", "window"):
+                    sites.add((path.stem, getattr(top, "name", None)))
+    assert {site for site in sites if site[0] != "core"} == set()
+
+
 def _sites(tree, match, scope=()):
     """The dotted names of the innermost functions enclosing each node of
     tree that match(node) accepts ("" at module level)."""
@@ -355,18 +369,19 @@ _HOUSEHOLD = tk.household_log(0.9, 2, zero_head=False)
      "T'=4.5"),
     (lambda: tk.discrete_tvc_tail(_HOUSEHOLD, _PATH, _CURVE, 2.5), InputError, "T'=2.5"),
     (lambda: tk.discrete_euler_residual(_HOUSEHOLD, _PATH, 2.5), InputError, "t=2.5"),
-    (lambda: tk.discrete_euler_residual(_HOUSEHOLD, _PATH, 3, 2.5), InputError, "j_max=2.5"),
     (lambda: tk.a_grid(_HOUSEHOLD, _PATH, _CURVE, tprime_grid=[]), InputError, "T' grid"),
     (lambda: tk.a_grid(_HOUSEHOLD, _PATH, _CURVE, eps_grid=()), InputError, "eps grid"),
     (lambda: tk.a_grid(_HOUSEHOLD, _PATH, _CURVE, tprime_grid=[2.2, 2.7, 4, 5]), InputError,
      "T'=2.2"),
     (lambda: tk.domination_check(_HOUSEHOLD, _PATH, _CURVE, 0.1, [2.5]), InputError,
      "sample time=2.5"),
+    (lambda: tk.domination_check(_HOUSEHOLD, _PATH, _CURVE, 0.1, [3, 11]), HorizonError,
+     "windows [3, 13] fall off the grid 0..12"),
 ], ids=["euler-quadlin-state", "euler-quadlin-continuous-state", "a_grid-quadlin-state",
         "truncated-negative", "truncated-fractional", "decomposition-negative",
         "decomposition-fractional", "tail-fractional", "residual-fractional",
-        "residual-fractional-j_max", "a_grid-empty-tprimes", "a_grid-empty-eps",
-        "a_grid-fractional-tprime", "domination-fractional-time"])
+        "a_grid-empty-tprimes", "a_grid-empty-eps", "a_grid-fractional-tprime",
+        "domination-fractional-time", "domination-off-grid-time"])
 def test_entry_points_raise_toolkit_errors(call, error, match):
     """Bad inputs to the public entry points raise the ToolkitError of their
     kind, never a bare IndexError or ValueError."""
@@ -379,8 +394,8 @@ def test_integral_float_indices_read_as_integers():
     q = _CURVE
     assert tk.discrete_tvc_tail(_HOUSEHOLD, _PATH, q, 3.0) == tk.discrete_tvc_tail(
         _HOUSEHOLD, _PATH, q, 3)
-    assert (tk.discrete_euler_residual(_HOUSEHOLD, _PATH, 3.0, 5.0)
-            == tk.discrete_euler_residual(_HOUSEHOLD, _PATH, 3, 5)).all()
+    assert (tk.discrete_euler_residual(_HOUSEHOLD, _PATH, 3.0)
+            == tk.discrete_euler_residual(_HOUSEHOLD, _PATH, 3)).all()
     assert tk.truncated_objective(_HOUSEHOLD, _PATH, 4.0) == tk.truncated_objective(
         _HOUSEHOLD, _PATH, 4)
     assert tk.domination_check(_HOUSEHOLD, _PATH, q, 0.1, [3.0]) == tk.domination_check(

@@ -9,7 +9,7 @@ import reference
 import tvckit as tk
 import tvckit.diagnostics
 from tvckit.diagnostics import (DIVERGES, STATUS_DOMAIN_ERROR, STATUS_FINITE,
-                                DiagnosticMatrix, deviation_profile, growth_slope)
+                                DiagnosticMatrix, _growth, deviation_profile)
 from tvckit.errors import InputError, NumericalError, UnsupportedError
 
 TPRIMES = [12, 15, 20, 25, 30, 35, 40, 45]
@@ -62,6 +62,12 @@ class TestAGrid:
         q = tk.eventually_constant_curve(dom60, space, onset=1, value=1.0)
         with pytest.raises(tk.HorizonError):
             tk.a_grid(quadlin_d, path60, q, tprime_grid=[10, 59])
+
+
+def growth_slope(tprimes, col):
+    """diagnostics._growth of one row: its slope, stderr and divergence flag."""
+    slope, stderr, diverges = _growth(tprimes, np.asarray(col, dtype=float)[None])
+    return float(slope[0]), float(stderr[0]), bool(diverges[0])
 
 
 class TestGrowthDetection:

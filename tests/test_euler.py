@@ -32,10 +32,13 @@ class TestDiscreteResidual:
         assert r2[0, 0] == pytest.approx(
             params.gamma[0] + params.beta[0] + 2 * (0 - params.alpha[0]))
 
-    def test_j_max_clips_windows(self, quadlin_d, dom50, space, params):
+    def test_tail_clips_windows(self, quadlin_d, dom50, space, params):
+        # the tail at T'=3 reads row 5 over windows up to 3: only window 3
+        # remains; q is 1 at index 5 in state 0 and 0 elsewhere
         path = tk.StochasticPath.constant(dom50, space, 0.0)
-        r = tk.discrete_euler_residual(quadlin_d, path, 5, j_max=3)
-        assert r[0, 0] == pytest.approx(params.gamma[0])  # only window 3 remains
+        q = tk.compact_support_curve(dom50, space, 5, 5, [1.0, 0.0])
+        tail = tk.discrete_tvc_tail(quadlin_d, path, q, 3)
+        assert tail == pytest.approx(space.probs[0] * params.gamma[0])
 
     def test_fd_oracle_equivalence(self, quadlin_d, space):
         """Row t equals the central FD derivative of the window sum in y_t."""
@@ -70,7 +73,7 @@ class TestDiscreteResidual:
         dom = tk.TimeDomain.discrete(4)
         path = tk.StochasticPath.constant(dom, space, 1.0)
         with pytest.raises(HorizonError):
-            tk.discrete_euler_residual(quadlin_d, path, 5, j_max=1)
+            tk.discrete_euler_residual(quadlin_d, path, 5)
 
     def test_non_finite_row_raises(self, space):
         # the partials overflow to inf: a numerical failure, as in euler_report

@@ -133,7 +133,12 @@ def test_discrete_engines_match_reference(seed, case, horizon, m):
     assert_same_outcome(got, want)
     t = int(rng.integers(0, horizon + 1))
     j_max = int(rng.integers(max(0, t - n), last + 1))
-    assert_same_outcome(outcome(tk.discrete_euler_residual, obj, path, t, j_max),
+    assert_same_outcome(outcome(tk.discrete_euler_residual, obj, path, t),
+                        outcome(reference.discrete_euler_residual, ref, path, t))
+    # the row clipped at window j_max, as a tail reads it (kernel.tail_terms)
+    j_lo = max(0, t - n)
+    clipped = lambda: kernel.euler_rows(kernel.window_partials(obj, path, j_lo, min(t, j_max)))
+    assert_same_outcome(outcome(lambda: clipped()[t - j_lo]),
                         outcome(reference.discrete_euler_residual, ref, path, t, j_max))
     w = int(rng.integers(0, m))
     t_lo = int(rng.integers(0, last + 1))
@@ -368,7 +373,7 @@ def test_layout_hands_out_slot_blocks(kind, broken, seed, m):
     for name in ("values", "partials"):
         seen = []
         recorded = _recording(obj, seen)
-        layout = (kernel.PointLayout.windows(recorded, path, j_lo, j_hi) if kind == "windows"
+        layout = (kernel.PointLayout.windows(recorded, path, index) if kind == "windows"
                   else kernel.PointLayout.jet_windows(recorded, path, index))
         with np.errstate(over="ignore"):  # household's c = y0 + y1 - y2 may overflow
             got = _described(lambda: getattr(layout, name)(series))
@@ -500,6 +505,23 @@ def test_a_grid_work_count(case, monkeypatch):
         assert calls == {"bind": 2, "values": 3 + len(eps_grid), "partials": 1,
                          "__post_init__": 0}
     assert discount.powers == (calls["bind"] if case == "household" else 0)
+
+
+@pytest.mark.parametrize("case", ["household", "dsl-log", "quadlin"])
+def test_domination_work_count(case, monkeypatch):
+    """One domination_check call binds the objective once (its one
+    PointLayout of the sampled windows, repeated times included) and makes
+    one values call for the base and one per eps, and builds no path."""
+    calls = {"bind": 0, "values": 0, "partials": 0, "__post_init__": 0}
+    obj, path, q, _, _ = _a_grid_case(case, 7, 20, 2, False)
+    _count_calls(monkeypatch, calls, tk.objectives._Objective, "bind")
+    for name in ("values", "partials"):
+        _count_calls(monkeypatch, calls, tk.objectives.BoundObjective, name)
+    _count_calls(monkeypatch, calls, tk.StochasticPath, "__post_init__")
+    report = tk.domination_check(obj, path, q, 0.1, [9, 3, 9, 0])
+    assert len(report.entries) == 4 * path.space.m
+    assert calls == {"bind": 1, "values": 1 + tk.diagnostics.DOMINATION_N_EPS, "partials": 0,
+                     "__post_init__": 0}
 
 
 def test_newton_binds_once_per_layout(monkeypatch):

@@ -119,6 +119,15 @@ NAN, INF = float("nan"), float("inf")
 # a continuous objective whose partials and values overflow on a constant path
 _OVERFLOWING_JETS = {"objective": {"expr": "1e307 * x0 * x1 + 1e307 * x0 * x2"}, "order": 2,
                      "path": {"constant": 100.0}}
+# the partials are finite and the Euler rows that sum them overflow
+_OVERFLOWING_ROWS = {"objective": {"expr": "1e307 * y0 * y1 + 1e307 * y0 * y2"},
+                     "omega": {"probs": [1.0]}, "time": {"kind": "discrete", "t_max": 10},
+                     "path": {"constant": 5.0}}
+# the objective differences are finite and A(T', eps) overflows: diverging cells
+_OVERFLOWING_QUOTIENTS = {"objective": {"expr": "1e307 * y0 * y1"}, "order": 1,
+                          "time": {"kind": "discrete", "t_max": 10}, "path": {"constant": 3.0},
+                          "perturbation": {"kind": "eventually-constant", "onset": 2,
+                                           "value": 1.0}}
 COMMANDS = ("euler", "tvc", "assume", "solve", "correspond")
 
 
@@ -500,9 +509,12 @@ class TestCliExitCodes:
          "numerical failure: objective partials produced a non-finite residual\n"),
         ("continuous-counterexample", {"path": {"constant": 1e308},
                                        "time": {"kind": "continuous", "t_end": 1.0, "h": 0.1}},
-         ["euler"], 2, "input error: path values must all be finite\n")],
+         ["euler"], 2, "input error: path values must all be finite\n"),
+        ("discrete-counterexample", _OVERFLOWING_ROWS, ["euler"], 3,
+         "numerical failure: objective partials produced a non-finite residual\n"),
+        ("discrete-counterexample", _OVERFLOWING_QUOTIENTS, ["assume"], 0, "")],
         ids=("euler", "tvc", "assume", "quadlin-eps-grid", "quadlin-discrete-partials",
-             "quadlin-continuous-jets"))
+             "quadlin-continuous-jets", "discrete-rows", "discrete-quotients"))
     def test_overflow_stderr_is_the_error_line(self, tmp_path, capsys, stem, update, argv,
                                                code, line):
         # a formula, a stencil or the load-time gradient check's stencil

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,18 @@ class TestObjectiveValue:
         dom = tk.TimeDomain.continuous(1.0, 0.001)
         path = tk.StochasticPath.from_function(dom, space, lambda t, w: t)
         assert tk.objective_value(obj, path) == pytest.approx(0.5, abs=1e-6)
+
+    def test_pos_inf_total_raises(self):
+        # every window is 5e307, finite; their sum overflows to +inf, which
+        # is not admissible: a numerical failure, with no RuntimeWarning
+        obj = tk.dsl_discrete_objective("1e308 * y1 * y0 + 1e308 * y2 * y0", 2)
+        path = tk.StochasticPath.constant(tk.TimeDomain.discrete(10), tk.SampleSpace((1.0,)), 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for total in (lambda: tk.objective_value(obj, path),
+                          lambda: tk.truncated_objective(obj, path, 8)):
+                with pytest.raises(NumericalError, match=re.escape("overflowed to +inf")):
+                    total()
 
 
 class TestBruteForce:

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import reference
 import tvckit as tk
 from tvckit.core import running_sum
 from tvckit.errors import DomainError, HorizonError, InputError, NumericalError
@@ -68,7 +69,7 @@ class TestDiscreteTail:
                                            tprime)) / (2 * eps)
         rows = 0.0
         for t in range(tprime + 1):
-            r = tk.discrete_euler_residual(quadlin_d, path, t, j_max=tprime)
+            r = reference.discrete_euler_residual(quadlin_d, path, t, j_max=tprime)
             rows += tk.expectation(space, np.sum(r * q.values[t], axis=1))
         tail = tk.discrete_tvc_tail(quadlin_d, path, q, tprime)
         assert tail == pytest.approx(direct - rows, abs=1e-6)
@@ -208,6 +209,21 @@ class TestDecomposition:
         q = tk.eventually_constant_curve(dom, space, onset=2, value=0.1)
         gap = tk.variation_decomposition_check(household, path, q, tprime=10)
         assert gap <= 1e-5
+
+    def test_non_finite_rows_raise(self):
+        # the Euler rows overflow to +inf (the windows and their sums stay
+        # finite): the numerical failure euler_report raises, not the +inf
+        # input error of the expectation they would reach
+        obj = tk.dsl_discrete_objective("1e308 * y1 * y0 + 1e308 * y2 * y0", 2)
+        dom, space = tk.TimeDomain.discrete(4), tk.SampleSpace((1.0,))
+        path = tk.StochasticPath.constant(dom, space, 0.5)
+        q = tk.eventually_constant_curve(dom, space, onset=2, value=1.0)
+        for engine in (lambda: tk.variation_decomposition_check(obj, path, q),
+                       lambda: tk.euler_report(obj, path)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericalError, match="non-finite residual"):
+                    engine()
 
     def test_truncated_objective_domain_error(self, household, space):
         dom = tk.TimeDomain.discrete(8)
