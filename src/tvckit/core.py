@@ -39,6 +39,13 @@ class SampleSpace:
         total = math.fsum(probs)
         if abs(total - 1.0) > PROB_TOL:
             raise InputError(f"probabilities sum to {total!r}, expected 1")
+        weights = np.asarray(probs, dtype=float)
+        live = weights > 0.0
+        # built once: expectation's state mask and its (1, live) weight row
+        for name, value in (("_prob_array", weights), ("_live", live),
+                            ("_live_weights", weights[live].reshape(1, -1))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def m(self) -> int:
@@ -50,27 +57,30 @@ class SampleSpace:
 
     @property
     def prob_array(self) -> np.ndarray:
-        return np.asarray(self.probs, dtype=float)
+        """The probabilities as a read-only float array."""
+        return self._prob_array
 
 
 def expectation(space: SampleSpace, z):
     """Exact expectation: sum_w probs(w) * z(w) along the first axis of z.
 
     -inf entries with positive mass propagate to -inf; zero-mass states are
-    ignored entirely.  The sum is one BLAS product, whose last bit at an
-    entry can depend on the operand's length and memory order: a subset of
-    entries is the full operand's bit for bit only at its own positions in
-    an operand of the same shape and order.
+    ignored entirely; a +inf entry raises InputError.  The sum is one BLAS
+    product, made directly: the np.dot of the positive masses as a (1, k)
+    row with the C-ordered copy z[live] as a (k, rest) matrix, which is the
+    call np.tensordot(w, z, axes=(0, 0)) makes, without its Python-level
+    reshaping.  Its last bit at an entry can depend on the operand's length
+    and memory order: a subset of entries is the full operand's bit for bit
+    only at its own positions in an operand of the same shape and order.
     """
     z = np.asarray(z, dtype=float)
     if z.shape[:1] != (space.m,):
         raise InputError(f"random quantity has {z.shape[0] if z.ndim else 0} states, space has {space.m}")
-    if np.isposinf(z).any():
+    if (z == math.inf).any():
         raise InputError("+inf is not an admissible value")
-    w = space.prob_array
-    live = w > 0.0
-    out = np.tensordot(w[live], z[live], axes=(0, 0))
-    return float(out) if np.ndim(out) == 0 else out
+    live = z[space._live]
+    out = np.dot(space._live_weights, live.reshape(len(live), -1)).reshape(z.shape[1:])
+    return float(out) if out.ndim == 0 else out
 
 
 def as_index(value, what: str) -> int:

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PerturbationCurve, StochasticPath, _check_same_shape, as_index
+from .core import (PerturbationCurve, StochasticPath, _check_same_shape, as_index, expectation,
+                   running_sum)
 from .errors import HorizonError, InputError, NumericalError, UnsupportedError
-from .kernel import PointLayout, expected_running_sum, max_window_start, objective_layout
+from .kernel import PointLayout, max_window_start, objective_layout
 from .objectives import ContinuousObjective
 
 DIVERGES = "DIVERGES"
@@ -94,6 +95,9 @@ def a_grid(obj, path: StochasticPath, curve: PerturbationCurve,
     expected difference of the sampled objective along the jets by the
     trapezoid rule.  A time at which the base or the perturbed value is -inf
     in any state adds 0, and every cell from that time on is a domain error.
+    A difference that overflows to +inf in a state of positive mass adds
+    +inf to the expectation at its time, so the cells from that time on
+    diverge (NaN where a -inf difference meets it).
     The base and each base + eps * curve are evaluated on one
     kernel.objective_layout, one values call each, every perturbed path
     formed in one buffer.
@@ -124,18 +128,25 @@ def a_grid(obj, path: StochasticPath, curve: PerturbationCurve,
     status = np.full(values.shape, STATUS_FINITE, dtype=object)
     layout = objective_layout(obj, path, int(idx.max()))
     base = layout.values(path.values)
-    base_wall = np.isneginf(base)
+    base_wall = base == -np.inf
     moved = np.empty(path.values.shape)  # path + eps * curve, one eps at a time
     with np.errstate(over="ignore", invalid="ignore"):  # -inf - -inf at walls; cells diverge
         for ie, eps in enumerate(eps_grid):
             np.multiply(eps, curve.values, out=moved)
             shifted = layout.values(np.add(path.values, moved, out=moved))
             diff = shifted - base
-            wall = base_wall | np.isneginf(shifted)
+            wall = base_wall | (shifted == -np.inf)
             walled = wall.any(axis=1) if wall.any() else None  # reduced per time only at a wall
             if walled is not None:
                 diff[walled] = 0.0
-            values[:, ie] = expected_running_sum(path, diff)[idx] / eps
+            over = diff == np.inf
+            overflowed = (over & path.space._live).any(axis=1) if over.any() else None
+            if overflowed is not None:  # expectation refuses +inf: it is added to its sum instead
+                diff[over] = 0.0
+            sums = expectation(path.space, diff.T)
+            if overflowed is not None:
+                sums[overflowed] += np.inf
+            values[:, ie] = running_sum(path.domain, sums)[idx] / eps
             status[~np.isfinite(values[:, ie]), ie] = STATUS_DIVERGING
             if walled is not None:
                 status[np.maximum.accumulate(walled)[idx], ie] = STATUS_DOMAIN_ERROR
@@ -305,7 +316,7 @@ def domination_check(obj, path: StochasticPath, curve: PerturbationCurve,
     series = [path.values] + [path.values + eps * curve.values for eps in eps_grid]
     vals = np.stack([layout.values(s) for s in series]).reshape(len(series), len(times), -1)
     base, shifted = vals[0], vals[1:]
-    flagged = np.isneginf(vals).any(axis=0)
+    flagged = (vals == -np.inf).any(axis=0)
     with np.errstate(invalid="ignore"):  # -inf - -inf on flagged entries
         quotients = np.abs(shifted - base) / np.asarray(eps_grid)[:, None, None]
         # growth: strictly increasing toward small eps without saturation

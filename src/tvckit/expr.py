@@ -536,7 +536,8 @@ def _build_objective(source: str, order: int, constants: dict, continuous: bool)
             return out
 
         def values(points):
-            return np.broadcast_to(compiled(env(points)), len(points))
+            out = compiled(env(points))
+            return out if out.ndim else np.broadcast_to(out, len(points))
 
         def partials(points):
             at = env(points)

@@ -255,8 +255,8 @@ def fd_partials(obj: _Objective, points: np.ndarray, t: np.ndarray, w: np.ndarra
 def _fd_or_raise(obj, points, t, w) -> np.ndarray:
     """fd_partials at points where the objective must be finite and every entry resolved."""
     f0 = obj.values_batch(points, t, w)
-    if np.isneginf(f0).any():
-        i = int(np.argmax(np.isneginf(f0)))
+    if (f0 == NEG_INF).any():
+        i = int(np.argmax(f0 == NEG_INF))
         raise DomainError(f"objective is -inf at the evaluation point (t={t[i]}, state {w[i]})")
     out, unresolved = fd_partials(obj, points, t, w)
     if unresolved.any():
@@ -325,7 +325,7 @@ def gradient_check(obj: _Objective, points: Sequence) -> GradientCheckReport:
     if not obj.has_analytic_partials:
         raise InputError("gradient_check needs analytic partials to compare against")
     points, t, w = stack_samples(obj, points, obj.order + 1)
-    live = ~np.isneginf(obj.values_batch(points, t, w))
+    live = obj.values_batch(points, t, w) != NEG_INF
     checked = int(live.sum())
     if checked == 0:
         return GradientCheckReport(math.nan, 0, len(live), "INCONCLUSIVE", GRADIENT_REL_TOL)

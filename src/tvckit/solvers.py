@@ -255,14 +255,14 @@ def newton_euler_solve(obj: DiscreteObjective, spec: SolveSpec):
 
     windows, times = window_stack(out, n, 0, T), np.arange(T + 1)
     try:
-        walled = np.isneginf(values_at(obj, windows, times, np.arange(m))).any(axis=0).tolist()
+        walled = (values_at(obj, windows, times, np.arange(m)) == NEG_INF).any(axis=0).tolist()
     except ToolkitError:
         walled = None  # the objective raised on some guess: check state by state
     failure, going = None, np.arange(m)  # states iterating
     for s in range(m):
         try:
             if (walled[s] if walled is not None
-                    else np.isneginf(values_at(obj, windows[:, s : s + 1], times, [s])).any()):
+                    else (values_at(obj, windows[:, s : s + 1], times, [s]) == NEG_INF).any()):
                 raise DomainError(f"guess violates domain validity in state {s}")
         except ToolkitError as exc:
             failure, going = exc, np.arange(s)
@@ -615,7 +615,7 @@ def correspondence_check(pair: CorrespondencePair, segments) -> CorrespondenceRe
     win = np.stack([segs[:, o : o + 3] for o in range(3)], axis=1)  # sample, offset, slot
     times = t[:, None] + np.arange(3)
     vals = V.values_batch(win.reshape(-1, 3, dim), times.ravel(), np.repeat(w, 3))
-    keep = ~np.isneginf(vals.reshape(count, 3)).any(axis=1)
+    keep = ~(vals.reshape(count, 3) == NEG_INF).any(axis=1)
     win, t, w, times = win[keep], t[keep], w[keep], times[keep]
     states, live = np.repeat(w, 3), len(win)
     jets = np.stack([win[:, :, 0], win[:, :, 1] - win[:, :, 0],
@@ -627,7 +627,7 @@ def correspondence_check(pair: CorrespondencePair, segments) -> CorrespondenceRe
     PV = PV.reshape((live, 3) + PV.shape[1:])
     fd, fd_unresolved = fd_partials(v, jets[:, 0], t, w)
     fv = v.values_batch(jets.reshape(-1, 3, dim), times.ravel(), states).reshape(live, 3)
-    ok = ~(fd_unresolved.any(axis=1) | np.isneginf(fv).any(axis=1))
+    ok = ~(fd_unresolved.any(axis=1) | (fv == NEG_INF).any(axis=1))
     if unresolved is not None:
         unresolved = unresolved.reshape(live, 3, 3)
         ok &= ~(unresolved[:, 0].any(axis=1) | unresolved[:, 1, 1] | unresolved[:, 2, 0])

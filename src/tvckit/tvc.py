@@ -235,7 +235,7 @@ def truncated_objective(obj: DiscreteObjective, path: StochasticPath,
 def _truncated_sum(path: StochasticPath, values: np.ndarray) -> float:
     """truncated_objective from per-time values at times 0..T'; +inf raises."""
     sums = expected_running_sum(path, values)
-    walled = np.isneginf(sums)
+    walled = sums == -np.inf
     if walled.any():
         raise DomainError(f"objective is -inf inside the truncated sum at t={int(np.argmax(walled))}")
     total = float(sums[-1])

@@ -18,7 +18,9 @@ batched formula and every engine was a reduction over batched calls:
   one loop per T', walls and cell status included, and its iterated limits
   with one least-squares fit per eps column and one extrapolation per T'
   row;
-- the report text the CLI wrote through json.dumps, one value at a time.
+- the report text the CLI wrote through json.dumps, one value at a time;
+- the expectation as np.tensordot, whose one BLAS product core.expectation
+  makes directly.
 
 The kernel, objective, solver and CLI tests hold the library to them.
 """
@@ -45,6 +47,20 @@ from tvckit.kernel import (PointLayout, bind_at, euler_rows, slot_major, values_
 from tvckit.solvers import JAC_FD_STEP, BruteForceResult, CorrespondenceReport, NewtonReport
 
 NEG_INF = float("-inf")
+
+
+def expectation(space, z):
+    """sum_w probs(w) * z(w) along the first axis of z through np.tensordot
+    over the positive-mass states; +inf raises."""
+    z = np.asarray(z, dtype=float)
+    if z.shape[:1] != (space.m,):
+        raise InputError(f"random quantity has {z.shape[0] if z.ndim else 0} states, space has {space.m}")
+    if np.isposinf(z).any():
+        raise InputError("+inf is not an admissible value")
+    w = np.asarray(space.probs, dtype=float)
+    live = w > 0.0
+    out = np.tensordot(w[live], z[live], axes=(0, 0))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +371,7 @@ def discrete_tvc_tail(obj, path, q, tprime):
             for w in range(space.m):
                 coef[w] += tk.partial_slot(obj, tprime + k - j, win[:, w, :], j, w)
         total += np.sum(coef * q.values[tprime + k], axis=1)
-    return float(tk.expectation(space, total))
+    return float(expectation(space, total))
 
 
 def truncated_objective(obj, path, tprime):
@@ -366,7 +382,7 @@ def truncated_objective(obj, path, tprime):
         vals = np.array([obj.value(win[:, w, :], t, w) for w in range(space.m)])
         if np.isneginf(vals).any():
             raise DomainError(f"objective is -inf inside the truncated sum at t={t}")
-        total += tk.expectation(space, vals)
+        total += expectation(space, vals)
     return total
 
 
@@ -470,7 +486,7 @@ def boundary_bracket_series(obj, path, p):
         for step in range(n - j):
             coef += (-1) ** step * _gradient(vseries[:, j + 1 + step], h, step)
         bracket += pder[j] * coef
-    return np.atleast_1d(tk.expectation(path.space, np.sum(bracket, axis=2).T))
+    return np.atleast_1d(expectation(path.space, np.sum(bracket, axis=2).T))
 
 
 def a_grid(obj, path, curve, eps_grid, tprime_grid):
@@ -478,7 +494,8 @@ def a_grid(obj, path, curve, eps_grid, tprime_grid):
     path and one window or jet stack per eps, each cell summed one T' at a
     time.  A time at which the base or the perturbed value is -inf in any
     state adds 0 and walls every cell from it on; a wall outranks a
-    non-finite value."""
+    non-finite value.  A difference that overflows to +inf in a state of
+    positive mass adds +inf at its time."""
     discrete = path.domain.kind == "discrete"
     idx = [int(tp) if discrete else path.domain.index_of(tp) for tp in tprime_grid]
     last, h, states = max(idx), path.domain.h, np.arange(path.space.m)
@@ -496,17 +513,21 @@ def a_grid(obj, path, curve, eps_grid, tprime_grid):
     for ie, eps in enumerate(eps_grid):
         shifted = per_time(tk.perturb(path, curve, eps))
         walled = (np.isneginf(base) | np.isneginf(shifted)).any(axis=1)
-        with np.errstate(invalid="ignore"):  # -inf - -inf at walled times
+        # -inf - -inf at walled times, differences, sums and quotients that overflow
+        with np.errstate(over="ignore", invalid="ignore"):
             diff = np.where(walled[:, None], 0.0, shifted - base)
-        e = tk.expectation(path.space, diff.T)
-        for it, i in enumerate(idx):
-            total = 0.0
-            for t in range(i + 1) if discrete else range(1, i + 1):
-                total += e[t] if discrete else (e[t] + e[t - 1]) * 0.5 * h
-            values[it, ie] = total / eps
-            status[it, ie] = (STATUS_DOMAIN_ERROR if walled[: i + 1].any() else
-                              STATUS_FINITE if np.isfinite(values[it, ie]) else
-                              STATUS_DIVERGING)
+            over = diff == np.inf
+            e = expectation(path.space, np.where(over, 0.0, diff).T)
+            overflowed = (over & (np.asarray(path.space.probs) > 0.0)).any(axis=1)
+            e = np.where(overflowed, e + np.inf, e)
+            for it, i in enumerate(idx):
+                total = 0.0
+                for t in range(i + 1) if discrete else range(1, i + 1):
+                    total += e[t] if discrete else (e[t] + e[t - 1]) * 0.5 * h
+                values[it, ie] = total / eps
+                status[it, ie] = (STATUS_DOMAIN_ERROR if walled[: i + 1].any() else
+                                  STATUS_FINITE if np.isfinite(values[it, ie]) else
+                                  STATUS_DIVERGING)
     if (status == STATUS_DOMAIN_ERROR).all():
         raise NumericalError("every diagnostic cell hit the -inf domain boundary")
     return values, status

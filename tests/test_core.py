@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 import tvckit as tk
 from tvckit.core import GRID_BUDGET, derivatives, running_sum
 from tvckit.errors import HorizonError, InputError, ToolkitError, UnsupportedError
@@ -20,6 +21,8 @@ class TestSampleSpace:
     def test_basic(self, space):
         assert space.m == 2
         assert space.states == (1, 2)
+        # built once, and shared read-only with every caller
+        assert space.prob_array is space.prob_array and not space.prob_array.flags.writeable
 
     def test_rejects_bad_probs(self):
         with pytest.raises(InputError):
@@ -65,6 +68,38 @@ class TestExpectation:
     def test_vector_valued(self, space):
         out = tk.expectation(space, np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert np.allclose(out, [2.0, 3.0])
+
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), zero_mass=st.integers(0, 5),
+           length=st.integers(0, 3000), axes=st.integers(0, 2), neg_inf=st.integers(0, 3),
+           pos_inf=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_tensordot(self, seed, m, zero_mass, length, axes, neg_inf, pos_inf):
+        """core.expectation's direct BLAS product is reference.expectation's
+        np.tensordot bit for bit, over zero-mass states, -inf entries and C-
+        and F-ordered operands of 0 to 2 trailing axes, and a +inf entry
+        raises the same InputError."""
+        rng = np.random.default_rng(seed)
+        raw = rng.uniform(0.01, 1.0, m)
+        raw[rng.permutation(m)[: min(zero_mass, m - 1)]] = 0.0
+        probs = list(raw / math.fsum(raw))
+        probs[int(np.argmax(probs))] += 1.0 - math.fsum(probs)
+        space = tk.SampleSpace(tuple(probs))
+        shape = (m, length, int(rng.integers(1, 4)))[: 1 + axes]
+        z = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+        for flat in rng.integers(z.size, size=neg_inf if z.size else 0):
+            z.flat[flat] = -np.inf
+        if pos_inf and z.size:
+            z.flat[int(rng.integers(z.size))] = np.inf
+
+        def outcome(fn, operand):
+            try:
+                out = fn(space, operand)
+            except InputError as exc:
+                return str(exc)
+            return type(out), np.shape(out), np.asarray(out).tobytes()
+
+        for operand in (z, np.asfortranarray(z)):
+            assert outcome(tk.expectation, operand) == outcome(reference.expectation, operand)
 
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=2))
     @settings(max_examples=50, deadline=None)
@@ -250,6 +285,20 @@ def test_one_time_axis():
                         and node.func.attr in ("gradient", "cumsum", "trapezoid", "trapz")):
                     calls.add((path.stem, getattr(top, "name", None), node.func.attr))
     assert calls == {("core", "running_sum", "cumsum")}
+
+
+def test_one_blas_product():
+    """np.tensordot, np.isposinf and np.isneginf are called nowhere, and dot
+    only inside core.expectation: every expectation is its one direct BLAS
+    product, and the infinity tests are plain comparisons."""
+    calls = set()
+    for path in sorted(Path(tk.__file__).resolve().parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:  # a function, a class or a statement
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("tensordot", "isposinf", "isneginf", "dot")):
+                    calls.add((path.stem, getattr(top, "name", None), node.func.attr))
+    assert calls == {("core", "expectation", "dot")}
 
 
 def test_one_unresolved_message():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import reference
 import tvckit as tk
 import tvckit.diagnostics
-from tvckit.diagnostics import (DIVERGES, STATUS_DOMAIN_ERROR, STATUS_FINITE,
+from tvckit.diagnostics import (DIVERGES, STATUS_DIVERGING, STATUS_DOMAIN_ERROR, STATUS_FINITE,
                                 DiagnosticMatrix, _growth, deviation_profile)
 from tvckit.errors import InputError, NumericalError, UnsupportedError
 
@@ -57,6 +57,28 @@ class TestAGrid:
         with pytest.raises(InputError):
             DiagnosticMatrix((0.2, 0.1), (3, 2), np.zeros((2, 2)),
                              np.full((2, 2), "finite", dtype=object))
+
+    @pytest.mark.parametrize("probs, start, value, want", [
+        ((0.5, 0.5), -1.5, 3.0, np.inf),
+        ((0.5, 0.5), (-1.5, 1.5), (3.0, -3.0), np.nan),
+        ((1.0, 0.0), -1.5, (0.0, 3.0), 0.0)], ids=("diverging", "nan", "zero-mass"))
+    def test_overflowing_difference(self, probs, start, value, want):
+        """1e308 * y0 moved by eps * q from t = 2 on: at eps = 1 the
+        difference overflows to +inf there, which adds +inf to the expected
+        sum from t = 2 on (NaN against a -inf difference, nothing in a state
+        of zero mass) instead of raising expectation's InputError."""
+        dom, space = tk.TimeDomain.discrete(10), tk.SampleSpace(probs)
+        obj = tk.dsl_discrete_objective("1e308 * y0", 0)
+        path = tk.StochasticPath.constant(dom, space, np.asarray(start, dtype=float))
+        q = tk.eventually_constant_curve(dom, space, 2, np.asarray(value, dtype=float))
+        args = (obj, path, q, (1.0, 0.5, 0.1, 0.01), list(range(11)))
+        m = tk.a_grid(*args)
+        values, status = reference.a_grid(*args)
+        assert np.array_equal(m.values, values, equal_nan=True)
+        assert (m.status == status).all()
+        assert (m.values[:2] == 0.0).all() and (m.status[:2] == STATUS_FINITE).all()
+        assert np.array_equal(m.values[2:, 0], np.full(9, want), equal_nan=True)
+        assert (m.status[2:, 0] == (STATUS_FINITE if want == 0.0 else STATUS_DIVERGING)).all()
 
     def test_tprime_beyond_grid(self, quadlin_d, dom60, space, path60):
         q = tk.eventually_constant_curve(dom60, space, onset=1, value=1.0)

@@ -10,6 +10,7 @@ DSL interpreter, so the numpy formulas are held to them too.
 """
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -480,6 +481,20 @@ def _count_calls(monkeypatch, calls, cls, name):
     monkeypatch.setattr(cls, name, counted)
 
 
+def _count_expectations(monkeypatch, calls):
+    """Count the calls of core.expectation, under every module's name for it,
+    in calls["expectation"]."""
+    expectation = tk.core.expectation
+
+    def counted(*args):
+        calls["expectation"] += 1
+        return expectation(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tvckit" and getattr(module, "expectation", None) is expectation:
+            monkeypatch.setattr(module, "expectation", counted)
+
+
 @pytest.mark.parametrize("case", ["household", "dsl-log", "quadlin", "quadlin-c", "dsl-ln-wall"])
 def test_a_grid_work_count(case, monkeypatch):
     """One a_grid call binds the objective once (its one PointLayout) and
@@ -487,8 +502,10 @@ def test_a_grid_work_count(case, monkeypatch):
     variation_decomposition_check reads its +-eps pair and its partials
     from one layout, one bind.  household takes discount**t once per bind,
     and the DSL gathers its constants in its bind alone
-    (test_table_work_stays_in_bind)."""
-    calls = {"bind": 0, "values": 0, "partials": 0, "__post_init__": 0}
+    (test_table_work_stays_in_bind).  a_grid takes one core.expectation per
+    eps, the decomposition check one per truncated sum, one for its rows and
+    one for its tail: the report's bits are those of one reduction per eps."""
+    calls = {"bind": 0, "values": 0, "partials": 0, "__post_init__": 0, "expectation": 0}
     obj, path, q, eps_grid, tprimes = _a_grid_case(case, 7, 20, 2, False)
     discount = _CountingFloat(0.9)
     discount.powers = 0
@@ -498,12 +515,14 @@ def test_a_grid_work_count(case, monkeypatch):
     for name in ("values", "partials"):
         _count_calls(monkeypatch, calls, tk.objectives.BoundObjective, name)
     _count_calls(monkeypatch, calls, tk.StochasticPath, "__post_init__")
+    _count_expectations(monkeypatch, calls)
     tk.a_grid(obj, path, q, eps_grid, tprimes)
-    assert calls == {"bind": 1, "values": 1 + len(eps_grid), "partials": 0, "__post_init__": 0}
+    assert calls == {"bind": 1, "values": 1 + len(eps_grid), "partials": 0, "__post_init__": 0,
+                     "expectation": len(eps_grid)}
     if path.domain.kind == "discrete":
         tk.variation_decomposition_check(obj, path, q)
         assert calls == {"bind": 2, "values": 3 + len(eps_grid), "partials": 1,
-                         "__post_init__": 0}
+                         "__post_init__": 0, "expectation": 4 + len(eps_grid)}
     assert discount.powers == (calls["bind"] if case == "household" else 0)
 
 

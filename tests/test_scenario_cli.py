@@ -128,6 +128,11 @@ _OVERFLOWING_QUOTIENTS = {"objective": {"expr": "1e307 * y0 * y1"}, "order": 1,
                           "time": {"kind": "discrete", "t_max": 10}, "path": {"constant": 3.0},
                           "perturbation": {"kind": "eventually-constant", "onset": 2,
                                            "value": 1.0}}
+# the objective differences overflow to +inf at eps = 1: diverging cells
+_OVERFLOWING_DIFFERENCES = {"objective": {"expr": "1e308 * y0"}, "order": 0,
+                            "time": {"kind": "discrete", "t_max": 10}, "path": {"constant": -1.5},
+                            "perturbation": {"kind": "eventually-constant", "onset": 2,
+                                             "value": 3.0}}
 COMMANDS = ("euler", "tvc", "assume", "solve", "correspond")
 
 
@@ -512,9 +517,12 @@ class TestCliExitCodes:
          ["euler"], 2, "input error: path values must all be finite\n"),
         ("discrete-counterexample", _OVERFLOWING_ROWS, ["euler"], 3,
          "numerical failure: objective partials produced a non-finite residual\n"),
-        ("discrete-counterexample", _OVERFLOWING_QUOTIENTS, ["assume"], 0, "")],
+        ("discrete-counterexample", _OVERFLOWING_QUOTIENTS, ["assume"], 0, ""),
+        ("discrete-counterexample", _OVERFLOWING_DIFFERENCES,
+         ["assume", "--eps-grid", "1,0.5,0.1,0.01"], 0, "")],
         ids=("euler", "tvc", "assume", "quadlin-eps-grid", "quadlin-discrete-partials",
-             "quadlin-continuous-jets", "discrete-rows", "discrete-quotients"))
+             "quadlin-continuous-jets", "discrete-rows", "discrete-quotients",
+             "discrete-differences"))
     def test_overflow_stderr_is_the_error_line(self, tmp_path, capsys, stem, update, argv,
                                                code, line):
         # a formula, a stencil or the load-time gradient check's stencil
